@@ -311,7 +311,10 @@ def _cmd_superhedge(args) -> int:
     )
     if args.verify:
         verify = {}
-        _check(agreement <= 1e-8, f"DP and LP superhedge differ by {agreement:.3e}")
+        _check(
+            agreement <= 1e-8,
+            f"DP and vertex-sweep superhedge differ by {agreement:.3e}",
+        )
         verify["dp_vs_lp"] = agreement
         try:
             lo, hi = oracle.oracle_price_interval(model, claim)

@@ -19,7 +19,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import DeflatorError, SizeGuardError, UnfairMarketError
+from .errors import DeflatorError, SizeGuardError, SolverError, UnfairMarketError
 from .market import MarketModel, check_deflator_values, deflator_values, _frozen
 from .optim import LinearProgram, enumerate_vertices, solve_lp
 
@@ -187,9 +187,13 @@ def polytope_minimizer(model: MarketModel):
     sweep rebuilding the levels (nodes at level zero propagate zero).  The
     result matches the LP optimum to solver precision at a fraction of the
     cost, which is what makes it suitable as the dual solver's inner oracle.
+
+    A node whose vertices are too many to enumerate (the
+    :class:`SizeGuardError` guard of :func:`local_vertices`) answers its
+    sweep step with its own one-step LP instead.
     """
     tree = model.tree
-    tables: list[tuple[list[int], np.ndarray] | None] = []
+    tables: list[tuple[list[int], np.ndarray | None] | None] = []
     for k in range(tree.n_nodes):
         if tree.is_leaf(k):
             tables.append(None)
@@ -197,30 +201,48 @@ def polytope_minimizer(model: MarketModel):
         ch = list(tree.children[k])
         # rows are level ratios m[child]/m[node]; the branch probabilities
         # already live inside the local constraint matrix
-        tables.append((ch, np.asarray(local_vertices(model, k))))
+        try:
+            tables.append((ch, np.asarray(local_vertices(model, k))))
+        except SizeGuardError:
+            tables.append((ch, None))
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()
-        best = np.zeros(tree.n_nodes, dtype=int)
+        chosen: list[np.ndarray | None] = [None] * tree.n_nodes
         for k in range(tree.n_nodes - 1, -1, -1):
             entry = tables[k]
             if entry is None:
                 continue
             ch, ratios = entry
+            if ratios is None:
+                chosen[k] = _local_minimizer(model, k, per_unit[ch])
+                per_unit[k] += float(chosen[k] @ per_unit[ch])
+                continue
             totals = ratios @ per_unit[ch]
-            best[k] = int(np.argmin(totals))
-            per_unit[k] += float(totals[best[k]])
+            best = int(np.argmin(totals))
+            chosen[k] = ratios[best]
+            per_unit[k] += float(totals[best])
         levels = np.zeros(tree.n_nodes)
         levels[0] = 1.0
         for k in range(tree.n_nodes):
             entry = tables[k]
             if entry is None or levels[k] == 0.0:
                 continue
-            ch, ratios = entry
-            levels[ch] = levels[k] * ratios[best[k]]
+            levels[entry[0]] = levels[k] * chosen[k]
         return levels
 
     return minimize
+
+
+def _local_minimizer(model: MarketModel, node: int, cost: np.ndarray) -> np.ndarray:
+    """Ratio vector minimizing ``cost @ r`` over the one-step polytope."""
+    _, _, matrix, rhs = _local_system(model, node)
+    sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
+    if sol.status != "optimal":  # pragma: no cover - fair market
+        raise SolverError(
+            f"local minimization LP {sol.status} at node {model.tree.ids[node]!r}"
+        )
+    return sol.x
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +250,77 @@ def polytope_minimizer(model: MarketModel):
 # ---------------------------------------------------------------------------
 
 
-def _local_interior_radius(model: MarketModel, node: int):
-    """Max-min one-step deflator ratio at a node, or None if infeasible."""
-    tree = model.tree
-    ch = list(tree.children[node])
-    k = len(ch)
-    # variables: ratios m (k), floor eps, slacks (k)
-    n_vars = 2 * k + 1
-    rows = np.zeros((model.n_assets + k, n_vars))
-    rhs = np.zeros(model.n_assets + k)
-    for i in range(model.n_assets):
-        rows[i, :k] = tree.branch_prob[ch] * model.price[i, ch]
-        rhs[i] = model.price[i, node]
-    for j in range(k):
-        rows[model.n_assets + j, j] = 1.0
-        rows[model.n_assets + j, k] = -1.0
-        rows[model.n_assets + j, k + 1 + j] = -1.0
-    objective = np.zeros(n_vars)
-    objective[k] = 1.0
+def _floor_lp(model: MarketModel, node: int, floors, face=None):
+    """Largest ``t`` with a one-step ratio vector ``r`` at ``node`` such that
+    ``r[j] * floors[j] >= t`` for every child ``j``.
+
+    ``floors`` must be strictly positive.  The program's columns are
+    ``s >= 0`` (one per child) and ``tau = t / min(floors)``, with
+    ``r = tau * min(floors) / floors + s``, so the floor rows need no
+    slacks of their own; it is bounded because the one-step polytope is.
+    Measuring ``t`` in units of the smallest floor keeps every coefficient
+    at most 1: floors far below 1, as on a face whose exact floor is 0,
+    would otherwise put coefficients of 1e16 into the martingale rows.
+    ``face``, when given as ``(weights, value)``, adds the row
+    ``weights @ r = value``.  Returns ``(t, r)``, or ``None`` when no
+    ratio vector satisfies the constraints.
+    """
+    _, _, matrix, rhs = _local_system(model, node)
+    floors = np.asarray(floors, dtype=float)
+    unit = float(floors.min())
+    spread = unit / floors
+    if face is not None:
+        matrix = np.vstack([matrix, face[0]])
+        rhs = np.append(rhs, face[1])
+    n_children = matrix.shape[1]
+    rows = np.column_stack([matrix, matrix @ spread])
+    objective = np.zeros(n_children + 1)
+    objective[n_children] = 1.0
     sol = solve_lp(LinearProgram(objective, rows, rhs, 0.0, "max"))
     if sol.status != "optimal":
         return None
-    return float(sol.value)
+    tau = float(sol.x[n_children])
+    return unit * tau, tau * spread + sol.x[:n_children]
+
+
+def _max_floor(model: MarketModel, face=None):
+    """Largest uniform floor under the node levels, by backward recursion.
+
+    ``F(k) = min(1, max_{r in P_k} min_j r_j F(c_j))`` with ``F = 1`` at
+    the leaves is the largest floor of the subtree at ``k`` relative to its
+    own level, so ``F(root)`` is the interior radius of the whole polytope:
+    one :func:`_floor_lp` per non-leaf node, none where a child's floor is
+    0.  The cap at 1 (the node's own level) is applied after the node's
+    program, not inside it, so each node's ratios stay as balanced as its
+    children's floors allow even where the cap binds.  ``face(node)``,
+    when given, returns the extra row :func:`_floor_lp` adds at that node.
+    Returns ``F(root)`` and, when it is positive, the witness levels
+    rebuilt forward from the maximizing ratios.
+    """
+    tree = model.tree
+    floors = np.ones(tree.n_nodes)
+    ratios: list[np.ndarray | None] = [None] * tree.n_nodes
+    for k in range(tree.n_nodes - 1, -1, -1):
+        ch = list(tree.children[k])
+        if not ch:
+            continue
+        below = floors[ch]
+        solved = None
+        if below.min() > 0.0:
+            solved = _floor_lp(model, k, below, None if face is None else face(k))
+        if solved is None:
+            floors[k] = 0.0
+            continue
+        best, ratios[k] = solved
+        floors[k] = min(1.0, best)
+    radius = float(floors[0])
+    if radius <= 0.0:
+        return radius, None
+    levels = np.ones(tree.n_nodes)
+    for k in range(tree.n_nodes):
+        if ratios[k] is not None:
+            levels[list(tree.children[k])] = levels[k] * ratios[k]
+    return radius, levels
 
 
 def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate | None:
@@ -295,10 +366,11 @@ def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate 
 
 def _find_certificate(model: MarketModel) -> ArbitrageCertificate | None:
     for node in range(model.tree.n_nodes):
-        if model.tree.is_leaf(node):
+        ch = model.tree.children[node]
+        if not ch:
             continue
-        radius = _local_interior_radius(model, node)
-        if radius is not None and radius > FAIRNESS_THRESHOLD:
+        local = _floor_lp(model, node, np.ones(len(ch)))
+        if local is not None and local[0] > FAIRNESS_THRESHOLD:
             continue
         certificate = _extract_certificate(model, node)
         if certificate is not None:
@@ -307,40 +379,20 @@ def _find_certificate(model: MarketModel) -> ArbitrageCertificate | None:
 
 
 def check_fair(model: MarketModel) -> FairnessReport:
-    """Decide fairness by maximizing a uniform floor under the polytope.
+    """Decide fairness by the largest uniform floor under the polytope.
 
-    Solves ``max eps`` subject to the martingale constraints and
-    ``m[node] >= eps`` for every node.  The market is fair exactly when the
-    optimum exceeds 1e-10; the maximizer is returned as a strictly positive
-    witness.  When unfair, a one-step arbitrage certificate is assembled
-    from a violated node's local program (``None`` in the near-degenerate
-    case where every node passes locally but the floor is still tiny).
+    The floor, ``max eps`` subject to the martingale constraints and
+    ``m[node] >= eps`` for every node, comes from the backward recursion of
+    :func:`_max_floor`, one small LP per node.  The market is fair exactly
+    when it exceeds 1e-10; the levels rebuilt from the maximizing ratios
+    are returned as a strictly positive witness whose smallest level is the
+    floor.  When unfair, a one-step arbitrage certificate is assembled from
+    a violated node's local program (``None`` in the near-degenerate case
+    where every node passes locally but the floor is still tiny).
+    :func:`fairtree.oracle.lp_interior_radius` solves the same problem as
+    one whole-tree LP, for cross-checks.
     """
-    polytope = build_polytope(model)
-    n = model.tree.n_nodes
-    base_rows, base_rhs = polytope.matrix, polytope.rhs
-    # variables: levels m (n), floor eps, slacks (n)
-    n_vars = 2 * n + 1
-    rows = np.zeros((base_rows.shape[0] + n, n_vars))
-    rows[: base_rows.shape[0], :n] = base_rows
-    rhs = np.concatenate([base_rhs, np.zeros(n)])
-    for j in range(n):
-        r = base_rows.shape[0] + j
-        rows[r, j] = 1.0
-        rows[r, n] = -1.0
-        rows[r, n + 1 + j] = -1.0
-    objective = np.zeros(n_vars)
-    objective[n] = 1.0
-    sol = solve_lp(LinearProgram(objective, rows, rhs, 0.0, "max"))
-
-    if sol.status != "optimal":
-        return FairnessReport(
-            fair=False,
-            witness=None,
-            interior_radius=0.0,
-            certificate=_find_certificate(model),
-        )
-    radius = float(sol.value)
+    radius, levels = _max_floor(model)
     if radius <= FAIRNESS_THRESHOLD:
         return FairnessReport(
             fair=False,
@@ -348,9 +400,11 @@ def check_fair(model: MarketModel) -> FairnessReport:
             interior_radius=radius,
             certificate=_find_certificate(model),
         )
-    witness = Deflator.for_market(model, sol.x[:n])
     return FairnessReport(
-        fair=True, witness=witness, interior_radius=radius, certificate=None
+        fair=True,
+        witness=Deflator.for_market(model, levels),
+        interior_radius=radius,
+        certificate=None,
     )
 
 
@@ -480,7 +534,8 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
     combination of polytope vertices, so positivity is inherited from the
     witness.  Small polytopes use the full vertex list; past the
     enumeration guard, vertices are found by minimizing random objectives
-    over the polytope (every LP optimum is a vertex).  Randomness flows
+    with :func:`polytope_minimizer` (a generic linear cost has a unique
+    minimizer, which is a vertex).  Randomness flows
     through ``numpy.random.default_rng`` (PCG64) only.
     """
     report = require_fair(model)
@@ -493,6 +548,7 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
         vertices = enumerate_vertices(polytope.linear_program())
     except SizeGuardError:
         vertices = None
+        minimize = polytope_minimizer(model)
 
     samples: list[Deflator] = []
     for _ in range(count):
@@ -500,13 +556,7 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
             weights = rng.dirichlet(np.ones(len(vertices)))
             mix = weights @ np.asarray(vertices)
         else:
-            found = []
-            for _ in range(3):
-                objective = rng.normal(size=polytope.n_variables)
-                sol = solve_lp(polytope.linear_program(objective, "min"))
-                if sol.status != "optimal":  # pragma: no cover - compact polytope
-                    raise DeflatorError("polytope LP failed during sampling")
-                found.append(sol.x)
+            found = [minimize(rng.normal(size=polytope.n_variables)) for _ in range(3)]
             weights = rng.dirichlet(np.ones(len(found)))
             mix = weights @ np.asarray(found)
         samples.append(Deflator.for_market(model, 0.5 * witness + 0.5 * mix))

@@ -1,11 +1,16 @@
 """Superhedging prices, consumption decompositions, attainability.
 
 The superhedging cost of a claim is the largest deflator-weighted expected
-payoff over the closure of the deflator polytope.  Two independent routes
-compute it: a single linear program over the whole polytope
-(:func:`superhedge_price`) and a backward recursion of node-local linear
-programs (:func:`superhedge_process`); they must agree to 1e-8 and tests
-hold them to that.
+payoff over the closure of the deflator polytope.  The polytope factorizes
+over the tree, so every answer here is a backward recursion over one-step
+problems.  Two independent routes compute the price: a sweep over the
+enumerated vertices of each node's one-step polytope
+(:func:`superhedge_price`, through
+:func:`~fairtree.deflators.polytope_minimizer`) and a recursion of
+node-local linear programs (:func:`superhedge_process`); they must agree to
+1e-8 and tests hold them to that.  The whole-tree linear programs that the
+recursions replace live in :mod:`fairtree.oracle` as a third, independent
+cross-check.
 
 Any process that is a one-step supermartingale under every deflator splits
 as initial value plus trading gains minus a nondecreasing consumption
@@ -25,8 +30,9 @@ from .deflators import (
     FAIRNESS_THRESHOLD,
     Deflator,
     _local_system,
-    build_polytope,
+    _max_floor,
     local_vertices,
+    polytope_minimizer,
     require_fair,
 )
 from .optim import LinearProgram, solve_lp
@@ -83,22 +89,19 @@ def _claim_objective(model: MarketModel, payoff: np.ndarray) -> np.ndarray:
 
 
 def superhedge_price(model: MarketModel, claim: Claim) -> PriceInterval:
-    """Both price bounds by linear programming over the deflator polytope."""
+    """Both price bounds and their bound points from two sweeps of
+    :func:`~fairtree.deflators.polytope_minimizer` (costs ``±objective``)."""
     payoff = _check_claim(model, claim)
     require_fair(model)
-    polytope = build_polytope(model)
     objective = _claim_objective(model, payoff)
-    bounds = {}
-    for sense in ("max", "min"):
-        sol = solve_lp(polytope.linear_program(objective, sense))
-        if sol.status != "optimal":  # pragma: no cover - compact and nonempty
-            raise SolverError(f"superhedge LP unexpectedly {sol.status}")
-        bounds[sense] = sol
+    minimize = polytope_minimizer(model)
+    lower_point = minimize(objective)
+    upper_point = minimize(-objective)
     return PriceInterval(
-        lower=float(bounds["min"].value),
-        upper=float(bounds["max"].value),
-        lower_point=bounds["min"].x,
-        upper_point=bounds["max"].x,
+        lower=float(objective @ lower_point),
+        upper=float(objective @ upper_point),
+        lower_point=lower_point,
+        upper_point=upper_point,
     )
 
 
@@ -219,11 +222,12 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
       claim is replicable and every deflator prices it identically.
     * ``regular-attainable``: the upper bound is attained by a strictly
       positive deflator, found by maximizing a uniform floor over the
-      optimal face.
+      optimal face; the face is the product of each node's locally
+      optimal face under :func:`superhedge_process`.
     * ``not-attainable``: the supremum is only approached; the optimal
       boundary point is returned as a witness.
     """
-    payoff = _check_claim(model, claim)
+    _check_claim(model, claim)
     report = require_fair(model)
     interval = superhedge_price(model, claim)
     tol = INTERVAL_TOL * max(1.0, abs(interval.upper), abs(interval.lower))
@@ -236,30 +240,24 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
             boundary_witness=None,
         )
 
-    polytope = build_polytope(model)
-    n = model.tree.n_nodes
-    face_row = np.concatenate([_claim_objective(model, payoff), np.zeros(n + 1)])
-    base = polytope.matrix
-    n_vars = 2 * n + 1
-    rows = np.zeros((base.shape[0] + 1 + n, n_vars))
-    rows[: base.shape[0], :n] = base
-    rows[base.shape[0], :] = face_row
-    rhs = np.concatenate([polytope.rhs, [interval.upper], np.zeros(n)])
-    for j in range(n):
-        r = base.shape[0] + 1 + j
-        rows[r, j] = 1.0
-        rows[r, n] = -1.0
-        rows[r, n + 1 + j] = -1.0
-    objective = np.zeros(n_vars)
-    objective[n] = 1.0
-    sol = solve_lp(LinearProgram(objective, rows, rhs, 0.0, "max"))
+    # A deflator attains the upper bound exactly when every node's ratios
+    # lie on the node's locally optimal face, so the floor recursion over
+    # those faces decides whether a strictly positive one does.
+    dp = superhedge_process(model, claim)
+    probs = model.tree.branch_prob
+    children = model.tree.children
 
-    if sol.status == "optimal" and float(sol.value) > FAIRNESS_THRESHOLD:
+    def face(k):
+        ch = list(children[k])
+        return probs[ch] * dp[ch], dp[k]
+
+    radius, levels = _max_floor(model, face)
+    if radius > FAIRNESS_THRESHOLD:
         return AttainabilityVerdict(
             classification=REGULAR_ATTAINABLE,
             price=interval.upper,
             interval=interval,
-            supporting_deflator=Deflator.for_market(model, sol.x[:n]),
+            supporting_deflator=Deflator.for_market(model, levels),
             boundary_witness=None,
         )
     return AttainabilityVerdict(

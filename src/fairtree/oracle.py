@@ -1,11 +1,20 @@
-"""Brute-force reference implementations for cross-checking the engine.
+"""Reference implementations for cross-checking the engine.
 
-Everything here trades speed for transparency: suprema are taken over an
-explicit vertex list, dual values come from a two-pass grid search, and
-completeness is read off the vertex count.  The oracles are exponential-
-time and guarded by size limits; they exist so that any engine result on
-a small instance can be re-derived by a method with no shared failure
-modes (no simplex pivoting, no first-order descent).
+Two kinds live here, and neither is used by the engine itself.
+
+* **Brute force.**  Suprema are taken over an explicit vertex list, dual
+  values come from a two-pass grid search, and completeness is read off
+  the vertex count.  These oracles are exponential-time and guarded by
+  size limits; they re-derive an engine result on a small instance by a
+  method with no shared failure modes (no simplex pivoting, no
+  first-order descent, no tree recursion).
+* **Whole-tree linear programs.**  The interior radius, the price bounds
+  and the attainability floor as one dense LP over the whole deflator
+  polytope (:func:`lp_interior_radius`, :func:`lp_price_interval`,
+  :func:`lp_face_radius`).  The engine answers the same questions by
+  backward recursions over one-step problems; these LPs share the simplex
+  but not the factorization, and their tableaux grow with the square of
+  the node count, so they suit small and mid-sized trees only.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import numpy as np
 from .errors import SizeGuardError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
 from .deflators import build_polytope
-from .optim import enumerate_vertices
+from .hedging import _claim_objective
+from .optim import LinearProgram, enumerate_vertices, solve_lp
 
 DIMENSION_GUARD = 3
 _GRID_POINT_GUARD = 50_000_000
@@ -79,6 +89,60 @@ def oracle_price_interval(model: MarketModel, claim: Claim) -> tuple[float, floa
     leaves = model.tree.leaves
     values = vertices[:, leaves] @ (model.tree.path_prob[leaves] * payoff)
     return float(values.min()), float(values.max())
+
+
+def lp_interior_radius(model: MarketModel, face=None):
+    """Largest uniform floor under the node levels and a maximizer, as one
+    whole-tree LP: ``max eps`` subject to the polytope and ``m[node] >= eps``
+    at every node.  ``face``, when given as ``(row, value)``, adds the
+    constraint ``row @ m = value``.  Returns ``(0.0, None)`` when the
+    program is infeasible."""
+    polytope = build_polytope(model)
+    base = polytope.matrix
+    rhs = polytope.rhs
+    if face is not None:
+        base = np.vstack([base, face[0]])
+        rhs = np.append(rhs, face[1])
+    n = model.tree.n_nodes
+    # variables: levels m (n), floor eps, slacks (n)
+    rows = np.zeros((base.shape[0] + n, 2 * n + 1))
+    rows[: base.shape[0], :n] = base
+    rows[base.shape[0]:, :n] = np.eye(n)
+    rows[base.shape[0]:, n] = -1.0
+    rows[base.shape[0]:, n + 1:] = -np.eye(n)
+    objective = np.zeros(2 * n + 1)
+    objective[n] = 1.0
+    sol = solve_lp(
+        LinearProgram(objective, rows, np.concatenate([rhs, np.zeros(n)]), 0.0, "max")
+    )
+    if sol.status != "optimal":
+        return 0.0, None
+    return float(sol.value), sol.x[:n]
+
+
+def lp_price_interval(model: MarketModel, claim: Claim):
+    """Sub- and superhedging prices with their bound points, as two
+    whole-tree LPs: ``(lower, upper, lower_point, upper_point)``."""
+    payoff = _check_claim(model, claim)
+    polytope = build_polytope(model)
+    objective = _claim_objective(model, payoff)
+    solutions = []
+    for sense in ("min", "max"):
+        sol = solve_lp(polytope.linear_program(objective, sense))
+        if sol.status != "optimal":
+            raise UnfairMarketError(f"the deflator polytope LP is {sol.status}")
+        solutions.append(sol)
+    low, high = solutions
+    return float(low.value), float(high.value), low.x, high.x
+
+
+def lp_face_radius(model: MarketModel, claim: Claim, upper: float):
+    """Largest uniform floor over the face of the polytope where the claim
+    prices at ``upper``, as one whole-tree LP: ``(eps, levels)``.  A floor
+    above the fairness threshold means a strictly positive deflator attains
+    the superhedging price."""
+    payoff = _check_claim(model, claim)
+    return lp_interior_radius(model, (_claim_objective(model, payoff), upper))
 
 
 def oracle_complete(model: MarketModel) -> bool:

@@ -35,7 +35,7 @@ from .market import (
 from .deflators import (
     Deflator,
     build_polytope,
-    check_fair,
+    fairness_report,
     polytope_minimizer,
     require_fair,
 )
@@ -311,20 +311,21 @@ def _bisect_budget(model, utility, levels, target: float) -> float:
 
     The budget is continuous and strictly decreasing in the multiplier,
     from +inf at 0+ to 0 at +inf, so a root always exists and doubling or
-    halving from 1 finds a bracket quickly.
+    halving from 1 finds a bracket quickly; bisection then runs between
+    the last two bracket points.
     """
     lo = hi = 1.0
     g = _expected_budget(model, utility, levels, 1.0) - target
     if g > 0:
         for _ in range(200):
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if _expected_budget(model, utility, levels, hi) - target <= 0:
                 break
         else:
             raise SolverError("budget bisection failed to bracket from above")
     elif g < 0:
         for _ in range(200):
-            lo *= 0.5
+            lo, hi = 0.5 * lo, lo
             if _expected_budget(model, utility, levels, lo) - target >= 0:
                 break
         else:
@@ -369,7 +370,7 @@ def solve_primal(model: MarketModel, utility: UtilitySpec, x: float) -> PrimalSo
 
     decomposition = optional_decomposition(model, wealth, slack=CONSUMPTION_TOL)
     max_consumption = float(decomposition.consumption.max(initial=0.0))
-    if max_consumption > CONSUMPTION_TOL:
+    if max_consumption > CONSUMPTION_TOL * max(1.0, x):
         raise SolverError(
             f"optimal wealth is not self-financing: consumption "
             f"{max_consumption:.3e}"
@@ -469,7 +470,7 @@ def verify_minimax(
             wealth,
         )
     max_consumption = float(decomposition.consumption.max(initial=0.0))
-    if max_consumption > CONSUMPTION_TOL:
+    if max_consumption > CONSUMPTION_TOL * max(1.0, x):
         return MinimaxReport(
             False, f"consumption {max_consumption:.3e} above tolerance", y, wealth
         )
@@ -553,7 +554,7 @@ def augment_market(
         name = f"{name}-augmented"
     augmented = build_market(model.tree, stacked, model.asset_names + (name,))
 
-    report = check_fair(augmented)
+    report = fairness_report(augmented)
     check_deflator_values(augmented, levels)
     residual = _max_martingale_defect(augmented, levels)
     dual_after = solve_dual(augmented, utility, primal.y)

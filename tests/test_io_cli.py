@@ -303,6 +303,18 @@ class TestCli:
         )
         assert capsys.readouterr().out == out
 
+    def test_optimize_at_large_wealth(self, capsys, tmp_path):
+        assert run_command(
+            ["generate", "--seed", "6", "--depth", "3", "--branching", "3",
+             "--assets", "2"]
+        ) == 0
+        path = tmp_path / "g.market"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        report = run_json(
+            capsys, ["optimize", str(path), "--utility", "log", "--wealth", "1e6"]
+        )
+        assert report["wealth"] == 1e6
+
     def test_generate_arb_flag(self, capsys):
         code = run_command(["generate", "--seed", "4", "--arb", "--verify"])
         out = capsys.readouterr().out

@@ -1,26 +1,44 @@
-"""Engine results re-derived by the brute-force oracles.
+"""Engine results re-derived by the oracles.
 
-Everything in here runs on instances small enough for exhaustive vertex
-enumeration; the guards themselves are exercised too.
+The brute-force oracles run on instances small enough for exhaustive
+vertex enumeration, and their guards are exercised too.  The engine's
+tree recursions are also held against the whole-tree LPs of
+:mod:`fairtree.oracle` and, when scipy is installed, against HiGHS.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
 from fairtree import (
+    Claim,
+    ScenarioTree,
     SizeGuardError,
     UnfairMarketError,
+    build_market,
+    build_polytope,
     check_complete,
+    check_deflator_values,
+    check_fair,
+    classify_attainability,
+    default_claims,
     generate_market,
+    local_vertices,
     log_utility,
     power_utility,
     solve_dual,
     superhedge_price,
+    superhedge_process,
 )
+from fairtree.deflators import FAIRNESS_THRESHOLD
 from fairtree.oracle import (
     compare,
+    lp_face_radius,
+    lp_interior_radius,
+    lp_price_interval,
     oracle_complete,
     oracle_dual,
     oracle_price_interval,
@@ -141,3 +159,150 @@ class TestCompare:
         assert report.relative_difference == pytest.approx(5e-9)
         big = compare("price", 200.0, 100.0)
         assert big.relative_difference == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# tree recursions against whole-tree LPs
+# ---------------------------------------------------------------------------
+
+
+def _close(a: float, b: float, tol: float = 1e-9) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def _verdict(upper: float, lower: float, face_radius) -> str:
+    """Attainability class from reference bounds and face floor."""
+    if upper - lower <= 1e-9 * max(1.0, abs(upper), abs(lower)):
+        return "strongly-regular"
+    if face_radius() > FAIRNESS_THRESHOLD:
+        return "regular-attainable"
+    return "not-attainable"
+
+
+def _reference_cases():
+    """Corpus markets with their random claim."""
+    return [(model, corpus_claim(model, i)) for i, model in enumerate(fair_corpus(20))]
+
+
+class TestWholeTreeLPs:
+    def test_fairness_matches(self):
+        for model, _ in _reference_cases():
+            report = check_fair(model)
+            radius, _ = lp_interior_radius(model)
+            assert _close(report.interior_radius, radius)
+            assert _close(float(report.witness.values.min()), radius)
+
+    def test_unfair_radius_matches(self):
+        for model in arb_corpus(20):
+            radius, _ = lp_interior_radius(model)
+            assert _close(check_fair(model).interior_radius, radius)
+
+    def test_bounds_and_verdicts_match(self):
+        seen = set()
+        for model, claim in _reference_cases():
+            interval = superhedge_price(model, claim)
+            lower, upper, _, _ = lp_price_interval(model, claim)
+            assert _close(interval.lower, lower)
+            assert _close(interval.upper, upper)
+            expected = _verdict(
+                upper, lower, lambda: lp_face_radius(model, claim, upper)[0]
+            )
+            assert classify_attainability(model, claim).classification == expected
+            seen.add(expected)
+        assert len(seen) >= 2
+
+
+class TestHighs:
+    """The same quantities as :class:`TestWholeTreeLPs`, from HiGHS."""
+
+    @staticmethod
+    def _linprog(cost, a_eq, b_eq, a_ub=None, b_ub=None):
+        from scipy.optimize import linprog
+
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=(0, None), method="highs",
+        )
+        return res
+
+    def _floor(self, a_eq, b_eq):
+        """Largest uniform floor over ``{a_eq m = b_eq, m >= 0}``."""
+        n = a_eq.shape[1]
+        cost = np.zeros(n + 1)
+        cost[n] = -1.0
+        a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+        a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+        res = self._linprog(cost, a_eq, b_eq, a_ub, np.zeros(n))
+        return float(-res.fun) if res.status == 0 else 0.0
+
+    def test_engine_matches_highs(self):
+        pytest.importorskip("scipy")
+        seen = set()
+        for model, claim in _reference_cases():
+            polytope = build_polytope(model)
+            a, b = polytope.matrix, polytope.rhs
+            report = check_fair(model)
+            radius = self._floor(a, b)
+            assert _close(report.interior_radius, radius)
+            assert _close(float(report.witness.values.min()), radius)
+
+            leaves = model.tree.leaves
+            objective = np.zeros(model.tree.n_nodes)
+            objective[leaves] = model.tree.path_prob[leaves] * claim.payoff
+            lower = float(self._linprog(objective, a, b).fun)
+            upper = float(-self._linprog(-objective, a, b).fun)
+            interval = superhedge_price(model, claim)
+            assert _close(interval.lower, lower)
+            assert _close(interval.upper, upper)
+
+            face = np.vstack([a, objective])
+            expected = _verdict(
+                upper, lower, lambda: self._floor(face, np.append(b, upper))
+            )
+            assert classify_attainability(model, claim).classification == expected
+            seen.add(expected)
+        assert len(seen) >= 2
+
+
+def wide_market(children: int = 30):
+    """One step to ``children`` leaves, a bond and a stock, fair by
+    construction: child prices are scaled so that chosen positive ratios
+    price both assets."""
+    rng = np.random.default_rng(children)
+    probs = rng.dirichlet(np.ones(children))
+    ratios = rng.uniform(0.5, 1.5, children)
+    raw = np.vstack([np.ones(children), rng.uniform(0.5, 2.0, children)])
+    child = raw / (raw @ (probs * ratios))[:, np.newaxis]
+    tree = ScenarioTree.build(
+        [("r", None, 1.0)] + [(f"c{j}", "r", float(p)) for j, p in enumerate(probs)]
+    )
+    prices = np.hstack([np.ones((2, 1)), child])
+    return build_market(tree, prices, ("bond", "stock")), Claim(rng.uniform(0.0, 1.0, children))
+
+
+class TestWideNode:
+    def test_node_past_the_vertex_guard(self):
+        model, claim = wide_market()
+        with pytest.raises(SizeGuardError):
+            local_vertices(model, 0)
+        assert check_fair(model).fair
+        interval = superhedge_price(model, claim)
+        lower, upper, _, _ = lp_price_interval(model, claim)
+        assert _close(interval.lower, lower)
+        assert _close(interval.upper, upper)
+        assert _close(superhedge_process(model, claim)[0], upper)
+
+
+class TestLargestShape:
+    def test_fair_and_superhedge_within_budget(self):
+        start = time.perf_counter()
+        model = generate_market(seed=7, depth=6, branching=4, assets=5)
+        assert model.tree.n_nodes == 5461
+        report = check_fair(model)
+        assert report.fair
+        check_deflator_values(model, report.witness)
+        claim = default_claims(model, seed=7)["random"]
+        interval = superhedge_price(model, claim)
+        process = superhedge_process(model, claim)
+        assert abs(process[0] - interval.upper) <= 1e-8
+        assert time.perf_counter() - start <= 60.0

@@ -13,6 +13,7 @@ from fairtree import (
     augment_market,
     davis_price,
     dual_value,
+    generate_market,
     growth_optimal,
     log_utility,
     parse_utility,
@@ -225,6 +226,25 @@ class TestDualityProperties:
             solve_dual(t1_model, log_utility(), 0.0)
         with pytest.raises(ValueError):
             solve_primal(t1_model, log_utility(), -1.0)
+
+
+class TestExtremeWealth:
+    def test_bisection_resolves_a_tiny_multiplier(self):
+        model = generate_market(seed=0, depth=1, branching=2, assets=1)
+        primal = solve_primal(model, power_utility(-5.0), 1e6)
+        assert primal.budget_residual <= 1e-8 * 1e6
+
+    @pytest.mark.parametrize("p", [-3.0, -5.0])
+    def test_budget_met_across_a_corpus(self, p):
+        for model in fair_corpus(12):
+            primal = solve_primal(model, power_utility(p), 1e6)
+            assert primal.budget_residual <= 1e-8 * 1e6
+
+    def test_consumption_tolerance_scales_with_wealth(self):
+        model = generate_market(seed=6, depth=3, branching=3, assets=2)
+        primal = solve_primal(model, log_utility(), 1e6)
+        assert primal.max_consumption <= 1e-7 * 1e6
+        assert verify_minimax(model, log_utility(), primal.deflator, 1e6).minimax
 
 
 class TestMinimax:

@@ -284,7 +284,9 @@ def _cmd_superhedge(args) -> int:
     claim = _pick_claim(parsed, args.claim)
     verdict = classify_attainability(model, claim)
     interval = verdict.interval
-    dp = superhedge_process(model, claim)
+    dp = verdict.process
+    if dp is None:
+        dp = superhedge_process(model, claim)
     agreement = abs(float(dp[0]) - interval.upper)
     tolerance = args.tolerance if args.tolerance is not None else 1e-8
     report = _base_report("superhedge", parsed, {"oracle_agreement": tolerance})

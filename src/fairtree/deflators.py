@@ -186,7 +186,8 @@ def polytope_minimizer(model: MarketModel):
     backward sweep choosing the best local vertex per node and one forward
     sweep rebuilding the levels (nodes at level zero propagate zero).  The
     result matches the LP optimum to solver precision at a fraction of the
-    cost, which is what makes it suitable as the dual solver's inner oracle.
+    cost, which is what makes it suitable for the utility dual's gap
+    certificate and for price bounds.
 
     A node whose vertices are too many to enumerate (the
     :class:`SizeGuardError` guard of :func:`local_vertices`) answers its

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, SupermartingaleError
+from .errors import SizeGuardError, SolverError, SupermartingaleError
 from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
     FAIRNESS_THRESHOLD,
     Deflator,
+    _local_minimizer,
     _local_system,
     _max_floor,
     local_vertices,
@@ -74,11 +75,15 @@ class DecompositionResult:
 
 @dataclass(frozen=True, eq=False)
 class AttainabilityVerdict:
+    """``process`` is the :func:`superhedge_process` the face recursion
+    ran on, ``None`` for a strongly regular claim (which needs none)."""
+
     classification: str
     price: float
     interval: PriceInterval
     supporting_deflator: Deflator | None
     boundary_witness: np.ndarray | None
+    process: np.ndarray | None = None
 
 
 def _claim_objective(model: MarketModel, payoff: np.ndarray) -> np.ndarray:
@@ -139,7 +144,9 @@ def check_supermartingale(
     The inequality is linear in the deflator, so checking the vertices of
     each node's one-step ratio polytope covers the whole closure (levels
     that vanish propagate zero down the subtree and contribute nothing).
-    Raises :class:`SupermartingaleError` at the first violation.  ``slack``
+    A node with too many vertices to enumerate is checked at the vertex
+    its one-step LP finds for the largest forward value.  Raises
+    :class:`SupermartingaleError` at the first violation.  ``slack``
     is relative to the magnitude of the terms compared; processes that are
     optimal only up to a solver gap need a correspondingly looser value.
     """
@@ -151,7 +158,11 @@ def check_supermartingale(
         if tree.is_leaf(k):
             continue
         ch, probs, _, _ = _local_system(model, k)
-        for vertex in local_vertices(model, k):
+        try:
+            candidates = local_vertices(model, k)
+        except SizeGuardError:
+            candidates = [_local_minimizer(model, k, -probs * values[ch])]
+        for vertex in candidates:
             forward = float(probs * vertex @ values[ch])
             excess = forward - values[k]
             scale = max(1.0, abs(forward), abs(values[k]))
@@ -259,6 +270,7 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
             interval=interval,
             supporting_deflator=Deflator.for_market(model, levels),
             boundary_witness=None,
+            process=dp,
         )
     return AttainabilityVerdict(
         classification=NOT_ATTAINABLE,
@@ -266,19 +278,6 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
         interval=interval,
         supporting_deflator=None,
         boundary_witness=interval.upper_point,
+        process=dp,
     )
 
-
-def completeness_via_claims(model: MarketModel, tol: float = INTERVAL_TOL) -> bool:
-    """Completeness probed claim by claim: the market is complete exactly
-    when every single-leaf payout (scaled by the numeraire, so it is
-    dominated by the aggregate portfolio) has a degenerate price interval."""
-    require_fair(model)
-    tree = model.tree
-    for i, leaf in enumerate(tree.leaves):
-        payoff = np.zeros(tree.n_leaves)
-        payoff[i] = model.numeraire[leaf]
-        interval = superhedge_price(model, Claim(payoff))
-        if interval.width > tol * max(1.0, abs(interval.upper)):
-            return False
-    return True

@@ -13,6 +13,7 @@ Three pieces live here:
 * :func:`minimize_convex` -- Frank-Wolfe (conditional gradient) with an
   exact line search, using :func:`solve_lp` as the linear-minimization
   oracle.  The duality gap ``g . (x - s)`` certifies optimality on exit.
+  The engine no longer calls it; :func:`fairtree.oracle.fw_dual` does.
 """
 
 from __future__ import annotations
@@ -350,8 +351,11 @@ def enumerate_vertices(lp: LinearProgram, tol: float = 1e-9) -> list[np.ndarray]
 class ConvexProblem:
     """Convex objective with gradient over the feasible set of ``feasible``
     (only the constraint part of the linear program is used).  The objective
-    may return ``+inf`` outside its domain; the gradient may blow up at the
-    boundary -- the line search treats both as "stepped too far".
+    may return ``+inf`` outside its domain.  The gradient must be non-finite
+    outside the domain and may blow up at its boundary -- the line search
+    treats both as "stepped too far".  A gradient that stays finite just
+    outside (a bare ``-p / x`` is one) lets the line search accept a step
+    onto or past the boundary.
 
     ``oracle``, when given, must map a cost vector to an exact minimizer of
     ``cost @ x`` over the feasible set; it replaces the default LP-based

@@ -1,6 +1,6 @@
 """Reference implementations for cross-checking the engine.
 
-Two kinds live here, and neither is used by the engine itself.
+Three kinds live here, and none is used by the engine itself.
 
 * **Brute force.**  Suprema are taken over an explicit vertex list, dual
   values come from a two-pass grid search, and completeness is read off
@@ -15,19 +15,31 @@ Two kinds live here, and neither is used by the engine itself.
   backward recursions over one-step problems; these LPs share the simplex
   but not the factorization, and their tableaux grow with the square of
   the node count, so they suit small and mid-sized trees only.
+* **The whole-tree utility dual.**  :func:`fw_dual` minimizes the expected
+  conjugate over the whole polytope by Frank-Wolfe
+  (:func:`~fairtree.optim.minimize_convex`); the engine's
+  :func:`~fairtree.utility.solve_dual` solves one-step portfolio problems
+  by Newton instead.  They share the objective and the linear oracle
+  behind the gap certificate, not the solver.  The Frank-Wolfe iteration
+  count grows with the tree, so it suits trees of a few hundred nodes.
+
+:func:`completeness_via_claims` re-derives completeness from price
+intervals rather than from the local ranks the engine reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuardError, UnfairMarketError
+from .errors import SizeGuardError, SolverError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
-from .deflators import build_polytope
-from .hedging import _claim_objective
-from .optim import LinearProgram, enumerate_vertices, solve_lp
+from .deflators import Deflator, build_polytope, polytope_minimizer, require_fair
+from .hedging import INTERVAL_TOL, _claim_objective, superhedge_price
+from .optim import ConvexProblem, LinearProgram, enumerate_vertices, minimize_convex, solve_lp
+from .utility import DUAL_GAP_TOL, DualSolution, _dual_objective
 
 DIMENSION_GUARD = 3
 _GRID_POINT_GUARD = 50_000_000
@@ -70,16 +82,6 @@ def _polytope_vertices(model: MarketModel) -> np.ndarray:
     if not vertices:
         raise UnfairMarketError("the deflator polytope is empty")
     return np.array(vertices)
-
-
-def oracle_superhedge(model: MarketModel, claim: Claim) -> float:
-    """Superhedging price as a maximum over deflator-polytope vertices.
-
-    The objective is linear in the deflator, so its supremum over the
-    (bounded) polytope is attained at a vertex; no optimization is run.
-    """
-    lower, upper = oracle_price_interval(model, claim)
-    return upper
 
 
 def oracle_price_interval(model: MarketModel, claim: Claim) -> tuple[float, float]:
@@ -143,6 +145,51 @@ def lp_face_radius(model: MarketModel, claim: Claim, upper: float):
     the superhedging price."""
     payoff = _check_claim(model, claim)
     return lp_interior_radius(model, (_claim_objective(model, payoff), upper))
+
+
+def completeness_via_claims(model: MarketModel, tol: float = INTERVAL_TOL) -> bool:
+    """Completeness probed claim by claim: the market is complete exactly
+    when every single-leaf payout (scaled by the numeraire, so it is
+    dominated by the aggregate portfolio) has a degenerate price interval."""
+    require_fair(model)
+    tree = model.tree
+    for i, leaf in enumerate(tree.leaves):
+        payoff = np.zeros(tree.n_leaves)
+        payoff[i] = model.numeraire[leaf]
+        interval = superhedge_price(model, Claim(payoff))
+        if interval.width > tol * max(1.0, abs(interval.upper)):
+            return False
+    return True
+
+
+def fw_dual(model: MarketModel, utility, y: float, tol: float = DUAL_GAP_TOL) -> DualSolution:
+    """The utility dual as one whole-tree Frank-Wolfe over the deflator
+    polytope, started from the fairness witness, with the exact
+    :func:`~fairtree.deflators.polytope_minimizer` as its linear oracle.
+    Returns the same record as :func:`~fairtree.utility.solve_dual`."""
+    if not (y > 0 and math.isfinite(y)):
+        raise ValueError(f"dual scale y must be positive and finite, got {y!r}")
+    report = require_fair(model)
+    objective, gradient, curvature = _dual_objective(model, utility, y)
+    problem = ConvexProblem(
+        objective=objective,
+        gradient=gradient,
+        feasible=build_polytope(model).linear_program(),
+        oracle=polytope_minimizer(model),
+        curvature=curvature,
+    )
+    result = minimize_convex(problem, report.witness.values, tol=tol)
+    if not result.converged:
+        raise SolverError(
+            f"Frank-Wolfe dual stalled with gap {result.gap:.3e} after "
+            f"{result.iterations} iterations"
+        )
+    return DualSolution(
+        y=float(y),
+        deflator=Deflator.for_market(model, result.x),
+        value=result.value,
+        gap=result.gap,
+    )
 
 
 def oracle_complete(model: MarketModel) -> bool:

@@ -6,6 +6,13 @@ Its minimizer (the minimax deflator) determines the optimal terminal
 wealth through the inverse marginal utility, the optimal strategy through
 a consumption-free decomposition, and marginal prices of claims.
 
+The objective factorizes over the tree just as the polytope does, so the
+minimax deflator comes from a backward recursion: each node solves the
+one-step dual problem of its children, weighted by their subtrees' values,
+through its convex dual, the one-step portfolio problem, by damped Newton
+batched over the nodes of a tree level.  One sweep of the polytope's
+linear oracle then certifies the whole-tree duality gap.
+
 Both supported utility families -- logarithmic and power -- have scale-
 invariant conjugates: rescaling the dual variable rescales the objective
 without moving the minimizer.  The primal solver exploits that, computing
@@ -33,14 +40,13 @@ from .market import (
     fair_price_process,
 )
 from .deflators import (
+    RANK_RTOL,
     Deflator,
-    build_polytope,
     fairness_report,
     polytope_minimizer,
     require_fair,
 )
 from .hedging import optional_decomposition
-from .optim import ConvexProblem, minimize_convex
 
 DUAL_GAP_TOL = 1e-9
 BUDGET_TOL = 1e-10
@@ -236,6 +242,268 @@ def dual_value(model: MarketModel, utility: UtilitySpec, deflator, y: float) -> 
     return objective(levels)
 
 
+@dataclass(frozen=True, eq=False)
+class _NodeGroup:
+    """The non-leaf nodes of one time step with the same number of
+    children, their one-step systems stacked.
+
+    ``prices[g, j]`` is the price vector of child ``children[g, j]`` of
+    node ``nodes[g]``, so ``prices[g].T @ (probs[g] * r) = rhs[g]`` is the
+    node's martingale system in its ratios ``r``.  One singular value
+    decomposition of each system's matrix gives its pseudo-inverse
+    ``pinv`` and orthonormal bases of its column space (``span``, the span
+    of the child price vectors) and of its null space (``null``), both
+    padded with zero columns.  ``single`` marks the nodes whose matrix has
+    full column rank; their one-step polytope is the single point
+    ``fixed[g]``."""
+
+    nodes: np.ndarray
+    children: np.ndarray
+    probs: np.ndarray
+    prices: np.ndarray
+    rhs: np.ndarray
+    pinv: np.ndarray
+    span: np.ndarray
+    null: np.ndarray
+    single: np.ndarray
+    fixed: np.ndarray
+
+
+_GROUP_CACHE: "WeakKeyDictionary[MarketModel, list[_NodeGroup]]" = WeakKeyDictionary()
+
+
+def _node_groups(model: MarketModel) -> list[_NodeGroup]:
+    """Non-leaf nodes batched by ``(time, branching)``, latest time first,
+    so a backward recursion can solve each group at once.  Cached per
+    model."""
+    try:
+        return _GROUP_CACHE[model]
+    except KeyError:
+        pass
+    tree = model.tree
+    keyed: dict[tuple[int, int], list[int]] = {}
+    for k in range(tree.n_nodes):
+        if tree.children[k]:
+            keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
+    groups = []
+    for key in sorted(keyed, reverse=True):
+        branching = key[1]
+        nodes = np.asarray(keyed[key])
+        children = np.asarray([tree.children[k] for k in nodes])
+        probs = tree.branch_prob[children]
+        prices = model.price[:, children].transpose(1, 2, 0)
+        matrix = prices.transpose(0, 2, 1) * probs[:, np.newaxis, :]
+        rhs = model.price[:, nodes].T
+        left, singular, right = np.linalg.svd(matrix)
+        width = singular.shape[1]
+        kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
+        rank = kept.sum(axis=1)
+        inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+        pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
+        beyond = np.arange(branching) >= rank[:, np.newaxis]
+        groups.append(
+            _NodeGroup(
+                nodes=nodes,
+                children=children,
+                probs=probs,
+                prices=prices,
+                rhs=rhs,
+                pinv=pinv,
+                span=left[:, :, :width] * kept[:, np.newaxis, :],
+                null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
+                single=rank == branching,
+                fixed=np.einsum("gnd,gd->gn", pinv, rhs),
+            )
+        )
+    _GROUP_CACHE[model] = groups
+    return groups
+
+
+_NEWTON_ITERS = 100
+_FULL_STEP_DECREMENT = 1e-10
+_FLOOR_DECREMENT = 1e-30
+_ARMIJO = 0.25
+_BACKTRACKS = 60
+_POLISH_STEPS = 2
+
+
+def _newton_ratios(prices, rhs, span, probs, heights, p: float) -> np.ndarray:
+    """Minimax ratios of a stack of one-step dual problems.
+
+    Node ``g`` minimizes ``sum_j probs_j heights_j V(r_j)`` over its
+    one-step polytope, where ``V`` is the conjugate of the utility with
+    exponent ``p`` (0 for log).  Its convex dual is the one-step portfolio
+    problem ``max_theta sum_j probs_j heights_j U(x_j) - theta . rhs`` with
+    ``x_j = theta . prices_j / heights_j``, whose gradient is the martingale
+    residual of the ratios ``r_j = U'(x_j)``.  Damped Newton solves all
+    nodes at once from the numeraire portfolio (all ones), which is
+    strictly feasible because the aggregate price never vanishes, scaled
+    to its best multiple.  Steps stay in the span of the child price
+    vectors (the columns of ``span``, see :class:`_NodeGroup`), where the
+    Hessian is nonsingular; redundant and zero-absorbed assets add no
+    direction of their own.  Once the Newton decrement is below
+    ``_FULL_STEP_DECREMENT`` the full step is taken with only the domain
+    checked: the remaining gain is below what the function values resolve,
+    so a sufficient-decrease test would stall there.  A node stops at a
+    decrement of ``_FLOOR_DECREMENT`` or when full steps no longer shrink
+    it (the rounding floor).
+    """
+    weights = probs * heights
+    coords = prices @ span
+    # padding columns of the basis carry no price: pin them to the identity
+    padding = np.eye(span.shape[2]) * ~span.any(axis=1)[:, np.newaxis, :]
+
+    def payoffs(theta):
+        return np.einsum("gnd,gd->gn", prices, theta) / heights
+
+    def value(theta, x):
+        u = np.log(x) if p == 0.0 else _pow(x, p) / p
+        return (weights * u).sum(axis=1) - (theta * rhs).sum(axis=1)
+
+    theta = np.ones_like(rhs)
+    x = payoffs(theta)
+    scale = (rhs.sum(axis=1) / (weights * _pow(x, p)).sum(axis=1)) ** (1.0 / (p - 1.0))
+    theta *= scale[:, np.newaxis]
+    x *= scale[:, np.newaxis]
+
+    active = np.ones(len(rhs), dtype=bool)
+    previous = np.full(len(rhs), np.inf)
+    for _ in range(_NEWTON_ITERS):
+        marginal = _pow(x, p - 1.0)
+        grad = np.einsum("gnk,gn->gk", coords, probs * marginal) - np.einsum(
+            "gdk,gd->gk", span, rhs
+        )
+        curvature = (1.0 - p) * probs / heights * marginal / x
+        hess = np.einsum("gn,gnk,gnl->gkl", curvature, coords, coords) + padding
+        inv = 1.0 / np.sqrt(np.einsum("gkk->gk", hess))
+        scaled = hess * inv[:, :, np.newaxis] * inv[:, np.newaxis, :]
+        step = inv * np.einsum("gkl,gl->gk", np.linalg.pinv(scaled, hermitian=True), inv * grad)
+        decrement = np.einsum("gk,gk->g", grad, step)
+        step = np.einsum("gdk,gk->gd", span, step)
+        active &= ~(
+            (decrement <= _FLOOR_DECREMENT)
+            | ((previous <= _FULL_STEP_DECREMENT) & (decrement > 0.25 * previous))
+        )
+        previous = decrement
+        if not active.any():
+            break
+        damped = decrement > _FULL_STEP_DECREMENT
+        current = value(theta, x)
+        length = active.astype(float)
+        for _ in range(_BACKTRACKS):
+            trial = theta + length[:, np.newaxis] * step
+            x_trial = payoffs(trial)
+            inside = np.all(x_trial > 0.0, axis=1)
+            gained = value(trial, np.where(inside[:, np.newaxis], x_trial, 1.0))
+            accepted = inside & (
+                ~damped | (gained >= current + _ARMIJO * length * decrement)
+            )
+            if accepted.all():
+                break
+            length = np.where(accepted, length, 0.5 * length)
+        else:
+            length = np.where(accepted, length, 0.0)
+        theta = theta + length[:, np.newaxis] * step
+        x = payoffs(theta)
+    else:
+        if np.any(active & (previous > _FULL_STEP_DECREMENT)):
+            raise SolverError(
+                f"one-step dual Newton left a decrement of "
+                f"{float(previous[active].max()):.3e} after {_NEWTON_ITERS} iterations"
+            )
+    return _pow(x, p - 1.0)
+
+
+def _polish_ratios(r, prices, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
+    """Newton steps on a stack of one-step dual problems themselves (see
+    :func:`_newton_ratios`), from the ratios :func:`_newton_ratios` found.
+
+    Those ratios are only as accurate as ``theta . prices_j``, which loses
+    digits to cancellation when the optimal portfolio is long and short in
+    nearly collinear assets.  Each step makes the least-norm move onto the
+    martingale system, ``-pinv @ residual``, plus the Newton step of the
+    objective along the system's null space, and is halved until the
+    ratios stay strictly positive; the first full step lands on the system.
+    """
+    weights = probs * heights
+    a = 1.0 / (p - 1.0)  # V'(r) = -r**a and V''(r) = r**(a - 1) / (1 - p)
+    padding = np.eye(null.shape[2]) * ~null.any(axis=1)[:, np.newaxis, :]
+    for _ in range(_POLISH_STEPS):
+        residual = np.einsum("gnd,gn->gd", prices, probs * r) - rhs
+        move = -np.einsum("gnd,gd->gn", pinv, residual)
+        curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
+        hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + padding
+        grad = np.einsum("gnk,gn->gk", null, curvature * move - weights * _pow(r, a))
+        newton = np.einsum("gkl,gl->gk", np.linalg.pinv(hess, hermitian=True), grad)
+        step = move - np.einsum("gnk,gk->gn", null, newton)
+        length = np.ones(len(r))
+        for _ in range(_BACKTRACKS):
+            inside = np.all(r + length[:, np.newaxis] * step > 0.0, axis=1)
+            if inside.all():
+                break
+            length = np.where(inside, length, 0.5 * length)
+        else:
+            length = np.where(inside, length, 0.0)
+        r = r + length[:, np.newaxis] * step
+    return r
+
+
+def _minimax_levels(model: MarketModel, utility: UtilitySpec) -> np.ndarray:
+    """Minimax deflator levels by a backward recursion over the tree.
+
+    With ``h = 1`` at the leaves, node ``k`` takes the ratios minimizing
+    ``sum_j p_j h_j V(r_j)`` over its one-step polytope; for power utility
+    ``h_k = sum_j p_j h_j r_j**q`` with ``q = p / (p - 1)``, the expected
+    ``q``-th power of the subtree's relative levels, and for log utility
+    ``h`` stays 1.  Nodes whose one-step matrix has full column rank have a
+    single admissible ratio vector, taken as it is; the others are solved
+    through :func:`_newton_ratios` and :func:`_polish_ratios`.  The levels
+    are rebuilt forward from the ratios.
+    """
+    p = 0.0 if utility.kind == "log" else float(utility.exponent)
+    q = p / (p - 1.0)
+    tree = model.tree
+    groups = _node_groups(model)
+    heights = np.ones(tree.n_nodes)
+    ratios = []
+    for group in groups:
+        r = group.fixed.copy()
+        newton = ~group.single
+        if newton.any():
+            below = heights[group.children[newton]]
+            solved = _newton_ratios(
+                group.prices[newton],
+                group.rhs[newton],
+                group.span[newton],
+                group.probs[newton],
+                below,
+                p,
+            )
+            r[newton] = _polish_ratios(
+                solved,
+                group.prices[newton],
+                group.rhs[newton],
+                group.pinv[newton],
+                group.null[newton],
+                group.probs[newton],
+                below,
+                p,
+            )
+        bad = np.flatnonzero(~np.all(r > 0.0, axis=1))
+        if bad.size:
+            raise SolverError(
+                f"minimax ratios are not strictly positive at node "
+                f"{tree.ids[group.nodes[bad[0]]]!r}"
+            )
+        if p != 0.0:
+            heights[group.nodes] = (group.probs * heights[group.children] * _pow(r, q)).sum(axis=1)
+        ratios.append(r)
+    levels = np.ones(tree.n_nodes)
+    for group, r in zip(reversed(groups), reversed(ratios)):
+        levels[group.children] = levels[group.nodes][:, np.newaxis] * r
+    return levels
+
+
 _DUAL_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
 
 
@@ -247,55 +515,41 @@ def solve_dual(
 ) -> DualSolution:
     """Minimize the expected conjugate over the deflator polytope.
 
-    Frank-Wolfe starts from the fairness witness (strictly interior); the
-    infinite marginal at zero keeps iterates interior, and the final
-    duality gap certifies the minimum to within ``tol``.
+    The objective factorizes over the tree like the polytope does, so the
+    minimizer (the minimax deflator) comes from the backward recursion of
+    one-step problems in :func:`_minimax_levels`.  The infinite marginal
+    utility at zero keeps every ratio strictly positive.  The result is
+    certified globally: the Frank-Wolfe duality gap ``g . (m - s)``, with
+    ``g`` the gradient at the levels ``m`` and ``s`` the
+    :func:`~fairtree.deflators.polytope_minimizer` sweep of ``g``, must be
+    at most ``tol``; otherwise :class:`SolverError` is raised.
 
-    Scale invariance makes the minimizer independent of ``y``, so it is
-    cached per market and utility; on a hit the certificate is recomputed
-    at the requested scale, and a full solve runs only if it no longer
-    meets ``tol``.
+    Both utility families are scale invariant, so the minimizer does not
+    depend on ``y``; it is cached per market and utility, and the
+    certificate is recomputed at each requested scale.
+    :func:`fairtree.oracle.fw_dual` solves the same problem as one
+    whole-tree Frank-Wolfe, for cross-checks.
     """
     if not (y > 0 and math.isfinite(y)):
         raise ValueError(f"dual scale y must be positive and finite, got {y!r}")
-    report = require_fair(model)
-    objective, gradient, curvature = _dual_objective(model, utility, y)
-    oracle = polytope_minimizer(model)
-
+    require_fair(model)
     cache = _DUAL_CACHE.setdefault(model, {})
     key = (utility.kind, utility.exponent)
-    cached = cache.get(key)
-    if cached is not None:
-        grad = gradient(cached)
-        gap = float(grad @ (cached - oracle(grad)))
-        if gap <= tol:
-            return DualSolution(
-                y=float(y),
-                deflator=Deflator.for_market(model, cached),
-                value=objective(cached),
-                gap=max(gap, 0.0),
-            )
-
-    polytope = build_polytope(model)
-    problem = ConvexProblem(
-        objective=objective,
-        gradient=gradient,
-        feasible=polytope.linear_program(),
-        oracle=oracle,
-        curvature=curvature,
-    )
-    result = minimize_convex(problem, report.witness.values, tol=tol)
-    if not result.converged:
+    levels = cache.get(key)
+    if levels is None:
+        levels = cache[key] = _minimax_levels(model, utility)
+    objective, gradient, _ = _dual_objective(model, utility, y)
+    grad = gradient(levels)
+    gap = float(grad @ (levels - polytope_minimizer(model)(grad)))
+    if gap > tol:
         raise SolverError(
-            f"dual solver stalled with gap {result.gap:.3e} after "
-            f"{result.iterations} iterations"
+            f"minimax recursion leaves a duality gap of {gap:.3e} above {tol:g}"
         )
-    cache[key] = result.x
     return DualSolution(
         y=float(y),
-        deflator=Deflator.for_market(model, result.x),
-        value=result.value,
-        gap=result.gap,
+        deflator=Deflator.for_market(model, levels),
+        value=objective(levels),
+        gap=max(gap, 0.0),
     )
 
 

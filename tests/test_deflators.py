@@ -14,7 +14,6 @@ from fairtree import (
     check_complete,
     check_deflator_values,
     check_fair,
-    completeness_via_claims,
     deflator_to_measure,
     local_vertices,
     measure_to_deflator,
@@ -23,6 +22,7 @@ from fairtree import (
     sample_deflators,
 )
 from fairtree.optim import solve_lp
+from fairtree.oracle import completeness_via_claims
 
 from conftest import arb_corpus, fair_corpus
 

@@ -240,6 +240,24 @@ class TestCli:
         assert report["dp_agreement"] <= 1e-8
         assert report["verify"]["upper"]["difference"] <= 1e-8
 
+    @pytest.mark.parametrize("claim", ["digital-up", "stock-claim"])
+    def test_superhedge_solves_the_process_once(self, capsys, t1_path, monkeypatch, claim):
+        import fairtree.cli
+        import fairtree.hedging
+
+        calls = []
+        original = fairtree.hedging.superhedge_process
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fairtree.hedging, "superhedge_process", counted)
+        monkeypatch.setattr(fairtree.cli, "superhedge_process", counted)
+        report = run_json(capsys, ["superhedge", t1_path, "--claim", claim])
+        assert report["dp_agreement"] <= 1e-8
+        assert len(calls) == 1
+
     def test_decompose(self, capsys, t1_path):
         report = run_json(
             capsys, ["decompose", t1_path, "--claim", "digital-up", "--verify"]

@@ -3,7 +3,8 @@
 The brute-force oracles run on instances small enough for exhaustive
 vertex enumeration, and their guards are exercised too.  The engine's
 tree recursions are also held against the whole-tree LPs of
-:mod:`fairtree.oracle` and, when scipy is installed, against HiGHS.
+:mod:`fairtree.oracle` and, when scipy is installed, against HiGHS; the
+per-node dual recursion is held against the whole-tree Frank-Wolfe.
 """
 
 from __future__ import annotations
@@ -18,31 +19,35 @@ from fairtree import (
     ScenarioTree,
     SizeGuardError,
     UnfairMarketError,
+    augment_market,
     build_market,
     build_polytope,
     check_complete,
     check_deflator_values,
     check_fair,
     classify_attainability,
+    davis_price,
     default_claims,
     generate_market,
     local_vertices,
     log_utility,
+    optional_decomposition,
     power_utility,
     solve_dual,
+    solve_primal,
     superhedge_price,
     superhedge_process,
 )
 from fairtree.deflators import FAIRNESS_THRESHOLD
 from fairtree.oracle import (
     compare,
+    fw_dual,
     lp_face_radius,
     lp_interior_radius,
     lp_price_interval,
     oracle_complete,
     oracle_dual,
     oracle_price_interval,
-    oracle_superhedge,
 )
 
 from conftest import arb_corpus, corpus_claim, fair_corpus
@@ -69,7 +74,7 @@ class TestSuperhedgeOracle:
             interval = superhedge_price(model, claim)
             assert abs(interval.upper - hi) <= 1e-8
             assert abs(interval.lower - lo) <= 1e-8
-            assert oracle_superhedge(model, claim) == hi
+            assert oracle_price_interval(model, claim)[1] == hi
             checked += 1
         assert checked >= 8
 
@@ -82,7 +87,7 @@ class TestSuperhedgeOracle:
         model = arb_corpus(1)[0]
         claim = corpus_claim(model, 0)
         with pytest.raises(UnfairMarketError):
-            oracle_superhedge(model, claim)
+            oracle_price_interval(model, claim)[1]
 
 
 class TestCompletenessOracle:
@@ -292,6 +297,25 @@ class TestWideNode:
         assert _close(interval.upper, upper)
         assert _close(superhedge_process(model, claim)[0], upper)
 
+    def test_decomposes_and_optimizes(self):
+        model, claim = wide_market()
+        process = superhedge_process(model, claim)
+        result = optional_decomposition(model, process)
+        tree = model.tree
+        # wealth identity: value = parent value + one-step gain - consumption
+        for k in range(1, tree.n_nodes):
+            p = tree.parent[k]
+            gain = result.strategy.holdings[:, p] @ (model.price[:, k] - model.price[:, p])
+            drop = result.consumption[k] - result.consumption[p]
+            assert abs(process[k] - process[p] - gain + drop) <= 1e-9
+            assert drop >= -1e-9
+        assert (process[tree.leaves] - claim.payoff).min() >= -1e-9
+
+        primal = solve_primal(model, log_utility(), 1.0)
+        assert primal.budget_residual <= 1e-8
+        assert primal.max_consumption <= 1e-7
+        np.testing.assert_allclose(primal.wealth * primal.deflator.values, 1.0, atol=1e-8)
+
 
 class TestLargestShape:
     def test_fair_and_superhedge_within_budget(self):
@@ -306,3 +330,63 @@ class TestLargestShape:
         process = superhedge_process(model, claim)
         assert abs(process[0] - interval.upper) <= 1e-8
         assert time.perf_counter() - start <= 60.0
+
+    def test_utility_questions_within_budget(self):
+        model = generate_market(seed=7, depth=6, branching=4, assets=2)
+        assert model.tree.n_nodes == 5461
+        claim = default_claims(model, seed=7)["random"]
+        utility = log_utility()
+
+        start = time.perf_counter()
+        primal = solve_primal(model, utility, 1.0)
+        assert time.perf_counter() - start <= 60.0
+        assert primal.budget_residual <= 1e-8
+        assert primal.max_consumption <= 1e-7
+        np.testing.assert_allclose(primal.wealth * primal.deflator.values, 1.0, atol=1e-8)
+
+        start = time.perf_counter()
+        davis = davis_price(model, utility, 1.0, claim)
+        assert time.perf_counter() - start <= 60.0
+        assert davis.residual <= 1e-8
+
+        start = time.perf_counter()
+        augmented, diagnostics = augment_market(model, utility, 1.0, claim)
+        assert time.perf_counter() - start <= 60.0
+        assert augmented.n_assets == 3
+        assert diagnostics.fair
+        assert diagnostics.deflator_residual <= 1e-8
+        assert diagnostics.dual_value_shift <= 1e-7
+        assert diagnostics.primal_value_shift <= 1e-7
+        assert diagnostics.deflator_shift <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the per-node dual recursion against the whole-tree Frank-Wolfe
+# ---------------------------------------------------------------------------
+
+DUAL_UTILITIES = [log_utility(), power_utility(0.5), power_utility(-1.0), power_utility(-5.0)]
+
+
+class TestDualRecursion:
+    @pytest.mark.parametrize("u", DUAL_UTILITIES, ids=lambda u: u.label)
+    def test_matches_frank_wolfe(self, u):
+        tol = 1e-11
+        for model in fair_corpus(20):
+            engine = solve_dual(model, u, 1.0, tol=tol)
+            reference = fw_dual(model, u, 1.0, tol=tol)
+            np.testing.assert_allclose(
+                engine.deflator.values, reference.deflator.values, rtol=0.0, atol=1e-8
+            )
+            assert abs(engine.value - reference.value) <= 1e-12 * max(1.0, abs(reference.value))
+            assert engine.gap <= tol
+            assert reference.gap <= tol
+
+    @pytest.mark.parametrize("u", DUAL_UTILITIES, ids=lambda u: u.label)
+    def test_complete_market_gives_the_unique_deflator(self, u):
+        complete = [m for m in fair_corpus(20) if check_complete(m).complete]
+        assert complete
+        for model in complete:
+            _, unique = lp_interior_radius(model)
+            np.testing.assert_allclose(
+                solve_dual(model, u, 1.0).deflator.values, unique, rtol=0.0, atol=1e-9
+            )

@@ -18,8 +18,8 @@ Three kinds live here, and none is used by the engine itself.
 * **The whole-tree utility dual.**  :func:`fw_dual` minimizes the expected
   conjugate over the whole polytope by Frank-Wolfe
   (:func:`~fairtree.optim.minimize_convex`); the engine's
-  :func:`~fairtree.utility.solve_dual` solves one-step portfolio problems
-  by Newton instead.  They share the objective and the linear oracle
+  :func:`~fairtree.utility.solve_dual` solves one-step problems by Newton
+  instead.  They share the objective and the linear oracle
   behind the gap certificate, not the solver.  The Frank-Wolfe iteration
   count grows with the tree, so it suits trees of a few hundred nodes.
 

@@ -9,9 +9,9 @@ a consumption-free decomposition, and marginal prices of claims.
 The objective factorizes over the tree just as the polytope does, so the
 minimax deflator comes from a backward recursion: each node solves the
 one-step dual problem of its children, weighted by their subtrees' values,
-through its convex dual, the one-step portfolio problem, by damped Newton
-batched over the nodes of a tree level.  One sweep of the polytope's
-linear oracle then certifies the whole-tree duality gap.
+by damped Newton on its ratios, from the fairness witness and batched over
+the nodes of a tree level.  One sweep of the polytope's linear oracle then
+certifies the whole-tree duality gap.
 
 Both supported utility families -- logarithmic and power -- have scale-
 invariant conjugates: rescaling the dual variable rescales the objective
@@ -251,10 +251,9 @@ class _NodeGroup:
     node ``nodes[g]``, so ``prices[g].T @ (probs[g] * r) = rhs[g]`` is the
     node's martingale system in its ratios ``r``.  One singular value
     decomposition of each system's matrix gives its pseudo-inverse
-    ``pinv`` and orthonormal bases of its column space (``span``, the span
-    of the child price vectors) and of its null space (``null``), both
-    padded with zero columns.  ``single`` marks the nodes whose matrix has
-    full column rank; their one-step polytope is the single point
+    ``pinv`` and an orthonormal basis of its null space (``null``, padded
+    with zero columns).  ``single`` marks the nodes whose matrix has full
+    column rank; their one-step polytope is the single point
     ``fixed[g]``."""
 
     nodes: np.ndarray
@@ -263,23 +262,14 @@ class _NodeGroup:
     prices: np.ndarray
     rhs: np.ndarray
     pinv: np.ndarray
-    span: np.ndarray
     null: np.ndarray
     single: np.ndarray
     fixed: np.ndarray
 
 
-_GROUP_CACHE: "WeakKeyDictionary[MarketModel, list[_NodeGroup]]" = WeakKeyDictionary()
-
-
 def _node_groups(model: MarketModel) -> list[_NodeGroup]:
     """Non-leaf nodes batched by ``(time, branching)``, latest time first,
-    so a backward recursion can solve each group at once.  Cached per
-    model."""
-    try:
-        return _GROUP_CACHE[model]
-    except KeyError:
-        pass
+    so a backward recursion can solve each group at once."""
     tree = model.tree
     keyed: dict[tuple[int, int], list[int]] = {}
     for k in range(tree.n_nodes):
@@ -309,146 +299,96 @@ def _node_groups(model: MarketModel) -> list[_NodeGroup]:
                 prices=prices,
                 rhs=rhs,
                 pinv=pinv,
-                span=left[:, :, :width] * kept[:, np.newaxis, :],
                 null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
                 single=rank == branching,
                 fixed=np.einsum("gnd,gd->gn", pinv, rhs),
             )
         )
-    _GROUP_CACHE[model] = groups
     return groups
 
 
 _NEWTON_ITERS = 100
 _FULL_STEP_DECREMENT = 1e-10
-_FLOOR_DECREMENT = 1e-30
 _ARMIJO = 0.25
 _BACKTRACKS = 60
-_POLISH_STEPS = 2
 
 
-def _newton_ratios(prices, rhs, span, probs, heights, p: float) -> np.ndarray:
+def _newton_ratios(r, prices, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
     """Minimax ratios of a stack of one-step dual problems.
 
     Node ``g`` minimizes ``sum_j probs_j heights_j V(r_j)`` over its
-    one-step polytope, where ``V`` is the conjugate of the utility with
-    exponent ``p`` (0 for log).  Its convex dual is the one-step portfolio
-    problem ``max_theta sum_j probs_j heights_j U(x_j) - theta . rhs`` with
-    ``x_j = theta . prices_j / heights_j``, whose gradient is the martingale
-    residual of the ratios ``r_j = U'(x_j)``.  Damped Newton solves all
-    nodes at once from the numeraire portfolio (all ones), which is
-    strictly feasible because the aggregate price never vanishes, scaled
-    to its best multiple.  Steps stay in the span of the child price
-    vectors (the columns of ``span``, see :class:`_NodeGroup`), where the
-    Hessian is nonsingular; redundant and zero-absorbed assets add no
-    direction of their own.  Once the Newton decrement is below
-    ``_FULL_STEP_DECREMENT`` the full step is taken with only the domain
+    one-step polytope ``{r > 0 : prices.T @ (probs * r) = rhs}``, where
+    ``V`` is the conjugate of the utility with exponent ``p`` (0 for log).
+    Damped Newton solves all nodes at once from the strictly positive
+    ratios ``r``.  Each step makes the least-norm move onto the martingale
+    system, ``-pinv @ residual``, plus the Newton step of the objective
+    along the system's null space; it is halved until the ratios stay
+    strictly positive and, while the Newton decrement exceeds
+    ``_FULL_STEP_DECREMENT``, until the objective falls enough (Armijo).
+    Below that decrement the full step is taken with only the domain
     checked: the remaining gain is below what the function values resolve,
-    so a sufficient-decrease test would stall there.  A node stops at a
-    decrement of ``_FLOOR_DECREMENT`` or when full steps no longer shrink
-    it (the rounding floor).
+    so a sufficient-decrease test would stall there.  A node stops once a
+    full step leaves the decrement, below that threshold, above a quarter
+    of its previous value (the rounding floor).  The weights are
+    normalized per node, so the thresholds do not depend on the heights.
     """
     weights = probs * heights
-    coords = prices @ span
-    # padding columns of the basis carry no price: pin them to the identity
-    padding = np.eye(span.shape[2]) * ~span.any(axis=1)[:, np.newaxis, :]
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    # V(r) = (1 - p) / p * r**(p * a), or -ln r for log; V'(r) = -r**a and
+    # V''(r) = r**(a - 1) / (1 - p)
+    a = 1.0 / (p - 1.0)
+    padding = np.eye(null.shape[2]) * ~null.any(axis=1)[:, np.newaxis, :]
 
-    def payoffs(theta):
-        return np.einsum("gnd,gd->gn", prices, theta) / heights
+    def value(r):
+        v = -np.log(r) if p == 0.0 else (1.0 - p) / p * _pow(r, p * a)
+        return (weights * v).sum(axis=1)
 
-    def value(theta, x):
-        u = np.log(x) if p == 0.0 else _pow(x, p) / p
-        return (weights * u).sum(axis=1) - (theta * rhs).sum(axis=1)
-
-    theta = np.ones_like(rhs)
-    x = payoffs(theta)
-    scale = (rhs.sum(axis=1) / (weights * _pow(x, p)).sum(axis=1)) ** (1.0 / (p - 1.0))
-    theta *= scale[:, np.newaxis]
-    x *= scale[:, np.newaxis]
-
-    active = np.ones(len(rhs), dtype=bool)
-    previous = np.full(len(rhs), np.inf)
+    active = np.ones(len(r), dtype=bool)
+    previous = np.full(len(r), np.inf)
+    full = np.zeros(len(r), dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        marginal = _pow(x, p - 1.0)
-        grad = np.einsum("gnk,gn->gk", coords, probs * marginal) - np.einsum(
-            "gdk,gd->gk", span, rhs
-        )
-        curvature = (1.0 - p) * probs / heights * marginal / x
-        hess = np.einsum("gn,gnk,gnl->gkl", curvature, coords, coords) + padding
-        inv = 1.0 / np.sqrt(np.einsum("gkk->gk", hess))
-        scaled = hess * inv[:, :, np.newaxis] * inv[:, np.newaxis, :]
-        step = inv * np.einsum("gkl,gl->gk", np.linalg.pinv(scaled, hermitian=True), inv * grad)
-        decrement = np.einsum("gk,gk->g", grad, step)
-        step = np.einsum("gdk,gk->gd", span, step)
-        active &= ~(
-            (decrement <= _FLOOR_DECREMENT)
-            | ((previous <= _FULL_STEP_DECREMENT) & (decrement > 0.25 * previous))
-        )
+        residual = np.einsum("gnd,gn->gd", prices, probs * r) - rhs
+        move = -np.einsum("gnd,gd->gn", pinv, residual)
+        slope = -weights * _pow(r, a)
+        curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
+        hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + padding
+        grad = np.einsum("gnk,gn->gk", null, slope + curvature * move)
+        newton = np.linalg.solve(hess, grad[:, :, np.newaxis])[:, :, 0]
+        decrement = np.einsum("gk,gk->g", grad, newton)
+        step = move - np.einsum("gnk,gk->gn", null, newton)
+        active &= ~(full & (previous <= _FULL_STEP_DECREMENT) & (decrement >= 0.25 * previous))
         previous = decrement
         if not active.any():
             break
         damped = decrement > _FULL_STEP_DECREMENT
-        current = value(theta, x)
+        current = value(r)
+        descent = (slope * step).sum(axis=1)
         length = active.astype(float)
         for _ in range(_BACKTRACKS):
-            trial = theta + length[:, np.newaxis] * step
-            x_trial = payoffs(trial)
-            inside = np.all(x_trial > 0.0, axis=1)
-            gained = value(trial, np.where(inside[:, np.newaxis], x_trial, 1.0))
+            trial = r + length[:, np.newaxis] * step
+            inside = np.all(trial > 0.0, axis=1)
             accepted = inside & (
-                ~damped | (gained >= current + _ARMIJO * length * decrement)
+                ~damped
+                | (value(np.where(inside[:, np.newaxis], trial, 1.0))
+                   <= current + _ARMIJO * length * descent)
             )
             if accepted.all():
                 break
             length = np.where(accepted, length, 0.5 * length)
         else:
             length = np.where(accepted, length, 0.0)
-        theta = theta + length[:, np.newaxis] * step
-        x = payoffs(theta)
+        full = length == 1.0
+        r = r + length[:, np.newaxis] * step
     else:
         if np.any(active & (previous > _FULL_STEP_DECREMENT)):
             raise SolverError(
                 f"one-step dual Newton left a decrement of "
                 f"{float(previous[active].max()):.3e} after {_NEWTON_ITERS} iterations"
             )
-    return _pow(x, p - 1.0)
-
-
-def _polish_ratios(r, prices, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
-    """Newton steps on a stack of one-step dual problems themselves (see
-    :func:`_newton_ratios`), from the ratios :func:`_newton_ratios` found.
-
-    Those ratios are only as accurate as ``theta . prices_j``, which loses
-    digits to cancellation when the optimal portfolio is long and short in
-    nearly collinear assets.  Each step makes the least-norm move onto the
-    martingale system, ``-pinv @ residual``, plus the Newton step of the
-    objective along the system's null space, and is halved until the
-    ratios stay strictly positive; the first full step lands on the system.
-    """
-    weights = probs * heights
-    a = 1.0 / (p - 1.0)  # V'(r) = -r**a and V''(r) = r**(a - 1) / (1 - p)
-    padding = np.eye(null.shape[2]) * ~null.any(axis=1)[:, np.newaxis, :]
-    for _ in range(_POLISH_STEPS):
-        residual = np.einsum("gnd,gn->gd", prices, probs * r) - rhs
-        move = -np.einsum("gnd,gd->gn", pinv, residual)
-        curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
-        hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + padding
-        grad = np.einsum("gnk,gn->gk", null, curvature * move - weights * _pow(r, a))
-        newton = np.einsum("gkl,gl->gk", np.linalg.pinv(hess, hermitian=True), grad)
-        step = move - np.einsum("gnk,gk->gn", null, newton)
-        length = np.ones(len(r))
-        for _ in range(_BACKTRACKS):
-            inside = np.all(r + length[:, np.newaxis] * step > 0.0, axis=1)
-            if inside.all():
-                break
-            length = np.where(inside, length, 0.5 * length)
-        else:
-            length = np.where(inside, length, 0.0)
-        r = r + length[:, np.newaxis] * step
     return r
 
 
-def _minimax_levels(model: MarketModel, utility: UtilitySpec) -> np.ndarray:
+def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray) -> np.ndarray:
     """Minimax deflator levels by a backward recursion over the tree.
 
     With ``h = 1`` at the leaves, node ``k`` takes the ratios minimizing
@@ -457,8 +397,9 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec) -> np.ndarray:
     ``q``-th power of the subtree's relative levels, and for log utility
     ``h`` stays 1.  Nodes whose one-step matrix has full column rank have a
     single admissible ratio vector, taken as it is; the others are solved
-    through :func:`_newton_ratios` and :func:`_polish_ratios`.  The levels
-    are rebuilt forward from the ratios.
+    by :func:`_newton_ratios` from the ratios of the strictly positive
+    deflator levels ``start``.  The levels are rebuilt forward from the
+    ratios.
     """
     p = 0.0 if utility.kind == "log" else float(utility.exponent)
     q = p / (p - 1.0)
@@ -470,23 +411,15 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec) -> np.ndarray:
         r = group.fixed.copy()
         newton = ~group.single
         if newton.any():
-            below = heights[group.children[newton]]
-            solved = _newton_ratios(
-                group.prices[newton],
-                group.rhs[newton],
-                group.span[newton],
-                group.probs[newton],
-                below,
-                p,
-            )
-            r[newton] = _polish_ratios(
-                solved,
+            nodes, children = group.nodes[newton], group.children[newton]
+            r[newton] = _newton_ratios(
+                start[children] / start[nodes][:, np.newaxis],
                 group.prices[newton],
                 group.rhs[newton],
                 group.pinv[newton],
                 group.null[newton],
                 group.probs[newton],
-                below,
+                heights[children],
                 p,
             )
         bad = np.flatnonzero(~np.all(r > 0.0, axis=1))
@@ -522,7 +455,12 @@ def solve_dual(
     certified globally: the Frank-Wolfe duality gap ``g . (m - s)``, with
     ``g`` the gradient at the levels ``m`` and ``s`` the
     :func:`~fairtree.deflators.polytope_minimizer` sweep of ``g``, must be
-    at most ``tol``; otherwise :class:`SolverError` is raised.
+    at most ``tol * max(1, |g . m|)``; otherwise :class:`SolverError` is
+    raised.  The gap is the difference of two inner products of the size
+    of ``|g . m|`` (``y`` times the wealth that ``y`` finances, 1 for log
+    utility), so it is resolved only relative to that size; steep power
+    utilities reach ``|g . m|`` of 1e4 and more.  The reported ``gap`` is
+    the absolute one.
 
     Both utility families are scale invariant, so the minimizer does not
     depend on ``y``; it is cached per market and utility, and the
@@ -532,18 +470,19 @@ def solve_dual(
     """
     if not (y > 0 and math.isfinite(y)):
         raise ValueError(f"dual scale y must be positive and finite, got {y!r}")
-    require_fair(model)
+    start = require_fair(model).witness.values
     cache = _DUAL_CACHE.setdefault(model, {})
     key = (utility.kind, utility.exponent)
     levels = cache.get(key)
     if levels is None:
-        levels = cache[key] = _minimax_levels(model, utility)
+        levels = cache[key] = _minimax_levels(model, utility, start)
     objective, gradient, _ = _dual_objective(model, utility, y)
     grad = gradient(levels)
     gap = float(grad @ (levels - polytope_minimizer(model)(grad)))
-    if gap > tol:
+    bound = tol * max(1.0, abs(float(grad @ levels)))
+    if gap > bound:
         raise SolverError(
-            f"minimax recursion leaves a duality gap of {gap:.3e} above {tol:g}"
+            f"minimax recursion leaves a duality gap of {gap:.3e} above {bound:.3g}"
         )
     return DualSolution(
         y=float(y),

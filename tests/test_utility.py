@@ -247,6 +247,22 @@ class TestExtremeWealth:
         assert verify_minimax(model, log_utility(), primal.deflator, 1e6).minimax
 
 
+class TestSteepUtility:
+    @pytest.mark.parametrize("index", [24, 27])
+    def test_gap_certified_relative_to_its_scale(self, index):
+        # |g . m| is about 4e4 and 2.5e3 on these markets, so an absolute
+        # gap of 1e-11 lies below the rounding of the inner products the gap
+        # subtracts; both gaps are a few 1e-10 in absolute terms
+        model = fair_corpus(40)[index]
+        u = power_utility(0.9)
+        primal = solve_primal(model, u, 1.0)
+        assert primal.budget_residual <= 1e-8
+        assert primal.max_consumption <= 1e-7
+        dual = solve_dual(model, u, primal.y)
+        assert dual.value == pytest.approx(primal.value - primal.y, rel=1e-9)
+        assert verify_minimax(model, u, primal.deflator, 1.0).minimax
+
+
 class TestMinimax:
     def test_accepts_the_dual_minimizer(self, t1_model):
         for u in UTILITIES:

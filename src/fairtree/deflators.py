@@ -147,12 +147,89 @@ def build_polytope(model: MarketModel) -> DeflatorPolytope:
 
 
 def _local_system(model: MarketModel, node: int):
-    """One-step constraint system in the ratio variables at ``node``."""
-    ch = list(model.tree.children[node])
-    probs = model.tree.branch_prob[ch]
-    matrix = model.price[:, ch] * probs[np.newaxis, :]
-    rhs = model.price[:, node]
-    return ch, probs, matrix, rhs
+    """One-step system ``matrix @ r = rhs`` in the ratios ``r`` (child
+    level over node level) at ``node``: row ``i`` is asset ``i``'s
+    martingale identity ``sum_j p_j S_i(c_j) r_j = S_i(node)`` divided,
+    right-hand side included, by its largest magnitude ``scale[i]`` (1 for
+    the zero row of an absorbed asset).  A constant factor on an asset's
+    prices changes no deflator, and so scaled it changes no coefficient
+    either; raw prices 1e12 apart make the simplex fail verification and
+    the rank test drop a row.  Returns ``(children, probs, matrix, rhs,
+    scale)``; for an array of nodes with equal branching, stacked."""
+    tree = model.tree
+    if isinstance(node, np.ndarray):
+        ch = np.asarray([tree.children[k] for k in node])
+        probs = tree.branch_prob[ch]
+        matrix = model.price[:, ch].transpose(1, 0, 2) * probs[:, np.newaxis, :]
+        rhs = model.price[:, node].T
+    else:
+        ch = list(tree.children[node])
+        probs = tree.branch_prob[ch]
+        matrix = model.price[:, ch] * probs
+        rhs = model.price[:, node]
+    scale = np.maximum(matrix.max(axis=-1), rhs)
+    scale[scale == 0.0] = 1.0
+    matrix /= scale[..., np.newaxis]
+    return ch, probs, matrix, rhs / scale, scale
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeGroup:
+    """The non-leaf nodes of one time step with the same number of
+    children, their :func:`_local_system` rows stacked.
+
+    ``matrix[g] @ r = rhs[g]`` is node ``nodes[g]``'s one-step system in
+    its ratios ``r``.  One singular value decomposition of each matrix
+    gives its rank (singular values above ``RANK_RTOL`` times the largest),
+    its pseudo-inverse ``pinv`` and an orthonormal basis of its null space
+    (``null``, padded with zero columns).  Where a matrix has full column
+    rank, its one-step polytope is the single point ``fixed[g]``."""
+
+    nodes: np.ndarray
+    children: np.ndarray
+    probs: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
+    rank: np.ndarray
+    pinv: np.ndarray
+    null: np.ndarray
+    fixed: np.ndarray
+
+
+def _node_groups(model: MarketModel) -> list[_NodeGroup]:
+    """Non-leaf nodes batched by ``(time, branching)``, latest time first,
+    so a backward recursion can solve each group at once."""
+    tree = model.tree
+    keyed: dict[tuple[int, int], list[int]] = {}
+    for k in range(tree.n_nodes):
+        if tree.children[k]:
+            keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
+    groups = []
+    for key in sorted(keyed, reverse=True):
+        branching = key[1]
+        nodes = np.asarray(keyed[key])
+        children, probs, matrix, rhs, _ = _local_system(model, nodes)
+        left, singular, right = np.linalg.svd(matrix)
+        width = singular.shape[1]
+        kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
+        rank = kept.sum(axis=1)
+        inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+        pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
+        beyond = np.arange(branching) >= rank[:, np.newaxis]
+        groups.append(
+            _NodeGroup(
+                nodes=nodes,
+                children=children,
+                probs=probs,
+                matrix=matrix,
+                rhs=rhs,
+                rank=rank,
+                pinv=pinv,
+                null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
+                fixed=np.einsum("gnd,gd->gn", pinv, rhs),
+            )
+        )
+    return groups
 
 
 _LOCAL_VERTEX_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
@@ -170,80 +247,78 @@ def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
         return cache[node]
     except KeyError:
         pass
-    _, _, matrix, rhs = _local_system(model, node)
+    _, _, matrix, rhs, _ = _local_system(model, node)
     lp = LinearProgram(np.zeros(matrix.shape[1]), matrix, rhs, 0.0, "min")
     vertices = enumerate_vertices(lp)
     cache[node] = vertices
     return vertices
 
 
+_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, list]" = WeakKeyDictionary()
+
+
+def _vertex_tables(model: MarketModel) -> list:
+    """``(node, children, table)`` for every non-leaf node in tree order,
+    ``table`` the node's :func:`local_vertices` stacked into rows once per
+    model, or ``None`` past the :class:`SizeGuardError` guard."""
+    tables = _VERTEX_TABLE_CACHE.get(model)
+    if tables is None:
+        tables = _VERTEX_TABLE_CACHE[model] = []
+        for k, ch in enumerate(model.tree.children):
+            if ch:
+                try:
+                    table = np.asarray(local_vertices(model, k))
+                except SizeGuardError:
+                    table = None
+                tables.append((k, np.asarray(ch), table))
+    return tables
+
+
+def _best_vertex(model: MarketModel, node: int, table, cost: np.ndarray):
+    """Ratio vector minimizing ``cost @ r`` over the one-step polytope at
+    ``node``, and that minimum: the best row of the node's stacked local
+    vertices ``table``, or, past the enumeration guard (``table is None``),
+    the solution of the node's one-step LP."""
+    if table is None:
+        _, _, matrix, rhs, _ = _local_system(model, node)
+        sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
+        if sol.status != "optimal":  # pragma: no cover - fair market
+            raise SolverError(f"local LP {sol.status} at node {model.tree.ids[node]!r}")
+        return sol.x, float(sol.x @ cost)
+    totals = table @ cost
+    best = int(np.argmin(totals))
+    return table[best], float(totals[best])
+
+
 def polytope_minimizer(model: MarketModel):
     """Build an exact linear-minimization oracle for the deflator closure.
 
     Fixing a node's level, the admissible child levels form an independent
-    one-step polytope whose vertices are known, so the whole constraint set
-    factorizes over the tree.  Minimizing a linear cost then takes one
-    backward sweep choosing the best local vertex per node and one forward
-    sweep rebuilding the levels (nodes at level zero propagate zero).  The
-    result matches the LP optimum to solver precision at a fraction of the
-    cost, which is what makes it suitable for the utility dual's gap
-    certificate and for price bounds.
-
-    A node whose vertices are too many to enumerate (the
-    :class:`SizeGuardError` guard of :func:`local_vertices`) answers its
-    sweep step with its own one-step LP instead.
+    one-step polytope, so the whole constraint set factorizes over the
+    tree.  Minimizing a linear cost then takes one backward sweep of
+    :func:`_best_vertex` per node and one forward sweep rebuilding the
+    levels (nodes at level zero propagate zero).  The result matches the
+    LP optimum to solver precision at a fraction of the cost, which is
+    what makes it suitable for the utility dual's gap certificate and for
+    price bounds.  A node past the vertex-enumeration guard answers its
+    step with its one-step LP.
     """
     tree = model.tree
-    tables: list[tuple[list[int], np.ndarray | None] | None] = []
-    for k in range(tree.n_nodes):
-        if tree.is_leaf(k):
-            tables.append(None)
-            continue
-        ch = list(tree.children[k])
-        # rows are level ratios m[child]/m[node]; the branch probabilities
-        # already live inside the local constraint matrix
-        try:
-            tables.append((ch, np.asarray(local_vertices(model, k))))
-        except SizeGuardError:
-            tables.append((ch, None))
+    tables = _vertex_tables(model)
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()
         chosen: list[np.ndarray | None] = [None] * tree.n_nodes
-        for k in range(tree.n_nodes - 1, -1, -1):
-            entry = tables[k]
-            if entry is None:
-                continue
-            ch, ratios = entry
-            if ratios is None:
-                chosen[k] = _local_minimizer(model, k, per_unit[ch])
-                per_unit[k] += float(chosen[k] @ per_unit[ch])
-                continue
-            totals = ratios @ per_unit[ch]
-            best = int(np.argmin(totals))
-            chosen[k] = ratios[best]
-            per_unit[k] += float(totals[best])
+        for k, ch, table in reversed(tables):
+            chosen[k], best = _best_vertex(model, k, table, per_unit[ch])
+            per_unit[k] += best
         levels = np.zeros(tree.n_nodes)
         levels[0] = 1.0
-        for k in range(tree.n_nodes):
-            entry = tables[k]
-            if entry is None or levels[k] == 0.0:
-                continue
-            levels[entry[0]] = levels[k] * chosen[k]
+        for k, ch, _ in tables:
+            levels[ch] = levels[k] * chosen[k]
         return levels
 
     return minimize
-
-
-def _local_minimizer(model: MarketModel, node: int, cost: np.ndarray) -> np.ndarray:
-    """Ratio vector minimizing ``cost @ r`` over the one-step polytope."""
-    _, _, matrix, rhs = _local_system(model, node)
-    sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
-    if sol.status != "optimal":  # pragma: no cover - fair market
-        raise SolverError(
-            f"local minimization LP {sol.status} at node {model.tree.ids[node]!r}"
-        )
-    return sol.x
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +341,7 @@ def _floor_lp(model: MarketModel, node: int, floors, face=None):
     ``weights @ r = value``.  Returns ``(t, r)``, or ``None`` when no
     ratio vector satisfies the constraints.
     """
-    _, _, matrix, rhs = _local_system(model, node)
+    _, _, matrix, rhs, _ = _local_system(model, node)
     floors = np.asarray(floors, dtype=float)
     unit = float(floors.min())
     spread = unit / floors
@@ -447,25 +522,20 @@ class CompletenessReport:
 
 def check_complete(model: MarketModel) -> CompletenessReport:
     """Completeness by local rank: the deflator is unique exactly when at
-    every non-leaf node the child-price matrix has rank equal to the number
-    of children.  The reported dimension sums the local defects, which is
-    the dimension of the deflator family.  Requires a fair market."""
+    every non-leaf node the one-step matrix (the node's
+    :func:`_local_system` rows) has rank equal to the number of children.
+    The reported dimension sums the local defects, which is the dimension
+    of the deflator family.  The ranks are those of :func:`_node_groups`.
+    Requires a fair market."""
     require_fair(model)
     tree = model.tree
-    dimension = 0
-    local_ranks = []
-    for k in range(tree.n_nodes):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        block = model.price[:, ch]
-        singular = np.linalg.svd(block, compute_uv=False)
-        top = float(singular.max(initial=0.0))
-        rank = int(np.count_nonzero(singular > RANK_RTOL * max(top, 1e-300)))
-        dimension += len(ch) - rank
-        local_ranks.append((tree.ids[k], len(ch), rank))
+    ranks = {k: r for g in _node_groups(model) for k, r in zip(g.nodes.tolist(), g.rank.tolist())}
+    local_ranks = tuple(
+        (tree.ids[k], len(tree.children[k]), ranks[k]) for k in sorted(ranks)
+    )
+    dimension = sum(children - rank for _, children, rank in local_ranks)
     return CompletenessReport(
-        complete=dimension == 0, dimension=dimension, local_ranks=tuple(local_ranks)
+        complete=dimension == 0, dimension=dimension, local_ranks=local_ranks
     )
 
 

@@ -3,14 +3,14 @@
 The superhedging cost of a claim is the largest deflator-weighted expected
 payoff over the closure of the deflator polytope.  The polytope factorizes
 over the tree, so every answer here is a backward recursion over one-step
-problems.  Two independent routes compute the price: a sweep over the
-enumerated vertices of each node's one-step polytope
-(:func:`superhedge_price`, through
-:func:`~fairtree.deflators.polytope_minimizer`) and a recursion of
-node-local linear programs (:func:`superhedge_process`); they must agree to
-1e-8 and tests hold them to that.  The whole-tree linear programs that the
-recursions replace live in :mod:`fairtree.oracle` as a third, independent
-cross-check.
+problems, each answered by the best enumerated vertex of the node's
+one-step polytope (:func:`~fairtree.deflators._best_vertex`): the price
+bounds through :func:`~fairtree.deflators.polytope_minimizer`, the running
+cost by :func:`superhedge_process` and the supermartingale test by
+:func:`check_supermartingale`.  Independent cross-checks live in
+:mod:`fairtree.oracle`: the node-local LP recursion
+(:func:`~fairtree.oracle.lp_superhedge_process`) and the whole-tree linear
+programs that the recursions replace.
 
 Any process that is a one-step supermartingale under every deflator splits
 as initial value plus trading gains minus a nondecreasing consumption
@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuardError, SolverError, SupermartingaleError
+from .errors import SolverError, SupermartingaleError
 from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
     FAIRNESS_THRESHOLD,
     Deflator,
-    _local_minimizer,
+    _best_vertex,
     _local_system,
     _max_floor,
-    local_vertices,
+    _vertex_tables,
     polytope_minimizer,
     require_fair,
 )
@@ -113,26 +113,18 @@ def superhedge_price(model: MarketModel, claim: Claim) -> PriceInterval:
 def superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     """Backward dynamic program for the running superhedging cost.
 
-    Each non-leaf node solves a small LP: maximize the probability-weighted
-    ratio-deflated continuation value subject to the node's one-step
-    martingale constraints.
+    Each non-leaf node takes the largest probability-weighted continuation
+    value over its one-step polytope at its best local vertex
+    (:func:`~fairtree.deflators._best_vertex`).
+    :func:`fairtree.oracle.lp_superhedge_process` solves each step by LP.
     """
     payoff = _check_claim(model, claim)
     require_fair(model)
     tree = model.tree
     values = np.zeros(tree.n_nodes)
     values[tree.leaves] = payoff
-    for k in range(tree.n_nodes - 1, -1, -1):
-        if tree.is_leaf(k):
-            continue
-        ch, probs, matrix, rhs = _local_system(model, k)
-        objective = probs * values[ch]
-        sol = solve_lp(LinearProgram(objective, matrix, rhs, 0.0, "max"))
-        if sol.status != "optimal":  # pragma: no cover - fair market
-            raise SolverError(
-                f"local superhedge LP {sol.status} at node {tree.ids[k]!r}"
-            )
-        values[k] = float(sol.value)
+    for k, ch, table in reversed(_vertex_tables(model)):
+        values[k] = -_best_vertex(model, k, table, -tree.branch_prob[ch] * values[ch])[1]
     return values
 
 
@@ -141,33 +133,24 @@ def check_supermartingale(
 ) -> None:
     """Verify the one-step supermartingale property under every deflator.
 
-    The inequality is linear in the deflator, so checking the vertices of
-    each node's one-step ratio polytope covers the whole closure (levels
-    that vanish propagate zero down the subtree and contribute nothing).
-    A node with too many vertices to enumerate is checked at the vertex
-    its one-step LP finds for the largest forward value.  Raises
-    :class:`SupermartingaleError` at the first violation.  ``slack``
-    is relative to the magnitude of the terms compared; processes that are
-    optimal only up to a solver gap need a correspondingly looser value.
+    The forward value is linear in the deflator, so each node's value is
+    compared with its one-step maximum, at the worst vertex of its ratio
+    polytope (:func:`~fairtree.deflators._best_vertex`); levels that vanish
+    propagate zero down the subtree and contribute nothing.  Raises
+    :class:`SupermartingaleError` at the first violating node in tree
+    order, naming that worst vertex.  ``slack`` is relative to the
+    magnitude of the terms compared; processes that are optimal only up
+    to a solver gap need a correspondingly looser value.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
     if values.shape != (tree.n_nodes,):
         raise ValueError("process needs one value per node")
-    for k in range(tree.n_nodes):
-        if tree.is_leaf(k):
-            continue
-        ch, probs, _, _ = _local_system(model, k)
-        try:
-            candidates = local_vertices(model, k)
-        except SizeGuardError:
-            candidates = [_local_minimizer(model, k, -probs * values[ch])]
-        for vertex in candidates:
-            forward = float(probs * vertex @ values[ch])
-            excess = forward - values[k]
-            scale = max(1.0, abs(forward), abs(values[k]))
-            if excess > slack * scale:
-                raise SupermartingaleError(tree.ids[k], vertex, excess)
+    for k, ch, table in _vertex_tables(model):
+        vertex, best = _best_vertex(model, k, table, -tree.branch_prob[ch] * values[ch])
+        excess = -best - values[k]
+        if excess > slack * max(1.0, abs(best), abs(values[k])):
+            raise SupermartingaleError(tree.ids[k], vertex, excess)
 
 
 def optional_decomposition(
@@ -176,47 +159,42 @@ def optional_decomposition(
     """Split a universal supermartingale into gains minus consumption.
 
     At each non-leaf node the cheapest position dominating the children's
-    values is found by LP; by duality its cost never exceeds the node's own
-    value, and the per-edge consumption increment is the domination surplus
-    at the child plus the node-level cost gap.  The wealth identity then
-    holds exactly by construction.
+    values is found by LP over the transpose of the node's scaled one-step
+    rows (:func:`~fairtree.deflators._local_system`), then scaled back to
+    holdings; by duality its cost never exceeds the node's own value, and
+    the per-edge consumption increment is the domination surplus at the
+    child plus the node-level cost gap.  The wealth identity then holds
+    exactly by construction.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
     require_fair(model)
     check_supermartingale(model, values, slack)
 
-    holdings = np.zeros((model.n_assets, tree.n_nodes))
-    consumption = np.zeros(tree.n_nodes)
     d = model.n_assets
+    holdings = np.zeros((d, tree.n_nodes))
+    consumption = np.zeros(tree.n_nodes)
     for k in range(tree.n_nodes):
-        ch = list(tree.children[k])
-        if not ch:
+        if not tree.children[k]:
             continue
-        n_children = len(ch)
-        rows = np.zeros((n_children, d + n_children))
-        for j, c in enumerate(ch):
-            rows[j, :d] = model.price[:, c]
-            rows[j, d + j] = -1.0
-        rhs = values[ch]
-        objective = np.concatenate([model.price[:, k], np.zeros(n_children)])
-        lower = np.concatenate([np.full(d, -np.inf), np.zeros(n_children)])
-        sol = solve_lp(LinearProgram(objective, rows, rhs, lower, "min"))
+        ch, probs, matrix, rhs, scale = _local_system(model, k)
+        # columns: the scaled position (free), then one surplus per child
+        rows = np.hstack([matrix.T, -np.diag(probs)])
+        objective = np.concatenate([rhs, np.zeros(len(ch))])
+        lower = np.concatenate([np.full(d, -np.inf), np.zeros(len(ch))])
+        sol = solve_lp(LinearProgram(objective, rows, probs * values[ch], lower, "min"))
         if sol.status != "optimal":  # pragma: no cover - fair market
             raise SolverError(
                 f"decomposition LP {sol.status} at node {tree.ids[k]!r}"
             )
-        position = sol.x[:d]
-        holdings[:, k] = position
+        position = holdings[:, k] = sol.x[:d] / scale
         node_gap = values[k] - float(position @ model.price[:, k])
         if node_gap < -slack * max(1.0, abs(values[k])):
             raise SolverError(
                 f"decomposition cost exceeds the process at node "
                 f"{tree.ids[k]!r} by {-node_gap:.3e}"
             )
-        for c in ch:
-            surplus = float(position @ model.price[:, c]) - values[c]
-            consumption[c] = consumption[k] + surplus + node_gap
+        consumption[ch] = consumption[k] + position @ model.price[:, ch] - values[ch] + node_gap
 
     return DecompositionResult(
         process=values.copy(),

@@ -443,12 +443,31 @@ def deflator_values(candidate) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def martingale_defect(model: MarketModel, levels, prices=None) -> tuple[float, int]:
+    """Worst scaled one-step martingale defect of ``levels * prices`` (one
+    process per row, the asset prices by default) and its node: at node
+    ``k`` a row's defect is ``|lhs - rhs| / max(1, |rhs|)`` with
+    ``lhs = sum_j p_j m_j x_j`` over the children and ``rhs = m_k x_k``.
+    ``(0.0, 0)`` for a one-node tree."""
+    tree = model.tree
+    inner = np.unique(tree.parent[1:])
+    if not inner.size:
+        return 0.0, 0
+    deflated = np.atleast_2d(model.price if prices is None else prices) * deflator_values(levels)
+    lhs = np.zeros_like(deflated)
+    np.add.at(lhs, (slice(None), tree.parent[1:]), deflated[:, 1:] * tree.branch_prob[1:])
+    rhs = deflated[:, inner]
+    defect = (np.abs(lhs[:, inner] - rhs) / np.maximum(1.0, np.abs(rhs))).max(axis=0)
+    worst = int(np.argmax(defect))
+    return float(defect[worst]), int(inner[worst])
+
+
 def check_deflator_values(model: MarketModel, values, tol: float = DEFLATOR_TOL) -> np.ndarray:
     """Validate a candidate deflator; raise :class:`DeflatorError` if invalid.
 
     A deflator is strictly positive, equals 1 at the root, and turns every
-    asset price into a one-step martingale.  Residuals are compared against
-    ``tol`` scaled by ``max(1, |level * price|)``.
+    asset price into a one-step martingale: the worst
+    :func:`martingale_defect` must be at most ``tol``.
     """
     tree = model.tree
     m = deflator_values(values)
@@ -460,19 +479,12 @@ def check_deflator_values(model: MarketModel, values, tol: float = DEFLATOR_TOL)
         raise DeflatorError("deflator values must be finite and strictly positive")
     if abs(m[0] - 1.0) > tol:
         raise DeflatorError(f"deflator must equal 1 at the root, got {m[0]!r}")
-    for k in range(tree.n_nodes):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        lhs = model.price[:, ch] @ (tree.branch_prob[ch] * m[ch])
-        rhs = m[k] * model.price[:, k]
-        scale = np.maximum(1.0, np.abs(rhs))
-        worst = np.max(np.abs(lhs - rhs) / scale)
-        if worst > tol:
-            raise DeflatorError(
-                f"martingale defect {worst:.3e} at node {tree.ids[k]!r} "
-                f"exceeds tolerance {tol:g}"
-            )
+    worst, node = martingale_defect(model, m)
+    if worst > tol:
+        raise DeflatorError(
+            f"martingale defect {worst:.3e} at node {tree.ids[node]!r} "
+            f"exceeds tolerance {tol:g}"
+        )
     return m
 
 

@@ -1,6 +1,6 @@
 """Reference implementations for cross-checking the engine.
 
-Three kinds live here, and none is used by the engine itself.
+Four kinds live here, and none is used by the engine itself.
 
 * **Brute force.**  Suprema are taken over an explicit vertex list, dual
   values come from a two-pass grid search, and completeness is read off
@@ -15,6 +15,10 @@ Three kinds live here, and none is used by the engine itself.
   backward recursions over one-step problems; these LPs share the simplex
   but not the factorization, and their tableaux grow with the square of
   the node count, so they suit small and mid-sized trees only.
+* **The node-LP superhedge recursion.**  :func:`lp_superhedge_process`
+  solves each node step by simplex where the engine's
+  :func:`~fairtree.hedging.superhedge_process` reads it off enumerated
+  vertices; unlike the whole-tree programs, it runs on the largest trees.
 * **The whole-tree utility dual.**  :func:`fw_dual` minimizes the expected
   conjugate over the whole polytope by Frank-Wolfe
   (:func:`~fairtree.optim.minimize_convex`); the engine's
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import SizeGuardError, SolverError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
-from .deflators import Deflator, build_polytope, polytope_minimizer, require_fair
+from .deflators import Deflator, _best_vertex, build_polytope, polytope_minimizer, require_fair
 from .hedging import INTERVAL_TOL, _claim_objective, superhedge_price
 from .optim import ConvexProblem, LinearProgram, enumerate_vertices, minimize_convex, solve_lp
 from .utility import DUAL_GAP_TOL, DualSolution, _dual_objective
@@ -145,6 +149,23 @@ def lp_face_radius(model: MarketModel, claim: Claim, upper: float):
     the superhedging price."""
     payoff = _check_claim(model, claim)
     return lp_interior_radius(model, (_claim_objective(model, payoff), upper))
+
+
+def lp_superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
+    """The running superhedging cost by a backward recursion of node-local
+    LPs: each non-leaf node maximizes the probability-weighted continuation
+    value over its one-step polytope by the simplex (the step
+    :func:`~fairtree.deflators._best_vertex` takes without a vertex table)."""
+    payoff = _check_claim(model, claim)
+    require_fair(model)
+    tree = model.tree
+    values = np.zeros(tree.n_nodes)
+    values[tree.leaves] = payoff
+    for k in range(tree.n_nodes - 1, -1, -1):
+        ch = list(tree.children[k])
+        if ch:
+            values[k] = -_best_vertex(model, k, None, -tree.branch_prob[ch] * values[ch])[1]
+    return values
 
 
 def completeness_via_claims(model: MarketModel, tol: float = INTERVAL_TOL) -> bool:

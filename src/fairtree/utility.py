@@ -38,10 +38,11 @@ from .market import (
     check_deflator_values,
     deflator_values,
     fair_price_process,
+    martingale_defect,
 )
 from .deflators import (
-    RANK_RTOL,
     Deflator,
+    _node_groups,
     fairness_report,
     polytope_minimizer,
     require_fair,
@@ -242,82 +243,17 @@ def dual_value(model: MarketModel, utility: UtilitySpec, deflator, y: float) -> 
     return objective(levels)
 
 
-@dataclass(frozen=True, eq=False)
-class _NodeGroup:
-    """The non-leaf nodes of one time step with the same number of
-    children, their one-step systems stacked.
-
-    ``prices[g, j]`` is the price vector of child ``children[g, j]`` of
-    node ``nodes[g]``, so ``prices[g].T @ (probs[g] * r) = rhs[g]`` is the
-    node's martingale system in its ratios ``r``.  One singular value
-    decomposition of each system's matrix gives its pseudo-inverse
-    ``pinv`` and an orthonormal basis of its null space (``null``, padded
-    with zero columns).  ``single`` marks the nodes whose matrix has full
-    column rank; their one-step polytope is the single point
-    ``fixed[g]``."""
-
-    nodes: np.ndarray
-    children: np.ndarray
-    probs: np.ndarray
-    prices: np.ndarray
-    rhs: np.ndarray
-    pinv: np.ndarray
-    null: np.ndarray
-    single: np.ndarray
-    fixed: np.ndarray
-
-
-def _node_groups(model: MarketModel) -> list[_NodeGroup]:
-    """Non-leaf nodes batched by ``(time, branching)``, latest time first,
-    so a backward recursion can solve each group at once."""
-    tree = model.tree
-    keyed: dict[tuple[int, int], list[int]] = {}
-    for k in range(tree.n_nodes):
-        if tree.children[k]:
-            keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
-    groups = []
-    for key in sorted(keyed, reverse=True):
-        branching = key[1]
-        nodes = np.asarray(keyed[key])
-        children = np.asarray([tree.children[k] for k in nodes])
-        probs = tree.branch_prob[children]
-        prices = model.price[:, children].transpose(1, 2, 0)
-        matrix = prices.transpose(0, 2, 1) * probs[:, np.newaxis, :]
-        rhs = model.price[:, nodes].T
-        left, singular, right = np.linalg.svd(matrix)
-        width = singular.shape[1]
-        kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
-        rank = kept.sum(axis=1)
-        inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
-        pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
-        beyond = np.arange(branching) >= rank[:, np.newaxis]
-        groups.append(
-            _NodeGroup(
-                nodes=nodes,
-                children=children,
-                probs=probs,
-                prices=prices,
-                rhs=rhs,
-                pinv=pinv,
-                null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
-                single=rank == branching,
-                fixed=np.einsum("gnd,gd->gn", pinv, rhs),
-            )
-        )
-    return groups
-
-
 _NEWTON_ITERS = 100
 _FULL_STEP_DECREMENT = 1e-10
 _ARMIJO = 0.25
 _BACKTRACKS = 60
 
 
-def _newton_ratios(r, prices, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
+def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
     """Minimax ratios of a stack of one-step dual problems.
 
     Node ``g`` minimizes ``sum_j probs_j heights_j V(r_j)`` over its
-    one-step polytope ``{r > 0 : prices.T @ (probs * r) = rhs}``, where
+    one-step polytope ``{r > 0 : matrix @ r = rhs}``, where
     ``V`` is the conjugate of the utility with exponent ``p`` (0 for log).
     Damped Newton solves all nodes at once from the strictly positive
     ratios ``r``.  Each step makes the least-norm move onto the martingale
@@ -347,7 +283,7 @@ def _newton_ratios(r, prices, rhs, pinv, null, probs, heights, p: float) -> np.n
     previous = np.full(len(r), np.inf)
     full = np.zeros(len(r), dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        residual = np.einsum("gnd,gn->gd", prices, probs * r) - rhs
+        residual = np.einsum("gdn,gn->gd", matrix, r) - rhs
         move = -np.einsum("gnd,gd->gn", pinv, residual)
         slope = -weights * _pow(r, a)
         curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
@@ -409,12 +345,12 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
     ratios = []
     for group in groups:
         r = group.fixed.copy()
-        newton = ~group.single
+        newton = group.rank < group.children.shape[1]
         if newton.any():
             nodes, children = group.nodes[newton], group.children[newton]
             r[newton] = _newton_ratios(
                 start[children] / start[nodes][:, np.newaxis],
-                group.prices[newton],
+                group.matrix[newton],
                 group.rhs[newton],
                 group.pinv[newton],
                 group.null[newton],
@@ -700,20 +636,6 @@ def davis_price(model: MarketModel, utility: UtilitySpec, x: float, claim: Claim
     return DavisPrice(price=via_deflator, residual=abs(via_marginal - via_deflator))
 
 
-def _max_martingale_defect(model: MarketModel, levels: np.ndarray) -> float:
-    tree = model.tree
-    worst = 0.0
-    for k in range(tree.n_nodes):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        lhs = model.price[:, ch] @ (tree.branch_prob[ch] * levels[ch])
-        rhs = levels[k] * model.price[:, k]
-        scale = np.maximum(1.0, np.abs(rhs))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
-
-
 @dataclass(frozen=True, eq=False)
 class AugmentationDiagnostics:
     fair: bool
@@ -749,7 +671,7 @@ def augment_market(
 
     report = fairness_report(augmented)
     check_deflator_values(augmented, levels)
-    residual = _max_martingale_defect(augmented, levels)
+    residual, _ = martingale_defect(augmented, levels)
     dual_after = solve_dual(augmented, utility, primal.y)
     objective, _, _ = _dual_objective(model, utility, primal.y)
     dual_before_value = objective(levels)

@@ -17,6 +17,8 @@ from fairtree import (
     wealth_process,
 )
 
+from fairtree.oracle import lp_superhedge_process
+
 from conftest import corpus_claim, fair_corpus
 
 
@@ -97,6 +99,9 @@ class TestDuality:
             process = superhedge_process(model, claim)
             assert abs(process[0] - interval.upper) <= 1e-8
             assert interval.lower <= interval.upper + 1e-12
+            # the node-LP recursion, node by node
+            reference = lp_superhedge_process(model, claim)
+            assert np.all(np.abs(process - reference) <= 1e-8 * np.maximum(1.0, np.abs(reference)))
 
     def test_aggregate_claim_prices_at_par(self):
         """The terminal aggregate is replicated by buy-and-hold, so its

@@ -238,6 +238,7 @@ class TestCli:
         assert report["upper"] == pytest.approx(1 / 3, abs=1e-9)
         assert report["classification"] == "not-attainable"
         assert report["dp_agreement"] <= 1e-8
+        assert report["verify"]["dp_vs_lp"] <= 1e-8
         assert report["verify"]["upper"]["difference"] <= 1e-8
 
     @pytest.mark.parametrize("claim", ["digital-up", "stock-claim"])

@@ -22,6 +22,9 @@ from fairtree import (
     self_financing_violations,
     wealth_process,
 )
+from fairtree.market import martingale_defect
+
+from conftest import fair_corpus
 
 B1_NODES = [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)]
 B1_PRICES = [[1, 1, 1], [1, 2, 0.5]]
@@ -330,3 +333,23 @@ class TestDeflatorPricing:
         assert np.array_equal(check_deflator_values(model, bare), bare)
         wrapped = Deflator(bare)
         assert np.array_equal(check_deflator_values(model, wrapped), bare)
+
+    def test_martingale_defect_matches_a_node_loop(self):
+        rng = np.random.default_rng(4)
+        for model in fair_corpus(10):
+            tree = model.tree
+            levels = rng.uniform(0.5, 2.0, tree.n_nodes)
+            prices = rng.uniform(0.0, 3.0, (2, tree.n_nodes))
+            for rows in (None, prices):
+                x = model.price if rows is None else rows
+                expected = []
+                for k in range(tree.n_nodes):
+                    ch = list(tree.children[k])
+                    if ch:
+                        lhs = x[:, ch] @ (tree.branch_prob[ch] * levels[ch])
+                        rhs = levels[k] * x[:, k]
+                        expected.append((float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))), k))
+                worst, node = martingale_defect(model, levels, rows)
+                best = max(expected)
+                assert worst == pytest.approx(best[0], rel=1e-12)
+                assert dict((k, d) for d, k in expected)[node] == pytest.approx(best[0], rel=1e-12)

@@ -45,6 +45,7 @@ from fairtree.oracle import (
     lp_face_radius,
     lp_interior_radius,
     lp_price_interval,
+    lp_superhedge_process,
     oracle_complete,
     oracle_dual,
     oracle_price_interval,
@@ -294,7 +295,9 @@ class TestWideNode:
         lower, upper, _, _ = lp_price_interval(model, claim)
         assert _close(interval.lower, lower)
         assert _close(interval.upper, upper)
-        assert _close(superhedge_process(model, claim)[0], upper)
+        process = superhedge_process(model, claim)
+        assert _close(process[0], upper)
+        np.testing.assert_allclose(process, lp_superhedge_process(model, claim), rtol=1e-8, atol=1e-8)
 
     def test_decomposes_and_optimizes(self):
         model, claim = wide_market()
@@ -328,6 +331,8 @@ class TestLargestShape:
         interval = superhedge_price(model, claim)
         process = superhedge_process(model, claim)
         assert abs(process[0] - interval.upper) <= 1e-8
+        reference = lp_superhedge_process(model, claim)
+        assert np.all(np.abs(process - reference) <= 1e-8 * np.maximum(1.0, np.abs(reference)))
         assert time.perf_counter() - start <= 60.0
 
     def test_utility_questions_within_budget(self):

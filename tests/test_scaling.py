@@ -1,0 +1,136 @@
+"""Asset scaling: multiplying one asset's prices by a constant changes no
+deflator, so every answer of the engine must stay where it was.
+
+Each market gets its first asset multiplied by ``s`` and its last by
+``1/s``, for ``s`` of 1e5 and 1e6, which puts the two assets' prices up to
+twelve orders of magnitude apart.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from fairtree import (
+    build_market,
+    check_complete,
+    check_fair,
+    classify_attainability,
+    default_claims,
+    generate_market,
+    log_utility,
+    optional_decomposition,
+    solve_primal,
+    superhedge_price,
+    superhedge_process,
+)
+
+# name -> (seed, branching); all have depth 3 and two assets.  seed 3 at
+# branching 2 is complete.
+FAIR = {
+    "d3b3a2-seed11": (11, 3),
+    "d3b2a2-seed3": (3, 2),
+    **{f"d3b3a2-seed{seed}": (seed, 3) for seed in range(4)},
+}
+SCALES = (1e5, 1e6)
+RTOL = 1e-9
+
+
+@lru_cache(maxsize=None)
+def market(seed: int, branching: int, arbitrage: bool = False):
+    return generate_market(
+        seed=seed, depth=3, branching=branching, assets=2, arbitrage=arbitrage
+    )
+
+
+@lru_cache(maxsize=None)
+def rescaled(seed: int, branching: int, scale: float, arbitrage: bool = False):
+    base = market(seed, branching, arbitrage)
+    factors = np.ones((base.n_assets, 1))
+    factors[0] = scale
+    factors[-1] = 1.0 / scale
+    return build_market(base.tree, base.price * factors, base.asset_names)
+
+
+def pair(name: str, scale: float):
+    seed, branching = FAIR[name]
+    base = market(seed, branching)
+    claim = default_claims(base, seed=1)["call"]
+    return base, rescaled(seed, branching, scale), claim
+
+
+def assert_same(actual, expected):
+    """Equal within RTOL relative to the largest magnitude of ``expected``."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    size = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= RTOL * size
+
+
+cases = pytest.mark.parametrize(
+    "name, scale", [(name, s) for name in FAIR for s in SCALES]
+)
+
+
+class TestAssetScaling:
+    @cases
+    def test_fairness(self, name, scale):
+        base, scaled, _ = pair(name, scale)
+        expected, report = check_fair(base), check_fair(scaled)
+        assert expected.fair and report.fair
+        assert_same(report.interior_radius, expected.interior_radius)
+        assert_same(report.witness.values, expected.witness.values)
+
+    @cases
+    def test_completeness(self, name, scale):
+        base, scaled, _ = pair(name, scale)
+        expected, report = check_complete(base), check_complete(scaled)
+        assert report.complete == expected.complete
+        assert report.dimension == expected.dimension
+        assert expected.complete == (name == "d3b2a2-seed3")
+
+    @cases
+    def test_superhedging(self, name, scale):
+        base, scaled, claim = pair(name, scale)
+        expected, interval = superhedge_price(base, claim), superhedge_price(scaled, claim)
+        assert_same(interval.upper, expected.upper)
+        assert_same(interval.lower, expected.lower)
+        assert_same(superhedge_process(scaled, claim), superhedge_process(base, claim))
+        assert (
+            classify_attainability(scaled, claim).classification
+            == classify_attainability(base, claim).classification
+        )
+
+    @cases
+    def test_decomposition(self, name, scale):
+        _, scaled, claim = pair(name, scale)
+        process = superhedge_process(scaled, claim)
+        result = optional_decomposition(scaled, process)
+        tree = scaled.tree
+        parent = tree.parent[1:]
+        holdings = result.strategy.holdings[:, parent]
+        gain = (holdings * (scaled.price[:, 1:] - scaled.price[:, parent])).sum(axis=0)
+        drop = result.consumption[1:] - result.consumption[parent]
+        identity = process[1:] - process[parent] - gain + drop
+        assert float(np.abs(identity).max()) <= 1e-9 * max(1.0, float(np.abs(process).max()))
+        assert drop.min() >= -1e-9
+        assert (process[tree.leaves] - claim.payoff).min() >= -1e-9
+
+    @cases
+    def test_log_optimum(self, name, scale):
+        base, scaled, _ = pair(name, scale)
+        expected = solve_primal(base, log_utility(), 1.0)
+        primal = solve_primal(scaled, log_utility(), 1.0)
+        assert_same(primal.value, expected.value)
+        assert_same(primal.deflator.values, expected.deflator.values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_arbitrage_twins_stay_unfair(self, seed, scale):
+        expected = check_fair(market(seed, 3, arbitrage=True))
+        report = check_fair(rescaled(seed, 3, scale, arbitrage=True))
+        assert not expected.fair and not report.fair
+        assert report.certificate is not None
+        assert report.certificate.node == expected.certificate.node

@@ -128,7 +128,10 @@ def _oracle_entry(report: oracle.OracleReport, bound: float) -> dict:
 
 
 def _load_market(args) -> ParsedMarket:
-    return parse_market(args.market)
+    """Parse the command's market document, kept on ``args`` so that a
+    domain verdict raised later reports on it without parsing it again."""
+    args.parsed = parse_market(args.market)
+    return args.parsed
 
 
 def _pick_claim(parsed: ParsedMarket, name: str) -> Claim:
@@ -698,16 +701,11 @@ def run_command(argv) -> int:
     command = args.command
     try:
         return args.handler(args)
-    except UnfairMarketError as exc:
-        parsed = _try_parse(args)
+    except (UnfairMarketError, SupermartingaleError) as exc:
+        parsed = getattr(args, "parsed", None)
         if parsed is not None:
-            return _verdict(args, command, parsed, "unfair", str(exc))
-        print(f"fairtree {command}: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except SupermartingaleError as exc:
-        parsed = _try_parse(args)
-        if parsed is not None:
-            return _verdict(args, command, parsed, "infeasible", str(exc))
+            kind = "unfair" if isinstance(exc, UnfairMarketError) else "infeasible"
+            return _verdict(args, command, parsed, kind, str(exc))
         print(f"fairtree {command}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except (MarketFileError, ModelError, SizeGuardError, ValueError) as exc:
@@ -722,16 +720,6 @@ def run_command(argv) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-def _try_parse(args) -> ParsedMarket | None:
-    path = getattr(args, "market", None)
-    if path is None:
-        return None
-    try:
-        return parse_market(path)
-    except MarketFileError:
-        return None
 
 
 def main() -> None:

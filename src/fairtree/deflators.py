@@ -179,17 +179,19 @@ class _NodeGroup:
     children, their :func:`_local_system` rows stacked.
 
     ``matrix[g] @ r = rhs[g]`` is node ``nodes[g]``'s one-step system in
-    its ratios ``r``.  One singular value decomposition of each matrix
-    gives its rank (singular values above ``RANK_RTOL`` times the largest),
-    its pseudo-inverse ``pinv`` and an orthonormal basis of its null space
-    (``null``, padded with zero columns).  Where a matrix has full column
-    rank, its one-step polytope is the single point ``fixed[g]``."""
+    its ratios ``r``, asset ``i``'s row divided by ``scale[g, i]``.  One
+    singular value decomposition of each matrix gives its rank (singular
+    values above ``RANK_RTOL`` times the largest), its pseudo-inverse
+    ``pinv`` and an orthonormal basis of its null space (``null``, padded
+    with zero columns).  Where a matrix has full column rank, its one-step
+    polytope is the single point ``fixed[g]``."""
 
     nodes: np.ndarray
     children: np.ndarray
     probs: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
+    scale: np.ndarray
     rank: np.ndarray
     pinv: np.ndarray
     null: np.ndarray
@@ -208,7 +210,7 @@ def _node_groups(model: MarketModel) -> list[_NodeGroup]:
     for key in sorted(keyed, reverse=True):
         branching = key[1]
         nodes = np.asarray(keyed[key])
-        children, probs, matrix, rhs, _ = _local_system(model, nodes)
+        children, probs, matrix, rhs, scale = _local_system(model, nodes)
         left, singular, right = np.linalg.svd(matrix)
         width = singular.shape[1]
         kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
@@ -223,6 +225,7 @@ def _node_groups(model: MarketModel) -> list[_NodeGroup]:
                 probs=probs,
                 matrix=matrix,
                 rhs=rhs,
+                scale=scale,
                 rank=rank,
                 pinv=pinv,
                 null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],

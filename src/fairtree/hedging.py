@@ -139,8 +139,7 @@ def check_supermartingale(
     propagate zero down the subtree and contribute nothing.  Raises
     :class:`SupermartingaleError` at the first violating node in tree
     order, naming that worst vertex.  ``slack`` is relative to the
-    magnitude of the terms compared; processes that are optimal only up
-    to a solver gap need a correspondingly looser value.
+    magnitude of the terms compared.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
@@ -153,9 +152,7 @@ def check_supermartingale(
             raise SupermartingaleError(tree.ids[k], vertex, excess)
 
 
-def optional_decomposition(
-    model: MarketModel, process, slack: float = SUPERMARTINGALE_SLACK
-) -> DecompositionResult:
+def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     """Split a universal supermartingale into gains minus consumption.
 
     At each non-leaf node the cheapest position dominating the children's
@@ -164,12 +161,14 @@ def optional_decomposition(
     holdings; by duality its cost never exceeds the node's own value, and
     the per-edge consumption increment is the domination surplus at the
     child plus the node-level cost gap.  The wealth identity then holds
-    exactly by construction.
+    exactly by construction.  Both checks allow the relative
+    ``SUPERMARTINGALE_SLACK``.  Attainable wealth is replicated without LPs
+    by :func:`~fairtree.utility._replicate`.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
     require_fair(model)
-    check_supermartingale(model, values, slack)
+    check_supermartingale(model, values)
 
     d = model.n_assets
     holdings = np.zeros((d, tree.n_nodes))
@@ -189,7 +188,7 @@ def optional_decomposition(
             )
         position = holdings[:, k] = sol.x[:d] / scale
         node_gap = values[k] - float(position @ model.price[:, k])
-        if node_gap < -slack * max(1.0, abs(values[k])):
+        if node_gap < -SUPERMARTINGALE_SLACK * max(1.0, abs(values[k])):
             raise SolverError(
                 f"decomposition cost exceeds the process at node "
                 f"{tree.ids[k]!r} by {-node_gap:.3e}"

@@ -3,8 +3,9 @@
 The dual problem minimizes the expected convex conjugate of the utility,
 evaluated on scaled terminal deflator levels, over the deflator polytope.
 Its minimizer (the minimax deflator) determines the optimal terminal
-wealth through the inverse marginal utility, the optimal strategy through
-a consumption-free decomposition, and marginal prices of claims.
+wealth through the inverse marginal utility, the optimal strategy by
+replicating that attainable wealth node by node with the same one-step
+rows the dual uses, and marginal prices of claims.
 
 The objective factorizes over the tree just as the polytope does, so the
 minimax deflator comes from a backward recursion: each node solves the
@@ -28,7 +29,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import SolverError, SupermartingaleError
+from .errors import SolverError
 from .market import (
     Claim,
     MarketModel,
@@ -47,7 +48,6 @@ from .deflators import (
     polytope_minimizer,
     require_fair,
 )
-from .hedging import optional_decomposition
 
 DUAL_GAP_TOL = 1e-9
 BUDGET_TOL = 1e-10
@@ -206,6 +206,10 @@ class DualSolution:
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
+    """Optimal wealth and strategy from ``x``.  ``max_consumption`` is the
+    largest absolute cumulative replication miss (:func:`_replicate`); a
+    least-squares position can miss in either direction."""
+
     x: float
     y: float
     wealth: np.ndarray
@@ -249,7 +253,7 @@ _ARMIJO = 0.25
 _BACKTRACKS = 60
 
 
-def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float) -> np.ndarray:
+def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float):
     """Minimax ratios of a stack of one-step dual problems.
 
     Node ``g`` minimizes ``sum_j probs_j heights_j V(r_j)`` over its
@@ -267,6 +271,8 @@ def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float) -> np.n
     full step leaves the decrement, below that threshold, above a quarter
     of its previous value (the rounding floor).  The weights are
     normalized per node, so the thresholds do not depend on the heights.
+    Returns the ratios and, per node, the decrement left above that
+    threshold after ``_NEWTON_ITERS`` iterations (0 where Newton stopped).
     """
     weights = probs * heights
     weights = weights / weights.sum(axis=1, keepdims=True)
@@ -315,13 +321,7 @@ def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float) -> np.n
             length = np.where(accepted, length, 0.0)
         full = length == 1.0
         r = r + length[:, np.newaxis] * step
-    else:
-        if np.any(active & (previous > _FULL_STEP_DECREMENT)):
-            raise SolverError(
-                f"one-step dual Newton left a decrement of "
-                f"{float(previous[active].max()):.3e} after {_NEWTON_ITERS} iterations"
-            )
-    return r
+    return r, np.where(active & (previous > _FULL_STEP_DECREMENT), previous, 0.0)
 
 
 def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray) -> np.ndarray:
@@ -348,7 +348,7 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
         newton = group.rank < group.children.shape[1]
         if newton.any():
             nodes, children = group.nodes[newton], group.children[newton]
-            r[newton] = _newton_ratios(
+            r[newton], left = _newton_ratios(
                 start[children] / start[nodes][:, np.newaxis],
                 group.matrix[newton],
                 group.rhs[newton],
@@ -358,6 +358,12 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
                 heights[children],
                 p,
             )
+            if left.any():
+                worst = int(np.argmax(left))
+                raise SolverError(
+                    f"one-step dual Newton left a decrement of {left[worst]:.3e} "
+                    f"at node {tree.ids[nodes[worst]]!r} after {_NEWTON_ITERS} iterations"
+                )
         bad = np.flatnonzero(~np.all(r > 0.0, axis=1))
         if bad.size:
             raise SolverError(
@@ -470,9 +476,57 @@ def _bisect_budget(model, utility, levels, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _wealth_from_terminal(model: MarketModel, levels: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    weighted = model.tree.expect_terminal(levels[model.tree.leaves] * terminal)
-    return weighted / levels
+def _replicate(
+    model: MarketModel, utility: UtilitySpec, deflator: Deflator, x: float
+) -> tuple[PrimalSolution, str | None]:
+    """Candidate optimum under a deflator, replicated node by node.
+
+    ``y`` is bisected until ``I(y m_T)``, priced back by ``m``, costs
+    ``x``.  Each node's position is the least-squares solution of its
+    scaled one-step rows, transposed, against the children's wealth
+    (:func:`~fairtree.deflators._node_groups`).  Its misses, summed along
+    each path like consumption, vanish exactly when the wealth is
+    attainable.  Returns the candidate and why it fails the budget or the
+    ``CONSUMPTION_TOL * max(1, x)`` bound (``None`` if it passes)."""
+    tree = model.tree
+    levels = deflator.values
+    y = _bisect_budget(model, utility, levels, x)
+    terminal = utility.inverse_marginal(y * levels[tree.leaves])
+    wealth = tree.expect_terminal(levels[tree.leaves] * terminal) / levels
+    holdings = np.zeros((model.n_assets, tree.n_nodes))
+    consumption = np.zeros(tree.n_nodes)
+    for group in reversed(_node_groups(model)):
+        position = np.einsum(
+            "gnd,gn->gd", group.pinv, group.probs * wealth[group.children]
+        ) / group.scale
+        holdings[:, group.nodes] = position.T
+        cost = np.einsum("gd,dg->g", position, model.price[:, group.nodes])
+        payoff = np.einsum("gd,dgn->gn", position, model.price[:, group.children])
+        miss = payoff - wealth[group.children] + (wealth[group.nodes] - cost)[:, np.newaxis]
+        consumption[group.children] = consumption[group.nodes][:, np.newaxis] + miss
+    size = max(1.0, abs(x))
+    budget_residual = abs(float(wealth[0]) - x)
+    max_consumption = float(np.abs(consumption).max())
+    failure = None
+    if budget_residual > BUDGET_TOL * 100 * size:
+        failure = f"budget residual {budget_residual:.3e}"
+    elif max_consumption > CONSUMPTION_TOL * size:
+        failure = (
+            f"wealth is not attainable: replication misses by {max_consumption:.3e} "
+            f"at node {tree.ids[int(np.argmax(np.abs(consumption)))]!r}"
+        )
+    weights = tree.path_prob[tree.leaves]
+    primal = PrimalSolution(
+        x=float(x),
+        y=float(y),
+        wealth=wealth,
+        strategy=Strategy(holdings),
+        value=float(weights @ utility.utility(terminal)),
+        deflator=deflator,
+        budget_residual=budget_residual,
+        max_consumption=max_consumption,
+    )
+    return primal, failure
 
 
 def solve_primal(model: MarketModel, utility: UtilitySpec, x: float) -> PrimalSolution:
@@ -480,42 +534,19 @@ def solve_primal(model: MarketModel, utility: UtilitySpec, x: float) -> PrimalSo
 
     Solves the dual once (the minimizer does not depend on the scale for
     the supported utility families), bisects the multiplier until the
-    candidate wealth ``I(y * m)`` prices back to ``x``, and extracts the
-    strategy from a decomposition of the wealth process, which must carry
-    essentially no consumption.
+    candidate wealth ``I(y * m)`` prices back to ``x``, and replicates that
+    wealth node by node (:func:`_replicate`).  The optimal wealth is
+    attainable, so a budget or replication miss above its bound raises
+    :class:`SolverError`.
     """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"initial wealth must be positive and finite, got {x!r}")
-    # Tight dual gap: the strategy extraction below needs the wealth process
-    # to pass the supermartingale test with room to spare.
+    # Tight dual gap: the replication below is exact only at the minimizer.
     dual = solve_dual(model, utility, 1.0, tol=1e-11)
-    levels = dual.deflator.values
-    y = _bisect_budget(model, utility, levels, x)
-    terminal = utility.inverse_marginal(y * levels[model.tree.leaves])
-    wealth = _wealth_from_terminal(model, levels, terminal)
-    budget_residual = abs(wealth[0] - x)
-    if budget_residual > BUDGET_TOL * max(1.0, abs(x)) * 100:
-        raise SolverError(f"budget residual {budget_residual:.3e} after bisection")
-
-    decomposition = optional_decomposition(model, wealth, slack=CONSUMPTION_TOL)
-    max_consumption = float(decomposition.consumption.max(initial=0.0))
-    if max_consumption > CONSUMPTION_TOL * max(1.0, x):
-        raise SolverError(
-            f"optimal wealth is not self-financing: consumption "
-            f"{max_consumption:.3e}"
-        )
-    weights = model.tree.path_prob[model.tree.leaves]
-    value = float(weights @ utility.utility(terminal))
-    return PrimalSolution(
-        x=float(x),
-        y=float(y),
-        wealth=wealth,
-        strategy=decomposition.strategy,
-        value=value,
-        deflator=dual.deflator,
-        budget_residual=budget_residual,
-        max_consumption=max_consumption,
-    )
+    primal, failure = _replicate(model, utility, dual.deflator, x)
+    if failure is not None:
+        raise SolverError(failure)
+    return primal
 
 
 # ---------------------------------------------------------------------------
@@ -575,43 +606,21 @@ def verify_minimax(
 
     The candidate passes exactly when the wealth process built from it --
     inverse marginal of the scaled terminal levels, priced backward by the
-    candidate itself -- is supportable: the budget matches ``x`` and the
-    process decomposes with essentially zero consumption.  Any failure of
-    the supermartingale precondition counts as "not supportable", since the
-    candidate's wealth then cannot come from an admissible strategy.
+    candidate itself -- is attainable: the budget matches ``x`` and the
+    replication of :func:`_replicate` stays within its bound, else the
+    reason names the node where the cumulative miss is largest.
     """
     deflator = candidate if isinstance(candidate, Deflator) else Deflator.for_market(model, candidate)
-    levels = deflator.values
-    y = _bisect_budget(model, utility, levels, x)
-    terminal = utility.inverse_marginal(y * levels[model.tree.leaves])
-    wealth = _wealth_from_terminal(model, levels, terminal)
-    budget_residual = abs(wealth[0] - x)
-    if budget_residual > 1e-8 * max(1.0, abs(x)):
-        return MinimaxReport(False, f"budget residual {budget_residual:.3e}", y, wealth)
-    try:
-        decomposition = optional_decomposition(model, wealth, slack=CONSUMPTION_TOL)
-    except SupermartingaleError as exc:
-        return MinimaxReport(
-            False,
-            f"candidate wealth fails the supermartingale test at node "
-            f"{exc.node_id!r} (excess {exc.excess:.3e})",
-            y,
-            wealth,
-        )
-    max_consumption = float(decomposition.consumption.max(initial=0.0))
-    if max_consumption > CONSUMPTION_TOL * max(1.0, x):
-        return MinimaxReport(
-            False, f"consumption {max_consumption:.3e} above tolerance", y, wealth
-        )
-    weights = model.tree.path_prob[model.tree.leaves]
-    value = float(weights @ utility.utility(terminal))
+    primal, failure = _replicate(model, utility, deflator, x)
+    if failure is not None:
+        return MinimaxReport(False, failure, primal.y, primal.wealth)
     reference = solve_primal(model, utility, x).value
-    if abs(value - reference) > 1e-7 * max(1.0, abs(reference)):
+    if abs(primal.value - reference) > 1e-7 * max(1.0, abs(reference)):
         raise SolverError(
             f"supportable candidate disagrees with the primal value: "
-            f"{value!r} vs {reference!r}"
+            f"{primal.value!r} vs {reference!r}"
         )
-    return MinimaxReport(True, "supportable", y, wealth)
+    return MinimaxReport(True, "supportable", primal.y, primal.wealth)
 
 
 @dataclass(frozen=True)

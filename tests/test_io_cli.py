@@ -259,6 +259,28 @@ class TestCli:
         assert report["dp_agreement"] <= 1e-8
         assert len(calls) == 1
 
+    def test_unfair_verdict_parses_the_document_once(self, capsys, tmp_path, monkeypatch):
+        import fairtree.cli
+
+        model = generate_market(seed=3, depth=2, branching=2, assets=2, arbitrage=True)
+        claims = default_claims(model, 3)
+        path = tmp_path / "arb.market"
+        path.write_text(serialize_market(model, claims), encoding="utf-8")
+        calls = []
+        original = fairtree.cli.parse_market
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fairtree.cli, "parse_market", counted)
+        report = run_json(
+            capsys, ["superhedge", str(path), "--claim", sorted(claims)[0]], expect=1
+        )
+        assert report["verdict"] == "unfair"
+        assert report["inputs"]["path"] == str(path)
+        assert len(calls) == 1
+
     def test_decompose(self, capsys, t1_path):
         report = run_json(
             capsys, ["decompose", t1_path, "--claim", "digital-up", "--verify"]

@@ -3,6 +3,8 @@ marginal prices, augmentation, growth-optimal portfolio."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +13,18 @@ from fairtree import (
     Claim,
     Deflator,
     augment_market,
+    check_complete,
     davis_price,
+    deflate,
     dual_value,
+    fairness_report,
     generate_market,
     growth_optimal,
     log_utility,
+    optional_decomposition,
     parse_utility,
     power_utility,
+    require_fair,
     sample_deflators,
     solve_dual,
     solve_primal,
@@ -25,7 +32,8 @@ from fairtree import (
     value_functions,
     verify_minimax,
 )
-from fairtree.errors import ModelError
+from fairtree.errors import ModelError, SolverError
+from fairtree.utility import CONSUMPTION_TOL
 
 from conftest import fair_corpus
 
@@ -342,3 +350,95 @@ class TestGrowthOptimal:
             np.testing.assert_allclose(
                 g.wealth * g.deflator.values, 1.5, atol=1e-8
             )
+
+
+# ---------------------------------------------------------------------------
+# the optimal strategy: replication held against the decomposition LP
+# ---------------------------------------------------------------------------
+
+REPLICATION_UTILITIES = [log_utility(), power_utility(0.5), power_utility(-1.0)]
+
+
+class TestReplication:
+    @pytest.mark.parametrize("u", REPLICATION_UTILITIES, ids=lambda u: u.label)
+    def test_decomposition_of_the_optimal_wealth_consumes_nothing(self, u):
+        for model in fair_corpus(20):
+            for x in (0.5, 2.0):
+                primal = solve_primal(model, u, x)
+                result = optional_decomposition(model, primal.wealth)
+                assert np.abs(result.consumption).max() <= CONSUMPTION_TOL * max(1.0, x)
+
+    @pytest.mark.parametrize("u", REPLICATION_UTILITIES, ids=lambda u: u.label)
+    def test_unique_positions_match_the_decomposition(self, u):
+        # complete, and each node's rank equals the number of assets: the
+        # replicating position is unique there (with more assets than
+        # children it is not, and the replication takes the least-norm one)
+        unique = [
+            m for m in fair_corpus(20)
+            if all(r == n == m.n_assets for _, n, r in check_complete(m).local_ranks)
+        ]
+        assert len(unique) >= 3
+        for model in unique:
+            primal = solve_primal(model, u, 1.0)
+            reference = optional_decomposition(model, primal.wealth).strategy.holdings
+            difference = np.abs(primal.strategy.holdings - reference).max()
+            assert difference <= 1e-9 * max(1.0, np.abs(reference).max())
+
+    def test_runs_no_linear_program_once_fairness_is_cached(self, monkeypatch):
+        import fairtree.deflators
+        import fairtree.hedging
+        import fairtree.optim
+        import fairtree.utility
+
+        models = fair_corpus(10)
+        for model in models:
+            require_fair(model)
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name, None)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        for module, name in [
+            (fairtree.optim, "solve_lp"),
+            (fairtree.deflators, "solve_lp"),
+            (fairtree.hedging, "solve_lp"),
+            (fairtree.hedging, "optional_decomposition"),
+            (fairtree.hedging, "check_supermartingale"),
+            (fairtree.utility, "optional_decomposition"),
+        ]:
+            monkeypatch.setattr(module, name, counting(module, name), raising=False)
+        for model in models:
+            for u in REPLICATION_UTILITIES:
+                solve_primal(model, u, 1.0)
+        assert calls == []
+
+    def test_witness_of_an_incomplete_market_is_rejected_at_a_node(self):
+        incomplete = [m for m in fair_corpus(10) if not check_complete(m).complete]
+        assert incomplete
+        for model in incomplete[:3]:
+            witness = fairness_report(model).witness
+            report = verify_minimax(model, log_utility(), witness, 1.0)
+            assert not report.minimax
+            named = re.search(r"at node '([^']+)'", report.reason)
+            assert named and named.group(1) in model.tree.ids
+
+
+class TestWildNumeraire:
+    # one-step node weights span 14 orders of magnitude on this market
+    # (power:0.9), and the optimal ratios lie near 1e-15 (power:-20): the
+    # Newton recursion fails there, and the error names the node
+    @pytest.mark.parametrize("p", [0.9, -20.0])
+    def test_newton_failure_names_the_node(self, p):
+        model = generate_market(seed=11, depth=3, branching=3, assets=2)
+        s = np.random.default_rng(3).lognormal(0.0, 1.5, model.tree.n_nodes)
+        s[0] = 1.0
+        wild = deflate(model, s)
+        with pytest.raises(SolverError, match=r"decrement of .* at node '[^']+'") as info:
+            solve_dual(wild, power_utility(p), 1.0)
+        named = re.search(r"at node '([^']+)'", str(info.value)).group(1)
+        assert named in wild.tree.ids

@@ -7,6 +7,17 @@ normalization) yields a polytope in node space whose strictly positive
 points are exactly the deflators.  A market is *fair* when that polytope
 has a strictly positive point; it is *complete* when the point is unique.
 
+The polytope factorizes over the tree: fixing a node's level leaves an
+independent one-step polytope for its children's levels, cut out by the
+node's scaled one-step rows (:func:`_local_system`).  Its optimum over any
+linear cost is a basic feasible solution, and a node has few candidate
+bases, so one kernel (:func:`_basic_solutions`) solves every basis of
+every node of a ``(time, branching)`` group (:func:`_node_groups`) in one
+stacked solve.  The fairness floor, its arbitrage screen, the vertex
+tables behind price bounds and the optional decomposition's positions
+all come from it.  The simplex runs only where a node has too many bases
+to list and in :func:`_extract_certificate`.
+
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
 rather than :class:`Deflator` instances.
@@ -14,6 +25,8 @@ rather than :class:`Deflator` instances.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -21,7 +34,14 @@ import numpy as np
 
 from .errors import DeflatorError, SizeGuardError, SolverError, UnfairMarketError
 from .market import MarketModel, check_deflator_values, deflator_values, _frozen
-from .optim import LinearProgram, enumerate_vertices, solve_lp
+from .optim import (
+    _FEAS_TOL,
+    _VERTEX_COMBO_GUARD,
+    _VERTEX_VARIABLE_GUARD,
+    LinearProgram,
+    enumerate_vertices,
+    solve_lp,
+)
 
 FAIRNESS_THRESHOLD = 1e-10
 RANK_RTOL = 1e-10
@@ -173,6 +193,15 @@ def _local_system(model: MarketModel, node: int):
     return ch, probs, matrix, rhs / scale, scale
 
 
+def _svd_rank(matrix: np.ndarray):
+    """Singular value decomposition of stacked matrices with each one's
+    rank: the count of singular values above ``RANK_RTOL`` times its
+    largest.  Returns ``(left, singular, right, kept, rank)``."""
+    left, singular, right = np.linalg.svd(matrix)
+    kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
+    return left, singular, right, kept, kept.sum(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class _NodeGroup:
     """The non-leaf nodes of one time step with the same number of
@@ -181,10 +210,12 @@ class _NodeGroup:
     ``matrix[g] @ r = rhs[g]`` is node ``nodes[g]``'s one-step system in
     its ratios ``r``, asset ``i``'s row divided by ``scale[g, i]``.  One
     singular value decomposition of each matrix gives its rank (singular
-    values above ``RANK_RTOL`` times the largest), its pseudo-inverse
-    ``pinv`` and an orthonormal basis of its null space (``null``, padded
-    with zero columns).  Where a matrix has full column rank, its one-step
-    polytope is the single point ``fixed[g]``."""
+    values above ``RANK_RTOL`` times the largest), the left singular
+    vectors ``left`` (the first ``rank[g]`` of them span its column
+    space), its pseudo-inverse ``pinv`` and an orthonormal basis of its
+    null space (``null``, padded with zero columns).  Where a matrix has
+    full column rank, its one-step polytope is the single point
+    ``fixed[g]``.  Every array is read-only."""
 
     nodes: np.ndarray
     children: np.ndarray
@@ -193,32 +224,42 @@ class _NodeGroup:
     rhs: np.ndarray
     scale: np.ndarray
     rank: np.ndarray
+    left: np.ndarray
     pinv: np.ndarray
     null: np.ndarray
     fixed: np.ndarray
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
-def _node_groups(model: MarketModel) -> list[_NodeGroup]:
+
+_NODE_GROUP_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
+
+
+def _node_groups(model: MarketModel) -> tuple[_NodeGroup, ...]:
     """Non-leaf nodes batched by ``(time, branching)``, latest time first,
-    so a backward recursion can solve each group at once."""
+    so a backward recursion can solve each group at once.  Cached per
+    model."""
+    groups = _NODE_GROUP_CACHE.get(model)
+    if groups is not None:
+        return groups
     tree = model.tree
     keyed: dict[tuple[int, int], list[int]] = {}
     for k in range(tree.n_nodes):
         if tree.children[k]:
             keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
-    groups = []
+    built = []
     for key in sorted(keyed, reverse=True):
         branching = key[1]
         nodes = np.asarray(keyed[key])
         children, probs, matrix, rhs, scale = _local_system(model, nodes)
-        left, singular, right = np.linalg.svd(matrix)
+        left, singular, right, kept, rank = _svd_rank(matrix)
         width = singular.shape[1]
-        kept = singular > RANK_RTOL * np.maximum(singular[:, :1], 1e-300)
-        rank = kept.sum(axis=1)
         inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
         pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
         beyond = np.arange(branching) >= rank[:, np.newaxis]
-        groups.append(
+        built.append(
             _NodeGroup(
                 nodes=nodes,
                 children=children,
@@ -227,12 +268,131 @@ def _node_groups(model: MarketModel) -> list[_NodeGroup]:
                 rhs=rhs,
                 scale=scale,
                 rank=rank,
+                left=left,
                 pinv=pinv,
                 null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
                 fixed=np.einsum("gnd,gd->gn", pinv, rhs),
             )
         )
+    groups = _NODE_GROUP_CACHE[model] = tuple(built)
     return groups
+
+
+# ---------------------------------------------------------------------------
+# the basis kernel
+# ---------------------------------------------------------------------------
+
+
+def _rank_slices(rank: np.ndarray, columns: int):
+    """Split stacked node systems with ``columns`` columns by rank.
+
+    Yields ``(value, at, within)``: the indices ``at`` of systems of rank
+    ``value``, and whether that many bases are within the
+    :func:`~fairtree.optim.enumerate_vertices` guard (at most 25 columns
+    and 400 000 bases per node).  Slices within it hold at most 400 000
+    bases in all, so one :func:`_basic_solutions` call stays bounded."""
+    for value in np.unique(rank).tolist():
+        at = np.flatnonzero(rank == value)
+        bases = math.comb(columns, value)
+        if columns > _VERTEX_VARIABLE_GUARD or bases > _VERTEX_COMBO_GUARD:
+            yield value, at, False
+            continue
+        step = max(1, _VERTEX_COMBO_GUARD // bases)
+        for start in range(0, at.size, step):
+            yield value, at[start:start + step], True
+
+
+def _basic_solutions(matrix, rhs, left, rank: int, cost=None):
+    """Every basic solution of the stacked systems ``matrix[g] @ x = rhs[g]``,
+    ``x >= 0``, each of rank ``rank``.
+
+    The rows are projected onto the system's ``rank`` leading left singular
+    vectors ``left[g]``, which leaves ``rank`` independent rows with the
+    same solutions.  Each ``rank``-subset of the columns, in
+    ``itertools.combinations`` order, is a candidate basis, and all
+    candidates of all systems are solved by one stacked
+    ``np.linalg.solve``.  A basis is singular when, its columns scaled to
+    unit length, its smallest singular value is at most ``RANK_RTOL``
+    times its largest.  A solution is feasible when its entries are at
+    least ``-_FEAS_TOL * (1 + max|x|)`` and it meets the unprojected rows
+    within the same bound, so a right-hand side outside the column space
+    leaves no feasible basis; entries below zero are set to zero.
+
+    Returns ``(x, feasible, duals)``, shaped ``(g, bases, columns)``,
+    ``(g, bases)`` and ``(g, bases, rows)``.  ``duals`` (``None`` without
+    ``cost``) holds each basis's row multipliers ``theta``, the solution
+    of ``A_B^T theta = cost_B`` in the column space: ``cost - A^T theta``
+    is zero on the basis and is the basis's reduced cost.
+    """
+    count, _, columns = matrix.shape
+    combos = np.asarray(list(itertools.combinations(range(columns), rank)), dtype=np.intp)
+    span = left[:, :, :rank]
+    rows = np.einsum("gmr,gmc->grc", span, matrix)
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0.0] = 1.0
+    bases = (rows / norms[:, np.newaxis, :])[:, :, combos].transpose(0, 2, 1, 3)
+    singular = np.linalg.svd(bases, compute_uv=False)
+    regular = singular[..., -1] > RANK_RTOL * singular[..., 0]
+    bases = np.where(regular[..., np.newaxis, np.newaxis], bases, np.eye(rank))
+    target = np.einsum("gmr,gm->gr", span, rhs)[:, np.newaxis, :, np.newaxis]
+    solved = np.linalg.solve(bases, np.broadcast_to(target, bases.shape[:3] + (1,)))
+    x = np.zeros((count, len(combos), columns))
+    x[:, np.arange(len(combos))[:, np.newaxis], combos] = solved[..., 0] / norms[:, combos]
+    bound = _FEAS_TOL * (1.0 + np.abs(x).max(axis=2))
+    residual = np.abs(np.einsum("gmc,gbc->gbm", matrix, x) - rhs[:, np.newaxis, :]).max(axis=2)
+    feasible = regular & (x.min(axis=2) >= -bound) & (residual <= bound)
+    np.maximum(x, 0.0, out=x)
+    if cost is None:
+        return x, feasible, None
+    multipliers = np.linalg.solve(
+        bases.transpose(0, 1, 3, 2), (cost[:, combos] / norms[:, combos])[..., np.newaxis]
+    )[..., 0]
+    return x, feasible, np.einsum("gmr,gbr->gbm", span, multipliers)
+
+
+def _group_vertices(group: _NodeGroup) -> list:
+    """Each node's one-step vertices from its feasible bases: ``(node,
+    table)`` per node of ``group``, ``table`` the distinct feasible basic
+    solutions stacked into rows in basis order (entries within 1e-11 of
+    zero set to zero, solutions within 1e-9 in the sup norm merged, as
+    :func:`~fairtree.optim.enumerate_vertices` does), or ``None`` past the
+    vertex-enumeration guard."""
+    tables = []
+    for value, at, within in _rank_slices(group.rank, group.children.shape[1]):
+        if not within:
+            tables.extend((int(k), None) for k in group.nodes[at])
+            continue
+        x, feasible, _ = _basic_solutions(group.matrix[at], group.rhs[at], group.left[at], value)
+        x[x <= 1e-11] = 0.0
+        # feasible solutions first, in basis order; a solution is merged
+        # into the first kept solution within 1e-9 of it
+        order = np.argsort(~feasible, axis=1, kind="stable")
+        found = feasible.sum(axis=1)
+        x = np.take_along_axis(x, order[:, :, np.newaxis], axis=1)[:, : found.max()]
+        keep = np.arange(x.shape[1]) < found[:, np.newaxis]
+        for j in range(x.shape[1]):
+            close = np.abs(x - x[:, j : j + 1]).max(axis=2) <= 1e-9
+            close[:, : j + 1] = False
+            keep &= ~(close & keep[:, j : j + 1])
+        tables.extend((int(k), x[i][keep[i]]) for i, k in enumerate(group.nodes[at]))
+    return tables
+
+
+_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, list]" = WeakKeyDictionary()
+
+
+def _vertex_tables(model: MarketModel) -> list:
+    """``(node, children, table)`` for every non-leaf node in tree order,
+    ``table`` the node's one-step vertices stacked into rows, read off its
+    feasible bases (:func:`_group_vertices`) once per model, or ``None``
+    past the :class:`SizeGuardError` guard."""
+    tables = _VERTEX_TABLE_CACHE.get(model)
+    if tables is None:
+        found = dict(pair for group in _node_groups(model) for pair in _group_vertices(group))
+        tables = _VERTEX_TABLE_CACHE[model] = [
+            (k, np.asarray(ch), found[k]) for k, ch in enumerate(model.tree.children) if ch
+        ]
+    return tables
 
 
 _LOCAL_VERTEX_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
@@ -241,40 +401,27 @@ _LOCAL_VERTEX_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary(
 def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
     """Vertices of the one-step deflator-ratio polytope at a node.
 
-    Cached per model; these small polytopes are re-scanned by every
-    supermartingale check and every oracle sweep, so enumeration pays for
-    itself immediately.
+    A per-node view of the model's vertex tables, cached per model; these
+    small polytopes are re-scanned by every supermartingale check and
+    every oracle sweep.  Raises :class:`SizeGuardError` for a node past
+    the vertex-enumeration guard and ``ValueError`` for a leaf.
     """
     cache = _LOCAL_VERTEX_CACHE.setdefault(model, {})
     try:
         return cache[node]
     except KeyError:
         pass
-    _, _, matrix, rhs, _ = _local_system(model, node)
-    lp = LinearProgram(np.zeros(matrix.shape[1]), matrix, rhs, 0.0, "min")
-    vertices = enumerate_vertices(lp)
-    cache[node] = vertices
+    table = next((t for k, _, t in _vertex_tables(model) if k == node), False)
+    if table is False:
+        raise ValueError(f"node {node!r} is not a non-leaf node of the market")
+    if table is None:
+        raise SizeGuardError(
+            f"the one-step polytope at node {model.tree.ids[node]!r} is past the "
+            f"vertex enumeration guard ({_VERTEX_VARIABLE_GUARD} variables, "
+            f"{_VERTEX_COMBO_GUARD} bases)"
+        )
+    vertices = cache[node] = list(table)
     return vertices
-
-
-_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, list]" = WeakKeyDictionary()
-
-
-def _vertex_tables(model: MarketModel) -> list:
-    """``(node, children, table)`` for every non-leaf node in tree order,
-    ``table`` the node's :func:`local_vertices` stacked into rows once per
-    model, or ``None`` past the :class:`SizeGuardError` guard."""
-    tables = _VERTEX_TABLE_CACHE.get(model)
-    if tables is None:
-        tables = _VERTEX_TABLE_CACHE[model] = []
-        for k, ch in enumerate(model.tree.children):
-            if ch:
-                try:
-                    table = np.asarray(local_vertices(model, k))
-                except SizeGuardError:
-                    table = None
-                tables.append((k, np.asarray(ch), table))
-    return tables
 
 
 def _best_vertex(model: MarketModel, node: int, table, cost: np.ndarray):
@@ -329,37 +476,80 @@ def polytope_minimizer(model: MarketModel):
 # ---------------------------------------------------------------------------
 
 
-def _floor_lp(model: MarketModel, node: int, floors, face=None):
-    """Largest ``t`` with a one-step ratio vector ``r`` at ``node`` such that
-    ``r[j] * floors[j] >= t`` for every child ``j``.
-
-    ``floors`` must be strictly positive.  The program's columns are
-    ``s >= 0`` (one per child) and ``tau = t / min(floors)``, with
-    ``r = tau * min(floors) / floors + s``, so the floor rows need no
-    slacks of their own; it is bounded because the one-step polytope is.
-    Measuring ``t`` in units of the smallest floor keeps every coefficient
-    at most 1: floors far below 1, as on a face whose exact floor is 0,
-    would otherwise put coefficients of 1e16 into the martingale rows.
-    ``face``, when given as ``(weights, value)``, adds the row
-    ``weights @ r = value``.  Returns ``(t, r)``, or ``None`` when no
-    ratio vector satisfies the constraints.
-    """
-    _, _, matrix, rhs, _ = _local_system(model, node)
-    floors = np.asarray(floors, dtype=float)
+def _floor_lp(matrix: np.ndarray, rhs: np.ndarray, floors: np.ndarray):
+    """:func:`_floor_step` at one node by the simplex, for a node past the
+    vertex-enumeration guard: ``(t, r)``, or ``None`` when no ratio vector
+    satisfies ``matrix @ r = rhs``."""
     unit = float(floors.min())
     spread = unit / floors
-    if face is not None:
-        matrix = np.vstack([matrix, face[0]])
-        rhs = np.append(rhs, face[1])
     n_children = matrix.shape[1]
-    rows = np.column_stack([matrix, matrix @ spread])
     objective = np.zeros(n_children + 1)
     objective[n_children] = 1.0
-    sol = solve_lp(LinearProgram(objective, rows, rhs, 0.0, "max"))
+    lifted = np.column_stack([matrix, matrix @ spread])
+    sol = solve_lp(LinearProgram(objective, lifted, rhs, 0.0, "max"))
     if sol.status != "optimal":
         return None
     tau = float(sol.x[n_children])
     return unit * tau, tau * spread + sol.x[:n_children]
+
+
+def _floor_step(matrix, rhs, left, rank, floors):
+    """Largest ``t`` with a one-step ratio vector ``r`` such that
+    ``r[j] * floors[g, j] >= t`` for every child ``j``, at each of the
+    stacked node systems ``matrix[g] @ r = rhs[g]`` (``left`` and ``rank``
+    from :func:`_svd_rank`).
+
+    The program's columns are ``s >= 0`` (one per child) and ``tau = t /
+    min(floors)``, with ``r = tau * min(floors) / floors + s``, so the
+    floor rows need no slacks of their own: the lifted system is ``[A |
+    A @ spread]``, of the same rank as ``A``.  It is bounded because the
+    one-step polytope is, so its optimum is a basic solution, and
+    :func:`_basic_solutions` gives them all; ties go to the first basis.
+    Measuring ``t`` in units of the smallest floor keeps every coefficient
+    at most 1: floors far below 1, as on a face whose exact floor is 0,
+    would otherwise put coefficients of 1e16 into the martingale rows.
+    Returns ``(t, r)``, ``t`` zero where a floor is zero or no ratio
+    vector is feasible.
+    """
+    count, _, columns = matrix.shape
+    best = np.zeros(count)
+    ratios = np.zeros((count, columns))
+    live = np.flatnonzero(floors.min(axis=1) > 0.0)
+    unit = floors[live].min(axis=1)
+    spread = unit[:, np.newaxis] / floors[live]
+    lifted = np.concatenate([matrix[live], matrix[live] @ spread[..., np.newaxis]], axis=2)
+    for value, at, within in _rank_slices(rank[live], columns + 1):
+        nodes = live[at]
+        if not within:
+            for g in nodes:
+                solved = _floor_lp(matrix[g], rhs[g], floors[g])
+                if solved is not None:
+                    best[g], ratios[g] = solved
+            continue
+        x, feasible, _ = _basic_solutions(lifted[at], rhs[nodes], left[nodes], value)
+        pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
+        chosen = x[np.arange(at.size), pick]
+        found = feasible.any(axis=1)
+        tau = np.where(found, chosen[:, columns], 0.0)
+        best[nodes] = unit[at] * tau
+        r = tau[:, np.newaxis] * spread[at] + chosen[:, :columns]
+        ratios[nodes] = np.where(found[:, np.newaxis], r, 0.0)
+    return best, ratios
+
+
+def _face_system(group: _NodeGroup, face: np.ndarray):
+    """The group's rows with the face row ``probs * face[children] @ r =
+    face[node]`` added at each node, divided, value included, by its
+    largest magnitude as :func:`_local_system` divides the others (1 for a
+    zero row); ``(matrix, rhs, left, rank)``."""
+    weights = group.probs * face[group.children]
+    value = face[group.nodes]
+    size = np.maximum(np.abs(weights).max(axis=1), np.abs(value))
+    size[size == 0.0] = 1.0
+    matrix = np.concatenate([group.matrix, (weights / size[:, np.newaxis])[:, np.newaxis]], axis=1)
+    rhs = np.concatenate([group.rhs, (value / size)[:, np.newaxis]], axis=1)
+    left, _, _, _, rank = _svd_rank(matrix)
+    return matrix, rhs, left, rank
 
 
 def _max_floor(model: MarketModel, face=None):
@@ -367,90 +557,89 @@ def _max_floor(model: MarketModel, face=None):
 
     ``F(k) = min(1, max_{r in P_k} min_j r_j F(c_j))`` with ``F = 1`` at
     the leaves is the largest floor of the subtree at ``k`` relative to its
-    own level, so ``F(root)`` is the interior radius of the whole polytope:
-    one :func:`_floor_lp` per non-leaf node, none where a child's floor is
-    0.  The cap at 1 (the node's own level) is applied after the node's
-    program, not inside it, so each node's ratios stay as balanced as its
-    children's floors allow even where the cap binds.  ``face(node)``,
-    when given, returns the extra row :func:`_floor_lp` adds at that node.
+    own level, so ``F(root)`` is the interior radius of the whole polytope.
+    Each ``(time, branching)`` group of :func:`_node_groups` runs as one
+    :func:`_floor_step` once its children's floors are known; a node with
+    a child floor of 0 gets 0.  The cap at 1 (the node's own level) is
+    applied after the node's program, not inside it, so each node's ratios
+    stay as balanced as its children's floors allow even where the cap
+    binds.  ``face``, a node process ``v``, restricts each node to its
+    face ``probs * v[children] @ r = v[node]`` (:func:`_face_system`).
     Returns ``F(root)`` and, when it is positive, the witness levels
     rebuilt forward from the maximizing ratios.
     """
     tree = model.tree
+    groups = _node_groups(model)
     floors = np.ones(tree.n_nodes)
-    ratios: list[np.ndarray | None] = [None] * tree.n_nodes
-    for k in range(tree.n_nodes - 1, -1, -1):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        below = floors[ch]
-        solved = None
-        if below.min() > 0.0:
-            solved = _floor_lp(model, k, below, None if face is None else face(k))
-        if solved is None:
-            floors[k] = 0.0
-            continue
-        best, ratios[k] = solved
-        floors[k] = min(1.0, best)
+    ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
+    for group in groups:
+        if face is None:
+            system = group.matrix, group.rhs, group.left, group.rank
+        else:
+            system = _face_system(group, face)
+        best, ratios[group.children] = _floor_step(*system, floors[group.children])
+        floors[group.nodes] = np.minimum(1.0, best)
     radius = float(floors[0])
     if radius <= 0.0:
         return radius, None
     levels = np.ones(tree.n_nodes)
-    for k in range(tree.n_nodes):
-        if ratios[k] is not None:
-            levels[list(tree.children[k])] = levels[k] * ratios[k]
+    for group in reversed(groups):
+        levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios[group.children]
     return radius, levels
 
 
 def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate | None:
     """Search for a one-step arbitrage position at ``node`` by LP.
 
-    Minimizes the position's cost subject to nonnegative child payoffs
+    Works on the node's scaled rows ``A`` and ``b`` (:func:`_local_system`)
+    with a scaled position ``theta``: it minimizes the cost ``b @ theta``
+    subject to nonnegative probability-weighted child payoffs ``A^T theta``
     normalized to sum to one (plus a harmless cost floor that keeps the
-    program bounded).  A nonpositive minimum is an arbitrage.
+    program bounded).  A nonpositive minimum is an arbitrage; the holdings
+    are ``theta / scale``, priced back at the raw prices.
     """
     tree = model.tree
-    ch = list(tree.children[node])
-    k = len(ch)
-    d = model.n_assets
-    # variables: holdings (d, free), payoff slacks (k), cost-floor slack
+    ch, _, matrix, rhs, scale = _local_system(model, node)
+    d, k = matrix.shape
+    # variables: scaled position (d, free), payoff slacks (k), cost-floor slack
     n_vars = d + k + 1
     rows = np.zeros((k + 2, n_vars))
-    rhs = np.zeros(k + 2)
-    for j, c in enumerate(ch):
-        rows[j, :d] = model.price[:, c]
-        rows[j, d + j] = -1.0
-    rows[k, :d] = model.price[:, ch].sum(axis=1)
-    rhs[k] = 1.0
-    rows[k + 1, :d] = model.price[:, node]
+    rows[:k, :d] = matrix.T
+    rows[:k, d : d + k] = -np.eye(k)
+    rows[k, :d] = matrix.sum(axis=1)
+    rows[k + 1, :d] = rhs
     rows[k + 1, d + k] = -1.0
-    rhs[k + 1] = -1.0
+    constants = np.zeros(k + 2)
+    constants[k] = 1.0
+    constants[k + 1] = -1.0
     objective = np.zeros(n_vars)
-    objective[:d] = model.price[:, node]
+    objective[:d] = rhs
     lower = np.zeros(n_vars)
     lower[:d] = -np.inf
-    sol = solve_lp(LinearProgram(objective, rows, rhs, lower, "min"))
+    sol = solve_lp(LinearProgram(objective, rows, constants, lower, "min"))
     if sol.status != "optimal" or sol.value > FAIRNESS_THRESHOLD:
         return None
-    holdings = sol.x[:d]
-    payoffs = holdings @ model.price[:, ch]
+    holdings = sol.x[:d] / scale
     return ArbitrageCertificate(
         node=node,
         node_id=tree.ids[node],
         holdings=holdings,
         cost=float(holdings @ model.price[:, node]),
-        payoffs=payoffs,
+        payoffs=holdings @ model.price[:, ch],
     )
 
 
 def _find_certificate(model: MarketModel) -> ArbitrageCertificate | None:
-    for node in range(model.tree.n_nodes):
-        ch = model.tree.children[node]
-        if not ch:
-            continue
-        local = _floor_lp(model, node, np.ones(len(ch)))
-        if local is not None and local[0] > FAIRNESS_THRESHOLD:
-            continue
+    """A one-step arbitrage at the first node, in tree order, whose own
+    one-step polytope has no unit floor above the fairness threshold
+    (:func:`_floor_step` with unit child floors)."""
+    suspects = []
+    for group in _node_groups(model):
+        unit, _ = _floor_step(
+            group.matrix, group.rhs, group.left, group.rank, np.ones(group.children.shape)
+        )
+        suspects.extend(group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
+    for node in sorted(suspects):
         certificate = _extract_certificate(model, node)
         if certificate is not None:
             return certificate
@@ -462,12 +651,13 @@ def check_fair(model: MarketModel) -> FairnessReport:
 
     The floor, ``max eps`` subject to the martingale constraints and
     ``m[node] >= eps`` for every node, comes from the backward recursion of
-    :func:`_max_floor`, one small LP per node.  The market is fair exactly
-    when it exceeds 1e-10; the levels rebuilt from the maximizing ratios
-    are returned as a strictly positive witness whose smallest level is the
-    floor.  When unfair, a one-step arbitrage certificate is assembled from
-    a violated node's local program (``None`` in the near-degenerate case
-    where every node passes locally but the floor is still tiny).
+    :func:`_max_floor`, one batched basis solve per ``(time, branching)``
+    group.  The market is fair exactly when it exceeds 1e-10; the levels
+    rebuilt from the maximizing ratios are returned as a strictly positive
+    witness whose smallest level is the floor.  When unfair, a one-step
+    arbitrage certificate is assembled by LP at the first node whose own
+    polytope has no positive unit floor (``None`` in the near-degenerate
+    case where every node passes locally but the floor is still tiny).
     :func:`fairtree.oracle.lp_interior_radius` solves the same problem as
     one whole-tree LP, for cross-checks.
     """

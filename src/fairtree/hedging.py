@@ -3,11 +3,15 @@
 The superhedging cost of a claim is the largest deflator-weighted expected
 payoff over the closure of the deflator polytope.  The polytope factorizes
 over the tree, so every answer here is a backward recursion over one-step
-problems, each answered by the best enumerated vertex of the node's
-one-step polytope (:func:`~fairtree.deflators._best_vertex`): the price
-bounds through :func:`~fairtree.deflators.polytope_minimizer`, the running
-cost by :func:`superhedge_process` and the supermartingale test by
-:func:`check_supermartingale`.  Independent cross-checks live in
+problems, each answered by the best vertex of the node's one-step
+polytope (:func:`~fairtree.deflators._best_vertex`), the vertices being the
+node's feasible bases from the batched basis kernel
+(:func:`~fairtree.deflators._basic_solutions`): the price bounds through
+:func:`~fairtree.deflators.polytope_minimizer`, the running cost by
+:func:`superhedge_process` and the supermartingale test by
+:func:`check_supermartingale`.  The same kernel gives attainability its
+face floors and the decomposition its positions, as the duals of each
+node's optimal basis.  Independent cross-checks live in
 :mod:`fairtree.oracle`: the node-local LP recursion
 (:func:`~fairtree.oracle.lp_superhedge_process`) and the whole-tree linear
 programs that the recursions replace.
@@ -29,9 +33,12 @@ from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
     FAIRNESS_THRESHOLD,
     Deflator,
+    _basic_solutions,
     _best_vertex,
     _local_system,
     _max_floor,
+    _node_groups,
+    _rank_slices,
     _vertex_tables,
     polytope_minimizer,
     require_fair,
@@ -152,48 +159,87 @@ def check_supermartingale(
             raise SupermartingaleError(tree.ids[k], vertex, excess)
 
 
+def _position_lp(model: MarketModel, node: int, values: np.ndarray) -> np.ndarray:
+    """The cheapest scaled position dominating the children's values at a
+    node past the vertex-enumeration guard, by LP over the transpose of
+    the node's scaled one-step rows."""
+    ch, probs, matrix, rhs, _ = _local_system(model, node)
+    d = model.n_assets
+    # columns: the scaled position (free), then one surplus per child
+    rows = np.hstack([matrix.T, -np.diag(probs)])
+    objective = np.concatenate([rhs, np.zeros(len(ch))])
+    lower = np.concatenate([np.full(d, -np.inf), np.zeros(len(ch))])
+    sol = solve_lp(LinearProgram(objective, rows, probs * values[ch], lower, "min"))
+    if sol.status != "optimal":  # pragma: no cover - fair market
+        raise SolverError(f"decomposition LP {sol.status} at node {model.tree.ids[node]!r}")
+    return sol.x[:d]
+
+
 def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     """Split a universal supermartingale into gains minus consumption.
 
     At each non-leaf node the cheapest position dominating the children's
-    values is found by LP over the transpose of the node's scaled one-step
-    rows (:func:`~fairtree.deflators._local_system`), then scaled back to
-    holdings; by duality its cost never exceeds the node's own value, and
-    the per-edge consumption increment is the domination surplus at the
-    child plus the node-level cost gap.  The wealth identity then holds
-    exactly by construction.  Both checks allow the relative
-    ``SUPERMARTINGALE_SLACK``.  Attainable wealth is replicated without LPs
-    by :func:`~fairtree.utility._replicate`.
+    values is the dual of the node's superhedging step: with ``A`` the
+    node's scaled one-step rows (:func:`~fairtree.deflators._local_system`)
+    and ``c = probs * values[children]``, a basis of ``A r = b`` that is
+    primal feasible and dual feasible for the cost ``-c`` gives the scaled
+    position ``theta`` with ``A_B^T theta = c_B`` and ``A^T theta >= c``
+    (complementary slackness), and its cost ``b @ theta`` is the node's
+    superhedging value, never above the node's own.  Every basis of each
+    ``(time, branching)`` group comes from
+    :func:`~fairtree.deflators._basic_solutions`, the first such basis is
+    taken, and ``theta`` is scaled back to holdings; a node past the
+    vertex-enumeration guard solves the dual LP instead.  The per-edge
+    consumption increment is the domination surplus at the child plus the
+    node-level cost gap, so the wealth identity holds exactly by
+    construction.  Domination, cost and the supermartingale precondition
+    are checked with the relative ``SUPERMARTINGALE_SLACK``.  Attainable
+    wealth is replicated without bases by
+    :func:`~fairtree.utility._replicate`.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
     require_fair(model)
     check_supermartingale(model, values)
 
-    d = model.n_assets
-    holdings = np.zeros((d, tree.n_nodes))
+    holdings = np.zeros((model.n_assets, tree.n_nodes))
     consumption = np.zeros(tree.n_nodes)
-    for k in range(tree.n_nodes):
-        if not tree.children[k]:
-            continue
-        ch, probs, matrix, rhs, scale = _local_system(model, k)
-        # columns: the scaled position (free), then one surplus per child
-        rows = np.hstack([matrix.T, -np.diag(probs)])
-        objective = np.concatenate([rhs, np.zeros(len(ch))])
-        lower = np.concatenate([np.full(d, -np.inf), np.zeros(len(ch))])
-        sol = solve_lp(LinearProgram(objective, rows, probs * values[ch], lower, "min"))
-        if sol.status != "optimal":  # pragma: no cover - fair market
-            raise SolverError(
-                f"decomposition LP {sol.status} at node {tree.ids[k]!r}"
+    for group in reversed(_node_groups(model)):
+        nodes, children = group.nodes, group.children
+        target = group.probs * values[children]
+        cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[nodes]))
+        slack = np.maximum(cost_slack, SUPERMARTINGALE_SLACK * np.abs(values[children]).max(axis=1))
+        theta = np.zeros(group.rhs.shape)
+        for rank, at, within in _rank_slices(group.rank, children.shape[1]):
+            if not within:
+                for i in at:
+                    theta[i] = _position_lp(model, int(nodes[i]), values)
+                continue
+            _, feasible, duals = _basic_solutions(
+                group.matrix[at], group.rhs[at], group.left[at], rank, target[at]
             )
-        position = holdings[:, k] = sol.x[:d] / scale
-        node_gap = values[k] - float(position @ model.price[:, k])
-        if node_gap < -SUPERMARTINGALE_SLACK * max(1.0, abs(values[k])):
-            raise SolverError(
-                f"decomposition cost exceeds the process at node "
-                f"{tree.ids[k]!r} by {-node_gap:.3e}"
-            )
-        consumption[ch] = consumption[k] + position @ model.price[:, ch] - values[ch] + node_gap
+            reduced = np.einsum("gmc,gbm->gbc", group.matrix[at], duals) - target[at][:, np.newaxis]
+            optimal = feasible & (reduced.min(axis=2) >= -slack[at][:, np.newaxis])
+            # without an optimal basis, the first basis fails the checks below
+            theta[at] = duals[np.arange(at.size), np.argmax(optimal, axis=1)]
+        position = theta / group.scale
+        holdings[:, nodes] = position.T
+        surplus = np.einsum("gmc,gm->gc", group.matrix, theta) - target
+        node_gap = values[nodes] - np.einsum("gd,dg->g", position, model.price[:, nodes])
+        for name, miss, bound in (
+            ("dominate the children", -surplus.min(axis=1), slack),
+            ("stay within the process", -node_gap, cost_slack),
+        ):
+            bad = np.flatnonzero(miss > bound)
+            if bad.size:
+                raise SolverError(
+                    f"decomposition position fails to {name} at node "
+                    f"{tree.ids[nodes[bad[0]]]!r} by {miss[bad[0]]:.3e}"
+                )
+        payoff = np.einsum("gd,dgn->gn", position, model.price[:, children])
+        consumption[children] = (
+            consumption[nodes][:, np.newaxis] + payoff - values[children] + node_gap[:, np.newaxis]
+        )
 
     return DecompositionResult(
         process=values.copy(),
@@ -232,14 +278,7 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
     # lie on the node's locally optimal face, so the floor recursion over
     # those faces decides whether a strictly positive one does.
     dp = superhedge_process(model, claim)
-    probs = model.tree.branch_prob
-    children = model.tree.children
-
-    def face(k):
-        ch = list(children[k])
-        return probs[ch] * dp[ch], dp[k]
-
-    radius, levels = _max_floor(model, face)
+    radius, levels = _max_floor(model, dp)
     if radius > FAIRNESS_THRESHOLD:
         return AttainabilityVerdict(
             classification=REGULAR_ATTAINABLE,

@@ -42,7 +42,14 @@ from .errors import SizeGuardError, SolverError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
 from .deflators import Deflator, _best_vertex, build_polytope, polytope_minimizer, require_fair
 from .hedging import INTERVAL_TOL, _claim_objective, superhedge_price
-from .optim import ConvexProblem, LinearProgram, enumerate_vertices, minimize_convex, solve_lp
+from .optim import (
+    _VERTEX_VARIABLE_GUARD,
+    ConvexProblem,
+    LinearProgram,
+    enumerate_vertices,
+    minimize_convex,
+    solve_lp,
+)
 from .utility import DUAL_GAP_TOL, DualSolution, _dual_objective
 
 DIMENSION_GUARD = 3
@@ -81,6 +88,13 @@ def compare(quantity: str, oracle_value: float, engine_value: float) -> OracleRe
 
 
 def _polytope_vertices(model: MarketModel) -> np.ndarray:
+    # the guard's variable count is the node count: trip it before the
+    # dense polytope (one row per node and asset) is built
+    if model.tree.n_nodes > _VERTEX_VARIABLE_GUARD:
+        raise SizeGuardError(
+            f"vertex enumeration is limited to {_VERTEX_VARIABLE_GUARD} "
+            f"variables, got {model.tree.n_nodes}"
+        )
     polytope = build_polytope(model)
     vertices = enumerate_vertices(polytope.linear_program())
     if not vertices:

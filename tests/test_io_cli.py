@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -418,3 +419,46 @@ class TestCli:
             capsys, ["optimize", t1_path, "--utility", "power:0.5", "--wealth", "2"]
         )
         assert first == second
+
+
+@pytest.fixture(scope="module")
+def largest_path(tmp_path_factory):
+    """The generator's largest shape, d6b4a5: 5461 nodes."""
+    model = generate_market(seed=7, depth=6, branching=4, assets=5)
+    path = tmp_path_factory.mktemp("largest") / "d6b4a5.market"
+    path.write_text(serialize_market(model, default_claims(model, 7)), encoding="utf-8")
+    return str(path)
+
+
+LARGEST_COMMANDS = {
+    "validate": [],
+    "fair": [],
+    "complete": [],
+    "superhedge": ["--claim", "call"],
+    "decompose": ["--claim", "call"],
+    "optimize": ["--utility", "log", "--wealth", "1"],
+    "davis": ["--utility", "log", "--wealth", "1", "--claim", "call"],
+    "augment": ["--utility", "log", "--wealth", "1", "--claim", "call"],
+    "price-process": ["--claim", "call"],
+}
+
+
+class TestLargestShape:
+    @pytest.mark.parametrize("command", list(LARGEST_COMMANDS))
+    def test_command_within_budget(self, capsys, largest_path, command):
+        start = time.perf_counter()
+        code = run_command([command, largest_path, *LARGEST_COMMANDS[command], "--verify"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0, out[-2000:]
+        assert elapsed <= 60.0
+
+    def test_generate_within_budget(self, capsys):
+        start = time.perf_counter()
+        code = run_command(
+            ["generate", "--seed", "7", "--depth", "6", "--branching", "4", "--assets", "5",
+             "--verify"]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert time.perf_counter() - start <= 60.0

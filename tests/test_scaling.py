@@ -3,7 +3,9 @@ deflator, so every answer of the engine must stay where it was.
 
 Each market gets its first asset multiplied by ``s`` and its last by
 ``1/s``, for ``s`` of 1e5 and 1e6, which puts the two assets' prices up to
-twelve orders of magnitude apart.
+twelve orders of magnitude apart; arbitrage certificates are asked for
+at 1e8 and 1e9 as well.  Scaling a claim's payoff scales its price
+bounds and changes no attainability verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from fairtree import (
+    Claim,
     build_market,
     check_complete,
     check_fair,
@@ -26,6 +29,7 @@ from fairtree import (
     superhedge_price,
     superhedge_process,
 )
+from fairtree.hedging import INTERVAL_TOL, STRONGLY_REGULAR
 
 # name -> (seed, branching); all have depth 3 and two assets.  seed 3 at
 # branching 2 is complete.
@@ -127,10 +131,39 @@ class TestAssetScaling:
         assert_same(primal.deflator.values, expected.deflator.values)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("scale", SCALES + (1e8, 1e9))
     def test_arbitrage_twins_stay_unfair(self, seed, scale):
         expected = check_fair(market(seed, 3, arbitrage=True))
-        report = check_fair(rescaled(seed, 3, scale, arbitrage=True))
+        model = rescaled(seed, 3, scale, arbitrage=True)
+        report = check_fair(model)
         assert not expected.fair and not report.fair
-        assert report.certificate is not None
-        assert report.certificate.node == expected.certificate.node
+        cert = report.certificate
+        assert cert is not None
+        assert cert.node == expected.certificate.node
+        ch = list(model.tree.children[cert.node])
+        assert cert.cost == float(cert.holdings @ model.price[:, cert.node])
+        np.testing.assert_array_equal(cert.payoffs, cert.holdings @ model.price[:, ch])
+        assert cert.cost <= 0.0
+        # the payoffs' rounding error is that of the CLI's --verify check
+        assert cert.payoffs.min() >= -1e-9
+        assert cert.payoffs.max() > 1e-10
+
+
+CLAIM_SCALES = (1e-8, 1e6, 1e9, 1e12)
+
+
+class TestClaimScaling:
+    @pytest.mark.parametrize("branching, assets", [(3, 2), (4, 2), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("scale", CLAIM_SCALES)
+    def test_attainability_verdicts(self, branching, assets, scale):
+        for seed in range(12):
+            model = generate_market(seed=seed, depth=3, branching=branching, assets=assets)
+            for claim in default_claims(model, seed=1).values():
+                base = classify_attainability(model, claim)
+                verdict = classify_attainability(model, Claim(claim.payoff * scale))
+                expected = base.classification
+                # the strongly-regular test's tolerance has an absolute
+                # floor, INTERVAL_TOL, that a small enough claim falls under
+                if scale * base.interval.width <= INTERVAL_TOL:
+                    expected = STRONGLY_REGULAR
+                assert verdict.classification == expected, (seed, claim)

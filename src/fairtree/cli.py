@@ -10,6 +10,7 @@ including any ``--verify`` cross-check that disagrees with the engine.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -624,7 +625,10 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once and shared: argparse keeps a parse's
+    state on the namespace it returns, never on the parser."""
     parser = argparse.ArgumentParser(
         prog="fairtree",
         description="Fairness, superhedging and optimal investment on scenario trees.",
@@ -693,9 +697,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     command = args.command

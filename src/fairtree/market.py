@@ -106,42 +106,48 @@ class ScenarioTree:
         probs[0] = 1.0
 
         n = len(ids)
+        below, branch_prob = parent[1:], np.asarray(probs, dtype=float)
+        # children in index order, grouped by parent
+        order = (np.argsort(below, kind="stable") + 1).tolist()
+        counts = np.bincount(below, minlength=n)
+        ends = np.cumsum(counts).tolist()
+        kids = [order[end - count:end] for end, count in zip(ends, counts.tolist())]
+
+        totals = np.bincount(below, weights=branch_prob[1:], minlength=n)
+        bad = np.flatnonzero((counts > 0) & (np.abs(totals - 1.0) > PROB_SUM_TOL))
+        if bad.size:
+            k = int(bad[0])
+            total = float(branch_prob[kids[k]].sum())
+            raise ModelError(
+                f"children of node {ids[k]!r}: branch probabilities sum to "
+                f"{total!r}, expected 1"
+            )
+
+        # one level per pass: a node's time and path probability are final
+        # once its parent's are, and parents precede their children
         time = np.zeros(n, dtype=int)
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for k in range(1, n):
-            time[k] = time[parent[k]] + 1
-            kids[parent[k]].append(k)
+        path_prob = np.ones(n, dtype=float)
+        level = np.flatnonzero(parent == 0)
+        while level.size:
+            time[level] = time[parent[level]] + 1
+            path_prob[level] = path_prob[parent[level]] * branch_prob[level]
+            level = np.flatnonzero(np.isin(parent, level))
 
-        branch_prob = np.asarray(probs, dtype=float)
-        for k, ch in enumerate(kids):
-            if not ch:
-                continue
-            total = float(branch_prob[list(ch)].sum())
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ModelError(
-                    f"children of node {ids[k]!r}: branch probabilities sum to "
-                    f"{total!r}, expected 1"
-                )
-
-        leaves = np.asarray([k for k in range(n) if not kids[k]], dtype=int)
+        leaves = np.flatnonzero(counts == 0)
         horizon = int(time.max())
-        off_horizon = [ids[k] for k in leaves if time[k] != horizon]
+        off_horizon = [ids[k] for k in leaves[time[leaves] != horizon]]
         if off_horizon:
             raise ModelError(
                 f"every leaf must sit at the horizon {horizon}; "
                 f"offenders: {off_horizon}"
             )
 
-        path_prob = np.ones(n, dtype=float)
-        for k in range(1, n):
-            path_prob[k] = path_prob[parent[k]] * branch_prob[k]
-
         return cls(
             ids=tuple(ids),
             parent=_frozen(parent, dtype=int),
             branch_prob=_frozen(branch_prob),
             time=_frozen(time, dtype=int),
-            children=tuple(tuple(ch) for ch in kids),
+            children=tuple(map(tuple, kids)),
             leaves=_frozen(leaves, dtype=int),
             horizon=horizon,
             path_prob=_frozen(path_prob),
@@ -259,15 +265,17 @@ def build_market(tree: ScenarioTree, prices, asset_names=None) -> MarketModel:
             "the cross-section of assets must never be worthless"
         )
 
-    for k in range(tree.n_nodes):
-        for c in tree.children[k]:
-            bad = (price[:, k] == 0.0) & (price[:, c] != 0.0)
-            if np.any(bad):
-                i = int(np.flatnonzero(bad)[0])
-                raise ModelError(
-                    f"asset {i} revives at node {tree.ids[c]!r} after hitting "
-                    "zero; zero prices are absorbing"
-                )
+    below = tree.parent[1:]
+    revived = (price[:, below] == 0.0) & (price[:, 1:] != 0.0)
+    edges = np.flatnonzero(revived.any(axis=0))
+    if edges.size:
+        # the first offending edge in (parent, child) order
+        edge = edges[np.lexsort((edges, below[edges]))[0]]
+        i = int(np.flatnonzero(revived[:, edge])[0])
+        raise ModelError(
+            f"asset {i} revives at node {tree.ids[edge + 1]!r} after hitting "
+            "zero; zero prices are absorbing"
+        )
 
     if asset_names is None:
         asset_names = tuple(f"asset{i}" for i in range(price.shape[0]))

@@ -111,18 +111,29 @@ def oracle_price_interval(model: MarketModel, claim: Claim) -> tuple[float, floa
     return float(values.min()), float(values.max())
 
 
+def _scaled_polytope(model: MarketModel, face=None):
+    """The whole-tree polytope ``matrix @ m = rhs``, with the row
+    ``face[0] @ m = face[1]`` appended when given, each row divided by its
+    largest magnitude (an absorbed asset's zero row stays zero): raw prices
+    far apart make the simplex fail verification or find a fair market's
+    polytope empty, as they would the engine's one-step rows."""
+    polytope = build_polytope(model)
+    matrix, rhs = polytope.matrix, polytope.rhs
+    if face is not None:
+        matrix = np.vstack([matrix, face[0]])
+        rhs = np.append(rhs, face[1])
+    scale = np.abs(matrix).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return matrix / scale[:, np.newaxis], rhs / scale
+
+
 def lp_interior_radius(model: MarketModel, face=None):
     """Largest uniform floor under the node levels and a maximizer, as one
     whole-tree LP: ``max eps`` subject to the polytope and ``m[node] >= eps``
     at every node.  ``face``, when given as ``(row, value)``, adds the
     constraint ``row @ m = value``.  Returns ``(0.0, None)`` when the
     program is infeasible."""
-    polytope = build_polytope(model)
-    base = polytope.matrix
-    rhs = polytope.rhs
-    if face is not None:
-        base = np.vstack([base, face[0]])
-        rhs = np.append(rhs, face[1])
+    base, rhs = _scaled_polytope(model, face)
     n = model.tree.n_nodes
     # variables: levels m (n), floor eps, slacks (n)
     rows = np.zeros((base.shape[0] + n, 2 * n + 1))
@@ -144,11 +155,11 @@ def lp_price_interval(model: MarketModel, claim: Claim):
     """Sub- and superhedging prices with their bound points, as two
     whole-tree LPs: ``(lower, upper, lower_point, upper_point)``."""
     payoff = _check_claim(model, claim)
-    polytope = build_polytope(model)
+    matrix, rhs = _scaled_polytope(model)
     objective = _claim_objective(model, payoff)
     solutions = []
     for sense in ("min", "max"):
-        sol = solve_lp(polytope.linear_program(objective, sense))
+        sol = solve_lp(LinearProgram(objective, matrix, rhs, 0.0, sense))
         if sol.status != "optimal":
             raise UnfairMarketError(f"the deflator polytope LP is {sol.status}")
         solutions.append(sol)

@@ -17,8 +17,8 @@ certifies the whole-tree duality gap.
 Both supported utility families -- logarithmic and power -- have scale-
 invariant conjugates: rescaling the dual variable rescales the objective
 without moving the minimizer.  The primal solver exploits that, computing
-the minimizer once and then locating the budget-matching multiplier by
-bisection.
+the minimizer once; the same homogeneity gives the budget-matching
+multiplier in closed form.
 """
 
 from __future__ import annotations
@@ -434,46 +434,22 @@ def solve_dual(
     )
 
 
-def _expected_budget(model: MarketModel, utility: UtilitySpec, levels: np.ndarray, y: float) -> float:
-    leaves = model.tree.leaves
-    weights = model.tree.path_prob[leaves]
-    terminal = levels[leaves]
-    return float(weights @ (terminal * utility.inverse_marginal(y * terminal)))
-
-
-def _bisect_budget(model, utility, levels, target: float) -> float:
-    """Find the multiplier matching the budget by bracketed bisection.
-
-    The budget is continuous and strictly decreasing in the multiplier,
-    from +inf at 0+ to 0 at +inf, so a root always exists and doubling or
-    halving from 1 finds a bracket quickly; bisection then runs between
-    the last two bracket points.
-    """
-    lo = hi = 1.0
-    g = _expected_budget(model, utility, levels, 1.0) - target
-    if g > 0:
-        for _ in range(200):
-            lo, hi = hi, 2.0 * hi
-            if _expected_budget(model, utility, levels, hi) - target <= 0:
-                break
-        else:
-            raise SolverError("budget bisection failed to bracket from above")
-    elif g < 0:
-        for _ in range(200):
-            lo, hi = 0.5 * lo, lo
-            if _expected_budget(model, utility, levels, lo) - target >= 0:
-                break
-        else:
-            raise SolverError("budget bisection failed to bracket from below")
-    else:
-        return 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _expected_budget(model, utility, levels, mid) - target > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _budget_multiplier(utility: UtilitySpec, weights, terminal, x: float) -> float:
+    """The multiplier ``y`` at which ``I(y m_T)``, priced back by ``m``,
+    costs ``x``.  ``I(y m)`` is homogeneous in ``y``, so the budget
+    ``E[m_T I(y m_T)]`` is ``1 / y`` for log and ``y**(1/(p-1)) E[m_T**q]``
+    with ``q = p / (p - 1)`` for power; ``log E[m_T**q]`` is taken as a
+    log-sum-exp over the leaves, since ``m_T**q`` over- or underflows for
+    steep exponents long before ``y`` does."""
+    if utility.kind == "log":
+        return 1.0 / x
+    p = utility.exponent
+    exponents = np.log(weights) + (p / (p - 1.0)) * np.log(terminal)
+    top = float(exponents.max())
+    log_moment = top + math.log(float(np.exp(exponents - top).sum()))
+    # a multiplier past the float range fails the budget check, not here
+    with np.errstate(over="ignore"):
+        return float(np.exp((p - 1.0) * (math.log(x) - log_moment)))
 
 
 def _replicate(
@@ -481,16 +457,18 @@ def _replicate(
 ) -> tuple[PrimalSolution, str | None]:
     """Candidate optimum under a deflator, replicated node by node.
 
-    ``y`` is bisected until ``I(y m_T)``, priced back by ``m``, costs
-    ``x``.  Each node's position is the least-squares solution of its
-    scaled one-step rows, transposed, against the children's wealth
+    ``y`` makes ``I(y m_T)``, priced back by ``m``, cost ``x``
+    (:func:`_budget_multiplier`).  Each node's position is the
+    least-squares solution of its scaled one-step rows, transposed,
+    against the children's wealth
     (:func:`~fairtree.deflators._node_groups`).  Its misses, summed along
     each path like consumption, vanish exactly when the wealth is
     attainable.  Returns the candidate and why it fails the budget or the
     ``CONSUMPTION_TOL * max(1, x)`` bound (``None`` if it passes)."""
     tree = model.tree
     levels = deflator.values
-    y = _bisect_budget(model, utility, levels, x)
+    weights = tree.path_prob[tree.leaves]
+    y = _budget_multiplier(utility, weights, levels[tree.leaves], x)
     terminal = utility.inverse_marginal(y * levels[tree.leaves])
     wealth = tree.expect_terminal(levels[tree.leaves] * terminal) / levels
     holdings = np.zeros((model.n_assets, tree.n_nodes))
@@ -515,7 +493,6 @@ def _replicate(
             f"wealth is not attainable: replication misses by {max_consumption:.3e} "
             f"at node {tree.ids[int(np.argmax(np.abs(consumption)))]!r}"
         )
-    weights = tree.path_prob[tree.leaves]
     primal = PrimalSolution(
         x=float(x),
         y=float(y),
@@ -533,9 +510,9 @@ def solve_primal(model: MarketModel, utility: UtilitySpec, x: float) -> PrimalSo
     """Maximize expected terminal utility from initial wealth ``x``.
 
     Solves the dual once (the minimizer does not depend on the scale for
-    the supported utility families), bisects the multiplier until the
-    candidate wealth ``I(y * m)`` prices back to ``x``, and replicates that
-    wealth node by node (:func:`_replicate`).  The optimal wealth is
+    the supported utility families), takes the multiplier at which the
+    candidate wealth ``I(y * m)`` prices back to ``x`` in closed form, and
+    replicates that wealth node by node (:func:`_replicate`).  The optimal wealth is
     attainable, so a budget or replication miss above its bound raises
     :class:`SolverError`.
     """

@@ -421,6 +421,39 @@ class TestCli:
         assert first == second
 
 
+class TestParserReuse:
+    def test_shared_parser_matches_a_fresh_one(self, capsys, tmp_path, t1_path):
+        import fairtree.cli
+
+        model = generate_market(seed=3, depth=2, branching=2, assets=2, arbitrage=True)
+        claims = default_claims(model, 3)
+        arb = tmp_path / "arb.market"
+        arb.write_text(serialize_market(model, claims), encoding="utf-8")
+        commands = [
+            ["optimize", t1_path, "--utility", "log"],
+            ["--help"],
+            ["superhedge", str(arb), "--claim", sorted(claims)[0]],
+            ["fair", t1_path],
+            ["optimize", t1_path, "--utility", "log", "--wealth", "1"],
+        ]
+
+        def run(argv):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in commands:
+            fairtree.cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in fresh] == [2, 0, 1, 0, 0]
+        fairtree.cli._build_parser.cache_clear()
+        # twice over, so every command also runs after every other one
+        assert [run(argv) for argv in commands * 2] == fresh * 2
+        info = fairtree.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(commands) - 1)
+
+
 @pytest.fixture(scope="module")
 def largest_path(tmp_path_factory):
     """The generator's largest shape, d6b4a5: 5461 nodes."""

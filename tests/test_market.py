@@ -95,6 +95,52 @@ class TestScenarioTree:
         with pytest.raises(ModelError, match=fragment):
             ScenarioTree.build(nodes)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_arrays_match_the_node_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        # a random depth-3 tree with 1-4 children per node ...
+        parent, time, k = [-1], [0], 0
+        while k < len(parent):
+            if time[k] < 3:
+                count = int(rng.integers(1, 5))
+                parent += [k] * count
+                time += [time[k] + 1] * count
+            k += 1
+        n = len(parent)
+        probs = rng.random(n) + 0.1
+        probs[1:] /= np.bincount(parent[1:], weights=probs[1:], minlength=n)[parent[1:]]
+        # ... listed in a random order that keeps parents before children
+        order, ready = [], [0]
+        while ready:
+            k = ready.pop(int(rng.integers(len(ready))))
+            order.append(k)
+            ready += [c for c in range(n) if parent[c] == k]
+        tree = ScenarioTree.build(
+            [(f"n{k}", None if k == 0 else f"n{parent[k]}", probs[k] if k else 1.0)
+             for k in order]
+        )
+        kids, times, path = [[] for _ in range(n)], [0] * n, [1.0] * n
+        for k in range(1, n):
+            p = tree.parent[k]
+            kids[p].append(k)
+            times[k] = times[p] + 1
+            path[k] = path[p] * tree.branch_prob[k]
+        assert tree.children == tuple(map(tuple, kids))
+        assert tree.time.tolist() == times
+        # the same products in the same order: equal bit for bit
+        assert tree.path_prob.tolist() == path
+        assert tree.leaves.tolist() == [k for k in range(n) if not kids[k]]
+
+    def test_names_the_first_node_whose_children_miss_one(self):
+        # siblings interleaved in document order; both 'a' and 'b' offend
+        nodes = [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5),
+                 ("ba", "b", 0.3), ("aa", "a", 0.6), ("bb", "b", 0.3), ("ab", "a", 0.6)]
+        with pytest.raises(ModelError) as info:
+            ScenarioTree.build(nodes)
+        assert str(info.value) == (
+            "children of node 'a': branch probabilities sum to 1.2, expected 1"
+        )
+
     def test_two_roots_rejected(self):
         with pytest.raises(ModelError):
             ScenarioTree.build([("r", None, 1.0), ("s", None, 1.0)])
@@ -139,6 +185,19 @@ class TestBuildMarket:
         )
         with pytest.raises(ModelError, match="absorbing"):
             build_market(tree, [[1, 1, 1], [1, 0, 0.5]])
+
+    def test_names_the_first_revival_in_tree_order(self):
+        # 'bb' comes first in the document, but the edge from 'a' is checked
+        # first, and at it the lowest revived asset is named
+        tree = ScenarioTree.build(
+            [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5),
+             ("bb", "b", 1.0), ("aa", "a", 1.0)]
+        )
+        with pytest.raises(ModelError) as info:
+            build_market(tree, [[1, 1, 1, 1, 1], [1, 0, 0, 1, 1], [1, 0, 1, 1, 1]])
+        assert str(info.value) == (
+            "asset 1 revives at node 'aa' after hitting zero; zero prices are absorbing"
+        )
 
     def test_ruin_asset_accepted(self):
         tree = ScenarioTree.build(

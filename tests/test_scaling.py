@@ -17,6 +17,7 @@ import pytest
 
 from fairtree import (
     Claim,
+    oracle,
     build_market,
     check_complete,
     check_fair,
@@ -129,6 +130,17 @@ class TestAssetScaling:
         primal = solve_primal(scaled, log_utility(), 1.0)
         assert_same(primal.value, expected.value)
         assert_same(primal.deflator.values, expected.deflator.values)
+
+    @cases
+    def test_whole_tree_oracles(self, name, scale):
+        # the oracles' whole-tree LPs see the same rows as the engine's
+        # recursions, scaled apart, and must answer as the engine does
+        _, scaled, claim = pair(name, scale)
+        radius, _ = oracle.lp_interior_radius(scaled)
+        assert_same(radius, check_fair(scaled).interior_radius)
+        lower, upper, _, _ = oracle.lp_price_interval(scaled, claim)
+        interval = superhedge_price(scaled, claim)
+        assert_same([lower, upper], [interval.lower, interval.upper])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("scale", SCALES + (1e8, 1e9))

@@ -123,18 +123,17 @@ class ScenarioTree:
                 f"{total!r}, expected 1"
             )
 
-        # one level per pass: a node's time and path probability are final
-        # once its parent's are, and parents precede their children
+        # a pass over all nodes settles one more level: a node's time and
+        # path probability are final one pass after its parent's
         time = np.zeros(n, dtype=int)
+        while not np.array_equal(time[1:], time[below] + 1):
+            time[1:] = time[below] + 1
+        horizon = int(time.max())
         path_prob = np.ones(n, dtype=float)
-        level = np.flatnonzero(parent == 0)
-        while level.size:
-            time[level] = time[parent[level]] + 1
-            path_prob[level] = path_prob[parent[level]] * branch_prob[level]
-            level = np.flatnonzero(np.isin(parent, level))
+        for _ in range(horizon):
+            path_prob[1:] = path_prob[below] * branch_prob[1:]
 
         leaves = np.flatnonzero(counts == 0)
-        horizon = int(time.max())
         off_horizon = [ids[k] for k in leaves[time[leaves] != horizon]]
         if off_horizon:
             raise ModelError(

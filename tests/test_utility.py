@@ -33,7 +33,7 @@ from fairtree import (
     verify_minimax,
 )
 from fairtree.errors import ModelError, SolverError
-from fairtree.utility import CONSUMPTION_TOL
+from fairtree.utility import CONSUMPTION_TOL, _budget_multiplier
 
 from conftest import fair_corpus
 
@@ -253,6 +253,28 @@ class TestExtremeWealth:
         primal = solve_primal(model, log_utility(), 1e6)
         assert primal.max_consumption <= 1e-7 * 1e6
         assert verify_minimax(model, log_utility(), primal.deflator, 1e6).minimax
+
+
+class TestBudgetMultiplier:
+    @pytest.mark.parametrize(
+        "u",
+        UTILITIES + [power_utility(-50.0), power_utility(0.999)],
+        ids=lambda u: u.label,
+    )
+    @pytest.mark.parametrize("x", [1e-6, 1.0, 1e6])
+    def test_prices_the_wealth_back(self, u, x):
+        # at p = 0.999, q = -999 and E[m_T**q] is about 1e2997: only its
+        # logarithm is a float, while y itself is about 1e3
+        weights = np.array([0.25, 0.5, 0.25])
+        levels = np.array([1e-3, 1.0, 2.0])
+        y = _budget_multiplier(u, weights, levels, x)
+        p = 0.0 if u.kind == "log" else u.exponent
+        # log E[m_T I(y m_T)] with I(z) = z**(1 / (p - 1)), log included;
+        # 1 / (p - 1) = -1000 magnifies the rounding of log y to about 1e-12
+        budget = np.logaddexp.reduce(
+            np.log(weights) + np.log(levels) + np.log(y * levels) / (p - 1.0)
+        )
+        assert budget == pytest.approx(np.log(x), abs=1e-10)
 
 
 class TestSteepUtility:

@@ -17,7 +17,6 @@ import pytest
 
 from fairtree import (
     Claim,
-    oracle,
     build_market,
     check_complete,
     check_fair,
@@ -26,6 +25,7 @@ from fairtree import (
     generate_market,
     log_utility,
     optional_decomposition,
+    oracle,
     solve_primal,
     superhedge_price,
     superhedge_process,
@@ -133,8 +133,8 @@ class TestAssetScaling:
 
     @cases
     def test_whole_tree_oracles(self, name, scale):
-        # the oracles' whole-tree LPs see the same rows as the engine's
-        # recursions, scaled apart, and must answer as the engine does
+        # scaling assets apart moves no answer, so the whole-tree LPs must
+        # still match the engine's recursions
         _, scaled, claim = pair(name, scale)
         radius, _ = oracle.lp_interior_radius(scaled)
         assert_same(radius, check_fair(scaled).interior_radius)

@@ -15,8 +15,12 @@ bases, so one kernel (:func:`_basic_solutions`) solves every basis of
 every node of a ``(time, branching)`` group (:func:`_node_groups`) in one
 stacked solve.  The fairness floor, its arbitrage screen, the vertex
 tables behind price bounds and the optional decomposition's positions
-all come from it.  The simplex runs only where a node has too many bases
-to list and in :func:`_extract_certificate`.
+all come from it; a node whose one-step matrix has full column rank has
+a single point (:func:`_single_points`), from which the floor is read
+directly.  Every recursion takes one array step per group: the floor
+(:func:`_floor_step`) and the best vertex under a linear cost
+(:func:`_vertex_step`).  The simplex runs only where a node has too many
+bases to list and in :func:`_extract_certificate`.
 
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
@@ -25,6 +29,7 @@ rather than :class:`Deflator` instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,6 +171,17 @@ def build_polytope(model: MarketModel) -> DeflatorPolytope:
     return DeflatorPolytope(matrix=matrix, rhs=rhs, row_labels=tuple(labels))
 
 
+def _scaled_rows(matrix: np.ndarray, rhs: np.ndarray):
+    """``matrix @ m = rhs`` with each row, right-hand side included,
+    divided by the row's largest magnitude (a zero row stays zero): raw
+    prices far apart make the simplex fail verification and the rank test
+    of vertex enumeration drop a row, so a fair market's polytope comes out
+    empty."""
+    scale = np.abs(matrix).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return matrix / scale[:, np.newaxis], rhs / scale
+
+
 def _local_system(model: MarketModel, node: int):
     """One-step system ``matrix @ r = rhs`` in the ratios ``r`` (child
     level over node level) at ``node``: row ``i`` is asset ``i``'s
@@ -215,7 +231,8 @@ class _NodeGroup:
     space), its pseudo-inverse ``pinv`` and an orthonormal basis of its
     null space (``null``, padded with zero columns).  Where a matrix has
     full column rank, its one-step polytope is the single point
-    ``fixed[g]``.  Every array is read-only."""
+    ``fixed[g]`` (:func:`_single_points`; zero elsewhere).  Every array is
+    read-only."""
 
     nodes: np.ndarray
     children: np.ndarray
@@ -239,42 +256,45 @@ _NODE_GROUP_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
 
 def _node_groups(model: MarketModel) -> tuple[_NodeGroup, ...]:
     """Non-leaf nodes batched by ``(time, branching)``, latest time first,
-    so a backward recursion can solve each group at once.  Cached per
+    so a backward recursion can solve each group at once.  The systems of
+    all nodes with the same branching are built and decomposed together,
+    ordered by time, and each group is a slice of them.  Cached per
     model."""
     groups = _NODE_GROUP_CACHE.get(model)
     if groups is not None:
         return groups
     tree = model.tree
-    keyed: dict[tuple[int, int], list[int]] = {}
-    for k in range(tree.n_nodes):
-        if tree.children[k]:
-            keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
-    built = []
-    for key in sorted(keyed, reverse=True):
-        branching = key[1]
-        nodes = np.asarray(keyed[key])
+    branchings = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
+    built = {}
+    for branching in np.unique(branchings[branchings > 0]).tolist():
+        nodes = np.flatnonzero(branchings == branching)
+        nodes = nodes[np.argsort(tree.time[nodes], kind="stable")]
         children, probs, matrix, rhs, scale = _local_system(model, nodes)
         left, singular, right, kept, rank = _svd_rank(matrix)
         width = singular.shape[1]
         inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
         pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
         beyond = np.arange(branching) >= rank[:, np.newaxis]
-        built.append(
-            _NodeGroup(
-                nodes=nodes,
-                children=children,
-                probs=probs,
-                matrix=matrix,
-                rhs=rhs,
-                scale=scale,
-                rank=rank,
-                left=left,
-                pinv=pinv,
-                null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
-                fixed=np.einsum("gnd,gd->gn", pinv, rhs),
+        null = right.transpose(0, 2, 1) * beyond[:, np.newaxis, :]
+        fixed = _single_points(matrix, rhs, left, rank)
+        times = tree.time[nodes]
+        starts = np.flatnonzero(np.diff(times, prepend=-1))
+        for lo, hi in zip(starts.tolist(), np.append(starts[1:], nodes.size).tolist()):
+            at = slice(lo, hi)
+            built[int(times[lo]), branching] = _NodeGroup(
+                nodes=nodes[at],
+                children=children[at],
+                probs=probs[at],
+                matrix=matrix[at],
+                rhs=rhs[at],
+                scale=scale[at],
+                rank=rank[at],
+                left=left[at],
+                pinv=pinv[at],
+                null=null[at],
+                fixed=fixed[at],
             )
-        )
-    groups = _NODE_GROUP_CACHE[model] = tuple(built)
+    groups = _NODE_GROUP_CACHE[model] = tuple(built[key] for key in sorted(built, reverse=True))
     return groups
 
 
@@ -302,14 +322,55 @@ def _rank_slices(rank: np.ndarray, columns: int):
             yield value, at[start:start + step], True
 
 
-def _basic_solutions(matrix, rhs, left, rank: int, cost=None):
+@functools.cache
+def _combinations(columns: int, rank: int, pinned: bool) -> np.ndarray:
+    """The ``rank``-subsets of ``range(columns)`` in ``itertools.combinations``
+    order as a read-only ``(bases, rank)`` array; with ``pinned``, only
+    those that hold the last column, still in that order."""
+    if pinned:
+        rest = itertools.combinations(range(columns - 1), rank - 1)
+        combos = [combo + (columns - 1,) for combo in rest]
+    else:
+        combos = list(itertools.combinations(range(columns), rank))
+    return _frozen(combos, dtype=np.intp)
+
+
+def _projection(matrix, rhs, left, rank: int):
+    """The stacked systems ``matrix[g] @ x = rhs[g]`` projected onto their
+    ``rank`` leading left singular vectors ``left[g]``, which leaves
+    ``rank`` independent rows with the same solutions, each column divided
+    by its length (a zero column by 1): ``(span, rows, norms, target)``,
+    ``rows[g] @ (norms[g] * x) = target[g]``."""
+    span = left[:, :, :rank]
+    rows = np.einsum("gmr,gmc->grc", span, matrix)
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0.0] = 1.0
+    return span, rows / norms[:, np.newaxis, :], norms, np.einsum("gmr,gm->gr", span, rhs)
+
+
+def _single_points(matrix, rhs, left, rank):
+    """The solution of each stacked system whose matrix has full column
+    rank, by the basis kernel's solve of its projected square system
+    (:func:`_projection`), and zero for the others.  Unlike the product
+    of the pseudo-inverse with the right-hand side, which loses digits on
+    an ill-conditioned matrix, it meets the rows to rounding."""
+    count, _, columns = matrix.shape
+    points = np.zeros((count, columns))
+    full = np.flatnonzero(rank == columns)
+    if full.size:
+        _, rows, norms, target = _projection(matrix[full], rhs[full], left[full], columns)
+        points[full] = np.linalg.solve(rows, target[..., np.newaxis])[..., 0] / norms
+    return points
+
+
+def _basic_solutions(matrix, rhs, left, rank: int, cost=None, pinned: bool = False):
     """Every basic solution of the stacked systems ``matrix[g] @ x = rhs[g]``,
     ``x >= 0``, each of rank ``rank``.
 
     The rows are projected onto the system's ``rank`` leading left singular
-    vectors ``left[g]``, which leaves ``rank`` independent rows with the
-    same solutions.  Each ``rank``-subset of the columns, in
-    ``itertools.combinations`` order, is a candidate basis, and all
+    vectors ``left[g]`` (:func:`_projection`).  Each ``rank``-subset of the
+    columns, in ``itertools.combinations`` order, is a candidate basis
+    (with ``pinned``, only those holding the last column), and all
     candidates of all systems are solved by one stacked
     ``np.linalg.solve``.  A basis is singular when, its columns scaled to
     unit length, its smallest singular value is at most ``RANK_RTOL``
@@ -325,16 +386,13 @@ def _basic_solutions(matrix, rhs, left, rank: int, cost=None):
     is zero on the basis and is the basis's reduced cost.
     """
     count, _, columns = matrix.shape
-    combos = np.asarray(list(itertools.combinations(range(columns), rank)), dtype=np.intp)
-    span = left[:, :, :rank]
-    rows = np.einsum("gmr,gmc->grc", span, matrix)
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms == 0.0] = 1.0
-    bases = (rows / norms[:, np.newaxis, :])[:, :, combos].transpose(0, 2, 1, 3)
+    combos = _combinations(columns, rank, pinned)
+    span, rows, norms, target = _projection(matrix, rhs, left, rank)
+    bases = rows[:, :, combos].transpose(0, 2, 1, 3)
     singular = np.linalg.svd(bases, compute_uv=False)
     regular = singular[..., -1] > RANK_RTOL * singular[..., 0]
     bases = np.where(regular[..., np.newaxis, np.newaxis], bases, np.eye(rank))
-    target = np.einsum("gmr,gm->gr", span, rhs)[:, np.newaxis, :, np.newaxis]
+    target = target[:, np.newaxis, :, np.newaxis]
     solved = np.linalg.solve(bases, np.broadcast_to(target, bases.shape[:3] + (1,)))
     x = np.zeros((count, len(combos), columns))
     x[:, np.arange(len(combos))[:, np.newaxis], combos] = solved[..., 0] / norms[:, combos]
@@ -350,48 +408,88 @@ def _basic_solutions(matrix, rhs, left, rank: int, cost=None):
     return x, feasible, np.einsum("gmr,gbr->gbm", span, multipliers)
 
 
-def _group_vertices(group: _NodeGroup) -> list:
-    """Each node's one-step vertices from its feasible bases: ``(node,
-    table)`` per node of ``group``, ``table`` the distinct feasible basic
-    solutions stacked into rows in basis order (entries within 1e-11 of
-    zero set to zero, solutions within 1e-9 in the sup norm merged, as
-    :func:`~fairtree.optim.enumerate_vertices` does), or ``None`` past the
-    vertex-enumeration guard."""
-    tables = []
-    for value, at, within in _rank_slices(group.rank, group.children.shape[1]):
-        if not within:
-            tables.extend((int(k), None) for k in group.nodes[at])
-            continue
-        x, feasible, _ = _basic_solutions(group.matrix[at], group.rhs[at], group.left[at], value)
-        x[x <= 1e-11] = 0.0
-        # feasible solutions first, in basis order; a solution is merged
-        # into the first kept solution within 1e-9 of it
-        order = np.argsort(~feasible, axis=1, kind="stable")
-        found = feasible.sum(axis=1)
-        x = np.take_along_axis(x, order[:, :, np.newaxis], axis=1)[:, : found.max()]
-        keep = np.arange(x.shape[1]) < found[:, np.newaxis]
-        for j in range(x.shape[1]):
-            close = np.abs(x - x[:, j : j + 1]).max(axis=2) <= 1e-9
-            close[:, : j + 1] = False
-            keep &= ~(close & keep[:, j : j + 1])
-        tables.extend((int(k), x[i][keep[i]]) for i, k in enumerate(group.nodes[at]))
-    return tables
+def _distinct_vertices(x, feasible):
+    """The distinct feasible basic solutions of each stacked system, first
+    in basis order (entries within 1e-11 of zero set to zero, solutions
+    within 1e-9 in the sup norm merged into the first, as
+    :func:`~fairtree.optim.enumerate_vertices` does): ``(x, count)``, the
+    first ``count[g]`` rows of ``x[g]`` being system ``g``'s vertices."""
+    x[x <= 1e-11] = 0.0
+    order = np.argsort(~feasible, axis=1, kind="stable")
+    found = feasible.sum(axis=1)
+    x = np.take_along_axis(x, order[:, :, np.newaxis], axis=1)[:, : found.max()]
+    keep = np.arange(x.shape[1]) < found[:, np.newaxis]
+    for j in range(x.shape[1]):
+        close = np.abs(x - x[:, j : j + 1]).max(axis=2) <= 1e-9
+        close[:, : j + 1] = False
+        keep &= ~(close & keep[:, j : j + 1])
+    order = np.argsort(~keep, axis=1, kind="stable")
+    count = keep.sum(axis=1)
+    return np.take_along_axis(x, order[:, :, np.newaxis], axis=1)[:, : count.max()], count
 
 
-_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, list]" = WeakKeyDictionary()
+@dataclass(frozen=True, eq=False)
+class _VertexTable:
+    """The one-step vertices of a :class:`_NodeGroup`'s nodes.
+
+    ``stacks`` holds ``(at, vertices)`` pairs: ``vertices[i]`` stacks the
+    vertex rows of node ``group.nodes[at][i]`` (``at`` is a full slice
+    where one stack holds the whole group), and every node of a stack
+    has the same number of vertices, so a stacked product computes each
+    node's totals exactly as a product with the node's own table would
+    (a zero row padded onto a table changes how BLAS blocks the product,
+    and so the last bits of the other rows' totals).  ``past`` holds the
+    positions of the nodes past the vertex-enumeration guard."""
+
+    group: _NodeGroup
+    stacks: tuple
+    past: np.ndarray
 
 
-def _vertex_tables(model: MarketModel) -> list:
-    """``(node, children, table)`` for every non-leaf node in tree order,
-    ``table`` the node's one-step vertices stacked into rows, read off its
-    feasible bases (:func:`_group_vertices`) once per model, or ``None``
-    past the :class:`SizeGuardError` guard."""
+_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
+
+
+def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
+    """One :class:`_VertexTable` per group of :func:`_node_groups`, in its
+    order, cached per model.  The vertices are read off the feasible bases
+    (:func:`_distinct_vertices`), from one :func:`_basic_solutions` call
+    per branching and rank across the groups."""
     tables = _VERTEX_TABLE_CACHE.get(model)
-    if tables is None:
-        found = dict(pair for group in _node_groups(model) for pair in _group_vertices(group))
-        tables = _VERTEX_TABLE_CACHE[model] = [
-            (k, np.asarray(ch), found[k]) for k, ch in enumerate(model.tree.children) if ch
-        ]
+    if tables is not None:
+        return tables
+    groups = _node_groups(model)
+    tables = [None] * len(groups)
+    for branching in sorted({g.children.shape[1] for g in groups}):
+        members = [i for i, g in enumerate(groups) if g.children.shape[1] == branching]
+        matrix, rhs, left, rank = (
+            np.concatenate([getattr(groups[i], name) for i in members])
+            for name in ("matrix", "rhs", "left", "rank")
+        )
+        counts = np.zeros(rank.size, dtype=int)
+        past = np.zeros(rank.size, dtype=bool)
+        found = []
+        for value, at, within in _rank_slices(rank, branching):
+            if not within:
+                past[at] = True
+                continue
+            x, feasible, _ = _basic_solutions(matrix[at], rhs[at], left[at], value)
+            x, counts[at] = _distinct_vertices(x, feasible)
+            found.append((at, x))
+        vertices = np.zeros((rank.size, counts.max(), branching))
+        for at, x in found:
+            vertices[at, : x.shape[1]] = x
+        start = 0
+        for i in members:
+            span = slice(start, start + groups[i].nodes.size)
+            start = span.stop
+            own, shut = counts[span], past[span]
+            stacks = []
+            for count in np.unique(own[~shut]).tolist():
+                at = np.flatnonzero((own == count) & ~shut)
+                stack = _frozen(vertices[span][at, :count])
+                stacks.append((slice(None) if at.size == own.size else at, stack))
+            tables[i] = _VertexTable(groups[i], tuple(stacks), np.flatnonzero(shut))
+    tables = _VERTEX_TABLE_CACHE[model] = tuple(tables)
     return tables
 
 
@@ -411,33 +509,51 @@ def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
         return cache[node]
     except KeyError:
         pass
-    table = next((t for k, _, t in _vertex_tables(model) if k == node), False)
-    if table is False:
-        raise ValueError(f"node {node!r} is not a non-leaf node of the market")
-    if table is None:
-        raise SizeGuardError(
-            f"the one-step polytope at node {model.tree.ids[node]!r} is past the "
-            f"vertex enumeration guard ({_VERTEX_VARIABLE_GUARD} variables, "
-            f"{_VERTEX_COMBO_GUARD} bases)"
-        )
-    vertices = cache[node] = list(table)
-    return vertices
+    for table in _vertex_tables(model):
+        position = np.flatnonzero(table.group.nodes == node)
+        if not position.size:
+            continue
+        if position[0] in table.past:
+            raise SizeGuardError(
+                f"the one-step polytope at node {model.tree.ids[node]!r} is past the "
+                f"vertex enumeration guard ({_VERTEX_VARIABLE_GUARD} variables, "
+                f"{_VERTEX_COMBO_GUARD} bases)"
+            )
+        for at, vertices in table.stacks:
+            held = np.flatnonzero(np.arange(table.group.nodes.size)[at] == position[0])
+            if held.size:
+                vertices = cache[node] = list(vertices[held[0]])
+                return vertices
+    raise ValueError(f"node {node!r} is not a non-leaf node of the market")
 
 
-def _best_vertex(model: MarketModel, node: int, table, cost: np.ndarray):
+def _best_vertex(model: MarketModel, node: int, cost: np.ndarray):
     """Ratio vector minimizing ``cost @ r`` over the one-step polytope at
-    ``node``, and that minimum: the best row of the node's stacked local
-    vertices ``table``, or, past the enumeration guard (``table is None``),
-    the solution of the node's one-step LP."""
-    if table is None:
-        _, _, matrix, rhs, _ = _local_system(model, node)
-        sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
-        if sol.status != "optimal":  # pragma: no cover - fair market
-            raise SolverError(f"local LP {sol.status} at node {model.tree.ids[node]!r}")
-        return sol.x, float(sol.x @ cost)
-    totals = table @ cost
-    best = int(np.argmin(totals))
-    return table[best], float(totals[best])
+    ``node``, and that minimum, by the node's one-step LP: the vertex
+    step of a node past the enumeration guard."""
+    _, _, matrix, rhs, _ = _local_system(model, node)
+    sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
+    if sol.status != "optimal":  # pragma: no cover - fair market
+        raise SolverError(f"local LP {sol.status} at node {model.tree.ids[node]!r}")
+    return sol.x, float(sol.x @ cost)
+
+
+def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
+    """Ratio vectors minimizing ``cost[g] @ r`` over each one-step polytope
+    of a group, and those minima: the best row of each node's vertices
+    (the first on ties), one stacked product and ``argmin`` per stack of
+    ``table``, and :func:`_best_vertex` past the enumeration guard."""
+    chosen = np.empty(cost.shape)
+    best = np.empty(cost.shape[0])
+    for at, vertices in table.stacks:
+        totals = np.matmul(vertices, cost[at, :, np.newaxis])[..., 0]
+        pick = totals.argmin(axis=1)
+        rows = np.arange(vertices.shape[0])
+        chosen[at] = vertices[rows, pick]
+        best[at] = totals[rows, pick]
+    for i in table.past.tolist():
+        chosen[i], best[i] = _best_vertex(model, int(table.group.nodes[i]), cost[i])
+    return chosen, best
 
 
 def polytope_minimizer(model: MarketModel):
@@ -446,26 +562,28 @@ def polytope_minimizer(model: MarketModel):
     Fixing a node's level, the admissible child levels form an independent
     one-step polytope, so the whole constraint set factorizes over the
     tree.  Minimizing a linear cost then takes one backward sweep of
-    :func:`_best_vertex` per node and one forward sweep rebuilding the
-    levels (nodes at level zero propagate zero).  The result matches the
-    LP optimum to solver precision at a fraction of the cost, which is
-    what makes it suitable for the utility dual's gap certificate and for
-    price bounds.  A node past the vertex-enumeration guard answers its
-    step with its one-step LP.
+    :func:`_vertex_step` per ``(time, branching)`` group and one forward
+    sweep rebuilding the levels (nodes at level zero propagate zero).  The
+    result matches the LP optimum to solver precision at a fraction of the
+    cost, which is what makes it suitable for the utility dual's gap
+    certificate and for price bounds.  A node past the vertex-enumeration
+    guard answers its step with its one-step LP.
     """
     tree = model.tree
     tables = _vertex_tables(model)
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()
-        chosen: list[np.ndarray | None] = [None] * tree.n_nodes
-        for k, ch, table in reversed(tables):
-            chosen[k], best = _best_vertex(model, k, table, per_unit[ch])
-            per_unit[k] += best
+        chosen = []
+        for table in tables:
+            ratios, best = _vertex_step(model, table, per_unit[table.group.children])
+            per_unit[table.group.nodes] += best
+            chosen.append(ratios)
         levels = np.zeros(tree.n_nodes)
         levels[0] = 1.0
-        for k, ch, _ in tables:
-            levels[ch] = levels[k] * chosen[k]
+        for table, ratios in zip(reversed(tables), reversed(chosen)):
+            group = table.group
+            levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios
         return levels
 
     return minimize
@@ -493,50 +611,6 @@ def _floor_lp(matrix: np.ndarray, rhs: np.ndarray, floors: np.ndarray):
     return unit * tau, tau * spread + sol.x[:n_children]
 
 
-def _floor_step(matrix, rhs, left, rank, floors):
-    """Largest ``t`` with a one-step ratio vector ``r`` such that
-    ``r[j] * floors[g, j] >= t`` for every child ``j``, at each of the
-    stacked node systems ``matrix[g] @ r = rhs[g]`` (``left`` and ``rank``
-    from :func:`_svd_rank`).
-
-    The program's columns are ``s >= 0`` (one per child) and ``tau = t /
-    min(floors)``, with ``r = tau * min(floors) / floors + s``, so the
-    floor rows need no slacks of their own: the lifted system is ``[A |
-    A @ spread]``, of the same rank as ``A``.  It is bounded because the
-    one-step polytope is, so its optimum is a basic solution, and
-    :func:`_basic_solutions` gives them all; ties go to the first basis.
-    Measuring ``t`` in units of the smallest floor keeps every coefficient
-    at most 1: floors far below 1, as on a face whose exact floor is 0,
-    would otherwise put coefficients of 1e16 into the martingale rows.
-    Returns ``(t, r)``, ``t`` zero where a floor is zero or no ratio
-    vector is feasible.
-    """
-    count, _, columns = matrix.shape
-    best = np.zeros(count)
-    ratios = np.zeros((count, columns))
-    live = np.flatnonzero(floors.min(axis=1) > 0.0)
-    unit = floors[live].min(axis=1)
-    spread = unit[:, np.newaxis] / floors[live]
-    lifted = np.concatenate([matrix[live], matrix[live] @ spread[..., np.newaxis]], axis=2)
-    for value, at, within in _rank_slices(rank[live], columns + 1):
-        nodes = live[at]
-        if not within:
-            for g in nodes:
-                solved = _floor_lp(matrix[g], rhs[g], floors[g])
-                if solved is not None:
-                    best[g], ratios[g] = solved
-            continue
-        x, feasible, _ = _basic_solutions(lifted[at], rhs[nodes], left[nodes], value)
-        pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
-        chosen = x[np.arange(at.size), pick]
-        found = feasible.any(axis=1)
-        tau = np.where(found, chosen[:, columns], 0.0)
-        best[nodes] = unit[at] * tau
-        r = tau[:, np.newaxis] * spread[at] + chosen[:, :columns]
-        ratios[nodes] = np.where(found[:, np.newaxis], r, 0.0)
-    return best, ratios
-
-
 def _face_system(group: _NodeGroup, face: np.ndarray):
     """The group's rows with the face row ``probs * face[children] @ r =
     face[node]`` added at each node, divided, value included, by its
@@ -552,6 +626,75 @@ def _face_system(group: _NodeGroup, face: np.ndarray):
     return matrix, rhs, left, rank
 
 
+def _floor_step(group: _NodeGroup, floors, face=None):
+    """Largest ``t`` with a one-step ratio vector ``r`` such that
+    ``r[j] * floors[g, j] >= t`` for every child ``j``, at each node of
+    ``group``, over its one-step system or, given a node process ``face``,
+    over its :func:`_face_system`.
+
+    A node whose one-step matrix has full column rank has the single point
+    ``r = group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]`` where
+    that point passes the basis kernel's feasibility test
+    (:func:`_basic_solutions`) on the system's rows, the face row
+    included, and no ratio vector is feasible where it does not.  For the
+    other nodes, the program's columns are ``s >= 0`` (one per child) and
+    ``tau = t / min(floors)``, with ``r = tau * min(floors) / floors + s``,
+    so the floor rows need no slacks of their own: the lifted system is
+    ``[A | A @ spread]``, of the same rank as ``A``.  It is bounded because
+    the one-step polytope is, so its optimum is a basic solution; a
+    positive optimum has ``tau`` basic, so only the bases holding ``tau``
+    are solved (all of them at rank 0), and ties go to the first basis.
+    Measuring ``t`` in units of the smallest floor keeps every coefficient
+    at most 1: floors far below 1, as on a face whose exact floor is 0,
+    would otherwise put coefficients of 1e16 into the martingale rows.
+    Returns ``(t, r)``, ``t`` zero where a floor is zero or no ratio
+    vector is feasible.
+    """
+    if face is None:
+        matrix, rhs, left, rank = group.matrix, group.rhs, group.left, group.rank
+    else:
+        matrix, rhs, left, rank = _face_system(group, face)
+    count, _, columns = matrix.shape
+    best = np.zeros(count)
+    ratios = np.zeros((count, columns))
+    positive = floors.min(axis=1) > 0.0
+    full = group.rank == columns
+    single = np.flatnonzero(positive & full)
+    if single.size:
+        point = group.fixed[single]
+        bound = _FEAS_TOL * (1.0 + np.abs(point).max(axis=1))
+        residual = np.abs(np.einsum("gmc,gc->gm", matrix[single], point) - rhs[single])
+        met = (point.min(axis=1) >= -bound) & (residual.max(axis=1) <= bound)
+        point = np.where(met[:, np.newaxis], np.maximum(point, 0.0), 0.0)
+        best[single] = (point * floors[single]).min(axis=1)
+        ratios[single] = point
+    live = np.flatnonzero(positive & ~full)
+    if not live.size:
+        return best, ratios
+    unit = floors[live].min(axis=1)
+    spread = unit[:, np.newaxis] / floors[live]
+    lifted = np.concatenate([matrix[live], matrix[live] @ spread[..., np.newaxis]], axis=2)
+    for value, at, within in _rank_slices(rank[live], columns + 1):
+        nodes = live[at]
+        if not within:
+            for g in nodes:
+                solved = _floor_lp(matrix[g], rhs[g], floors[g])
+                if solved is not None:
+                    best[g], ratios[g] = solved
+            continue
+        x, feasible, _ = _basic_solutions(
+            lifted[at], rhs[nodes], left[nodes], value, pinned=value > 0
+        )
+        pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
+        chosen = x[np.arange(at.size), pick]
+        found = feasible.any(axis=1)
+        tau = np.where(found, chosen[:, columns], 0.0)
+        best[nodes] = unit[at] * tau
+        r = tau[:, np.newaxis] * spread[at] + chosen[:, :columns]
+        ratios[nodes] = np.where(found[:, np.newaxis], r, 0.0)
+    return best, ratios
+
+
 def _max_floor(model: MarketModel, face=None):
     """Largest uniform floor under the node levels, by backward recursion.
 
@@ -559,13 +702,14 @@ def _max_floor(model: MarketModel, face=None):
     the leaves is the largest floor of the subtree at ``k`` relative to its
     own level, so ``F(root)`` is the interior radius of the whole polytope.
     Each ``(time, branching)`` group of :func:`_node_groups` runs as one
-    :func:`_floor_step` once its children's floors are known; a node with
-    a child floor of 0 gets 0.  The cap at 1 (the node's own level) is
+    :func:`_floor_step` once its children's floors are known: a node of
+    full column rank reads its floor off its single point ``fixed``, the
+    others solve the lifted bases that hold the floor's column.  A node
+    with a child floor of 0 gets 0.  The cap at 1 (the node's own level) is
     applied after the node's program, not inside it, so each node's ratios
     stay as balanced as its children's floors allow even where the cap
     binds.  ``face``, a node process ``v``, restricts each node to its
-    face ``probs * v[children] @ r = v[node]`` (:func:`_face_system`).
-    Returns ``F(root)`` and, when it is positive, the witness levels
+    face ``probs * v[children] @ r = v[node]``.  Returns ``F(root)`` and, when it is positive, the witness levels
     rebuilt forward from the maximizing ratios.
     """
     tree = model.tree
@@ -573,11 +717,7 @@ def _max_floor(model: MarketModel, face=None):
     floors = np.ones(tree.n_nodes)
     ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
     for group in groups:
-        if face is None:
-            system = group.matrix, group.rhs, group.left, group.rank
-        else:
-            system = _face_system(group, face)
-        best, ratios[group.children] = _floor_step(*system, floors[group.children])
+        best, ratios[group.children] = _floor_step(group, floors[group.children], face)
         floors[group.nodes] = np.minimum(1.0, best)
     radius = float(floors[0])
     if radius <= 0.0:
@@ -635,9 +775,7 @@ def _find_certificate(model: MarketModel) -> ArbitrageCertificate | None:
     (:func:`_floor_step` with unit child floors)."""
     suspects = []
     for group in _node_groups(model):
-        unit, _ = _floor_step(
-            group.matrix, group.rhs, group.left, group.rank, np.ones(group.children.shape)
-        )
+        unit, _ = _floor_step(group, np.ones(group.children.shape))
         suspects.extend(group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
     for node in sorted(suspects):
         certificate = _extract_certificate(model, node)
@@ -796,8 +934,9 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
 
     Each sample is an even mix of the fairness witness with a random convex
     combination of polytope vertices, so positivity is inherited from the
-    witness.  Small polytopes use the full vertex list; past the
-    enumeration guard, vertices are found by minimizing random objectives
+    witness.  Small polytopes use the full vertex list, enumerated over
+    the polytope's rows each divided by its largest magnitude
+    (:func:`_scaled_rows`); past the enumeration guard, vertices are found by minimizing random objectives
     with :func:`polytope_minimizer` (a generic linear cost has a unique
     minimizer, which is a vertex).  Randomness flows
     through ``numpy.random.default_rng`` (PCG64) only.
@@ -809,7 +948,8 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
 
     vertices: list[np.ndarray] | None
     try:
-        vertices = enumerate_vertices(polytope.linear_program())
+        matrix, rhs = _scaled_rows(polytope.matrix, polytope.rhs)
+        vertices = enumerate_vertices(LinearProgram(np.zeros(polytope.n_variables), matrix, rhs))
     except SizeGuardError:
         vertices = None
         minimize = polytope_minimizer(model)

@@ -4,11 +4,12 @@ The superhedging cost of a claim is the largest deflator-weighted expected
 payoff over the closure of the deflator polytope.  The polytope factorizes
 over the tree, so every answer here is a backward recursion over one-step
 problems, each answered by the best vertex of the node's one-step
-polytope (:func:`~fairtree.deflators._best_vertex`), the vertices being the
-node's feasible bases from the batched basis kernel
-(:func:`~fairtree.deflators._basic_solutions`): the price bounds through
-:func:`~fairtree.deflators.polytope_minimizer`, the running cost by
-:func:`superhedge_process` and the supermartingale test by
+polytope, the vertices being the node's feasible bases from the batched
+basis kernel (:func:`~fairtree.deflators._basic_solutions`).  One
+:func:`~fairtree.deflators._vertex_step` takes the best vertex of every
+node of a ``(time, branching)`` group at once: for the price bounds
+through :func:`~fairtree.deflators.polytope_minimizer`, the running cost
+by :func:`superhedge_process` and the supermartingale test by
 :func:`check_supermartingale`.  The same kernel gives attainability its
 face floors and the decomposition its positions, as the duals of each
 node's optimal basis.  Independent cross-checks live in
@@ -34,11 +35,11 @@ from .deflators import (
     FAIRNESS_THRESHOLD,
     Deflator,
     _basic_solutions,
-    _best_vertex,
     _local_system,
     _max_floor,
     _node_groups,
     _rank_slices,
+    _vertex_step,
     _vertex_tables,
     polytope_minimizer,
     require_fair,
@@ -121,17 +122,19 @@ def superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     """Backward dynamic program for the running superhedging cost.
 
     Each non-leaf node takes the largest probability-weighted continuation
-    value over its one-step polytope at its best local vertex
-    (:func:`~fairtree.deflators._best_vertex`).
-    :func:`fairtree.oracle.lp_superhedge_process` solves each step by LP.
+    value over its one-step polytope at its best local vertex, one
+    :func:`~fairtree.deflators._vertex_step` per ``(time, branching)``
+    group.  :func:`fairtree.oracle.lp_superhedge_process` solves each step
+    by LP.
     """
     payoff = _check_claim(model, claim)
     require_fair(model)
-    tree = model.tree
-    values = np.zeros(tree.n_nodes)
-    values[tree.leaves] = payoff
-    for k, ch, table in reversed(_vertex_tables(model)):
-        values[k] = -_best_vertex(model, k, table, -tree.branch_prob[ch] * values[ch])[1]
+    values = np.zeros(model.tree.n_nodes)
+    values[model.tree.leaves] = payoff
+    for table in _vertex_tables(model):
+        group = table.group
+        _, best = _vertex_step(model, table, -group.probs * values[group.children])
+        values[group.nodes] = -best
     return values
 
 
@@ -142,21 +145,30 @@ def check_supermartingale(
 
     The forward value is linear in the deflator, so each node's value is
     compared with its one-step maximum, at the worst vertex of its ratio
-    polytope (:func:`~fairtree.deflators._best_vertex`); levels that vanish
-    propagate zero down the subtree and contribute nothing.  Raises
-    :class:`SupermartingaleError` at the first violating node in tree
-    order, naming that worst vertex.  ``slack`` is relative to the
-    magnitude of the terms compared.
+    polytope, one :func:`~fairtree.deflators._vertex_step` per ``(time,
+    branching)`` group; levels that vanish propagate zero down the subtree
+    and contribute nothing.  Raises :class:`SupermartingaleError` at the
+    first violating node in tree order, naming that worst vertex.
+    ``slack`` is relative to the magnitude of the terms compared.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
     if values.shape != (tree.n_nodes,):
         raise ValueError("process needs one value per node")
-    for k, ch, table in _vertex_tables(model):
-        vertex, best = _best_vertex(model, k, table, -tree.branch_prob[ch] * values[ch])
-        excess = -best - values[k]
-        if excess > slack * max(1.0, abs(best), abs(values[k])):
-            raise SupermartingaleError(tree.ids[k], vertex, excess)
+    # each node's one-step maximum; a leaf's own value, so it never violates
+    upper = values.copy()
+    found = []
+    for table in _vertex_tables(model):
+        group = table.group
+        vertices, best = _vertex_step(model, table, -group.probs * values[group.children])
+        upper[group.nodes] = -best
+        found.append((group.nodes, vertices))
+    excess = upper - values
+    bad = np.flatnonzero(excess > slack * np.maximum(np.maximum(1.0, np.abs(upper)), np.abs(values)))
+    if bad.size:
+        k = bad[0]
+        vertex = next(vertices[nodes == k][0] for nodes, vertices in found if k in nodes)
+        raise SupermartingaleError(tree.ids[k], vertex, float(excess[k]))
 
 
 def _position_lp(model: MarketModel, node: int, values: np.ndarray) -> np.ndarray:

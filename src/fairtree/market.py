@@ -173,7 +173,9 @@ class ScenarioTree:
         """Conditional expectation process of a terminal random variable.
 
         Returns the node-indexed array ``E[f | node]`` where ``leaf_values``
-        lists ``f`` leaf by leaf (in ``self.leaves`` order).
+        lists ``f`` leaf by leaf (in ``self.leaves`` order).  One pass per
+        level, latest first, sums each node's probability-weighted children
+        over ``parent``.
         """
         leaf_values = np.asarray(leaf_values, dtype=float)
         if leaf_values.shape != (self.n_leaves,):
@@ -182,11 +184,11 @@ class ScenarioTree:
             )
         out = np.zeros(self.n_nodes, dtype=float)
         out[self.leaves] = leaf_values
-        for k in range(self.n_nodes - 1, -1, -1):
-            ch = self.children[k]
-            if ch:
-                ch = list(ch)
-                out[k] = float(self.branch_prob[ch] @ out[ch])
+        for t in range(self.horizon, 0, -1):
+            level = np.flatnonzero(self.time == t)
+            out += np.bincount(
+                self.parent[level], self.branch_prob[level] * out[level], self.n_nodes
+            )
         return out
 
     def descendant_leaves(self, node: int) -> np.ndarray:

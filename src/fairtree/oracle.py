@@ -40,7 +40,14 @@ import numpy as np
 
 from .errors import SizeGuardError, SolverError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
-from .deflators import Deflator, _best_vertex, build_polytope, polytope_minimizer, require_fair
+from .deflators import (
+    Deflator,
+    _best_vertex,
+    _scaled_rows,
+    build_polytope,
+    polytope_minimizer,
+    require_fair,
+)
 from .hedging import INTERVAL_TOL, _claim_objective, superhedge_price
 from .optim import (
     _VERTEX_VARIABLE_GUARD,
@@ -95,8 +102,8 @@ def _polytope_vertices(model: MarketModel) -> np.ndarray:
             f"vertex enumeration is limited to {_VERTEX_VARIABLE_GUARD} "
             f"variables, got {model.tree.n_nodes}"
         )
-    polytope = build_polytope(model)
-    vertices = enumerate_vertices(polytope.linear_program())
+    matrix, rhs = _scaled_polytope(model)
+    vertices = enumerate_vertices(LinearProgram(np.zeros(model.tree.n_nodes), matrix, rhs))
     if not vertices:
         raise UnfairMarketError("the deflator polytope is empty")
     return np.array(vertices)
@@ -114,17 +121,14 @@ def oracle_price_interval(model: MarketModel, claim: Claim) -> tuple[float, floa
 def _scaled_polytope(model: MarketModel, face=None):
     """The whole-tree polytope ``matrix @ m = rhs``, with the row
     ``face[0] @ m = face[1]`` appended when given, each row divided by its
-    largest magnitude (an absorbed asset's zero row stays zero): raw prices
-    far apart make the simplex fail verification or find a fair market's
-    polytope empty, as they would the engine's one-step rows."""
+    largest magnitude (:func:`~fairtree.deflators._scaled_rows`), as the
+    engine divides its one-step rows."""
     polytope = build_polytope(model)
     matrix, rhs = polytope.matrix, polytope.rhs
     if face is not None:
         matrix = np.vstack([matrix, face[0]])
         rhs = np.append(rhs, face[1])
-    scale = np.abs(matrix).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    return matrix / scale[:, np.newaxis], rhs / scale
+    return _scaled_rows(matrix, rhs)
 
 
 def lp_interior_radius(model: MarketModel, face=None):
@@ -179,8 +183,9 @@ def lp_face_radius(model: MarketModel, claim: Claim, upper: float):
 def lp_superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     """The running superhedging cost by a backward recursion of node-local
     LPs: each non-leaf node maximizes the probability-weighted continuation
-    value over its one-step polytope by the simplex (the step
-    :func:`~fairtree.deflators._best_vertex` takes without a vertex table)."""
+    value over its one-step polytope by the simplex
+    (:func:`~fairtree.deflators._best_vertex`, the vertex step of a node
+    past the enumeration guard)."""
     payoff = _check_claim(model, claim)
     require_fair(model)
     tree = model.tree
@@ -189,7 +194,7 @@ def lp_superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     for k in range(tree.n_nodes - 1, -1, -1):
         ch = list(tree.children[k])
         if ch:
-            values[k] = -_best_vertex(model, k, None, -tree.branch_prob[ch] * values[ch])[1]
+            values[k] = -_best_vertex(model, k, -tree.branch_prob[ch] * values[ch])[1]
     return values
 
 

@@ -8,18 +8,24 @@ import pytest
 from fairtree import (
     Claim,
     ModelError,
+    ScenarioTree,
+    SizeGuardError,
     SupermartingaleError,
     check_supermartingale,
     classify_attainability,
+    default_claims,
+    local_vertices,
     optional_decomposition,
+    polytope_minimizer,
     superhedge_price,
     superhedge_process,
     wealth_process,
 )
 
+from fairtree.deflators import _best_vertex
 from fairtree.oracle import lp_superhedge_process
 
-from conftest import corpus_claim, fair_corpus
+from conftest import corpus_claim, fair_corpus, mixed_market, priced_market, wide_market
 
 
 def decomposition_wealth(model, result, x0):
@@ -114,6 +120,104 @@ class TestDuality:
             interval = superhedge_price(model, claim)
             assert interval.width <= 1e-8 * max(1.0, interval.upper)
             assert interval.upper == pytest.approx(model.total_initial, rel=1e-9)
+
+
+def node_step(model, node, cost):
+    """One node's vertex step on its own: the best row of its vertex table
+    (the first on ties), or its one-step LP past the enumeration guard."""
+    try:
+        table = np.array(local_vertices(model, node))
+    except SizeGuardError:
+        return _best_vertex(model, node, cost)
+    totals = table @ cost
+    best = int(np.argmin(totals))
+    return table[best], totals[best]
+
+
+def node_minimizer(model, cost):
+    """:func:`polytope_minimizer`'s sweep node by node, in tree order."""
+    tree = model.tree
+    per_unit = np.asarray(cost, dtype=float).copy()
+    chosen = {}
+    for k in range(tree.n_nodes - 1, -1, -1):
+        ch = list(tree.children[k])
+        if ch:
+            chosen[k], best = node_step(model, k, per_unit[ch])
+            per_unit[k] += best
+    levels = np.zeros(tree.n_nodes)
+    levels[0] = 1.0
+    for k in sorted(chosen):
+        levels[list(tree.children[k])] = levels[k] * chosen[k]
+    return levels
+
+
+def node_superhedge(model, claim):
+    """:func:`superhedge_process` node by node, in tree order."""
+    tree = model.tree
+    values = np.zeros(tree.n_nodes)
+    values[tree.leaves] = claim.payoff
+    for k in range(tree.n_nodes - 1, -1, -1):
+        ch = list(tree.children[k])
+        if ch:
+            values[k] = -node_step(model, k, -tree.branch_prob[ch] * values[ch])[1]
+    return values
+
+
+def step_markets():
+    """Markets with their claims: ``fair_corpus``, random trees whose nodes
+    have 1-4 children, and the node past the vertex guard."""
+    for i, model in enumerate(fair_corpus(20)):
+        yield model, list(default_claims(model, seed=1000 + i).values())
+    for seed in range(6):
+        model = mixed_market(seed)
+        yield model, list(default_claims(model, seed=seed).values())
+    model, claim = wide_market()
+    yield model, [claim]
+
+
+class TestVertexStep:
+    def test_group_steps_equal_the_node_loop_bit_for_bit(self):
+        for model, claims in step_markets():
+            minimize = polytope_minimizer(model)
+            rng = np.random.default_rng(model.tree.n_nodes)
+            costs = [rng.normal(size=model.tree.n_nodes)]
+            for claim in claims:
+                np.testing.assert_array_equal(
+                    superhedge_process(model, claim), node_superhedge(model, claim)
+                )
+                objective = np.zeros(model.tree.n_nodes)
+                objective[model.tree.leaves] = model.tree.path_prob[model.tree.leaves] * claim.payoff
+                costs += [objective, -objective]
+            for cost in costs:
+                np.testing.assert_array_equal(minimize(cost), node_minimizer(model, cost))
+
+    @pytest.mark.parametrize("shallow_first", [False, True])
+    def test_supermartingale_error_names_the_first_node_in_tree_order(self, shallow_first):
+        # depth-first order: r, a, aa, ab, b, ba, bb, then the leaves, so
+        # the node at time 2 "aa" comes before the node at time 1 "b"
+        names = ["r", "a", "aa", "ab", "b", "ba", "bb"]
+        nodes = [("r", None, 1.0)]
+        for name in names[1:]:
+            nodes.append((name, name[:-1] or "r", 0.4 if name.endswith("a") else 0.6))
+            if len(name) == 2:
+                nodes += [(name + "a", name, 0.3), (name + "b", name, 0.7)]
+        model = priced_market(ScenarioTree.build(nodes), np.random.default_rng(5), 2)
+        tree = model.tree
+        claim = default_claims(model, seed=5)["random"]
+        process = superhedge_process(model, claim)
+        lowered = ["a", "bb"] if shallow_first else ["aa", "b"]
+        for name in lowered:
+            process[tree.node_index(name)] -= 1.0
+        first = min(lowered, key=tree.node_index)
+        k = tree.node_index(first)
+        ch = list(tree.children[k])
+        table = np.array(local_vertices(model, k))
+        totals = table @ (tree.branch_prob[ch] * process[ch])
+        with pytest.raises(SupermartingaleError) as info:
+            check_supermartingale(model, process)
+        assert info.value.node_id == first
+        np.testing.assert_array_equal(info.value.vertex, table[int(np.argmax(totals))])
+        assert info.value.excess == pytest.approx(totals.max() - process[k], rel=1e-12)
 
 
 class TestDecomposition:

@@ -4,8 +4,11 @@ without the simplex or vertex enumeration.
 
 Each case is a small market built so that one node's one-step program is
 awkward: a degenerate vertex, a duplicated asset row, more assets than
-children, an absorbed asset's zero row, an arbitrage twin.  HiGHS solves
-the same programs from the raw (unscaled) prices.
+children, an absorbed asset's zero row, an arbitrage twin, a single point
+with a negative entry, and more assets than children with prices off the
+column space.  HiGHS solves the same programs from the raw (unscaled)
+prices.  Nodes of full column rank take their floor from their single
+point, the others from the kernel's bases.
 """
 
 from __future__ import annotations
@@ -25,9 +28,18 @@ from fairtree import (
     optional_decomposition,
     superhedge_process,
 )
-from fairtree.deflators import _basic_solutions, _face_system, _floor_step, _node_groups
+from fairtree import check_complete, generate_market, log_utility, solve_primal
+from fairtree.deflators import (
+    _basic_solutions,
+    _floor_step,
+    _local_system,
+    _node_groups,
+    _single_points,
+    _svd_rank,
+)
+from fairtree.market import martingale_defect
 
-from conftest import corpus_claim, fair_corpus
+from conftest import corpus_claim, fair_corpus, mixed_market
 
 RTOL = 1e-9
 
@@ -84,14 +96,34 @@ def arbitrage_twin():
     ), 0
 
 
+def negative_point():
+    # two children, two assets: the single point r solves 0.5 r0 + 0.5 r1
+    # = 1 and 0.25 r0 + 0.75 r1 = 1.6, so r0 = -0.2
+    return one_step([0.5, 0.5], [[1, 1], [0.5, 1.5]], [1, 1.6]), 0
+
+
+def outside_column_space():
+    # more assets than children, the third asset's root price off the
+    # column space: no ratio vector meets all three rows
+    probs = np.array([0.45, 0.55])
+    child = np.array([[1.0, 1.0], [0.7, 1.6], [2.0, 0.4]])
+    root = child @ (probs * [1.1, 0.92])
+    root[2] *= 1.01
+    return one_step(probs, child, root), 0
+
+
 CASES = {
     "degenerate": degenerate,
     "duplicated-row": duplicated_row,
     "more-assets": more_assets_than_children,
     "zero-row": absorbed_zero_row,
     "twin": arbitrage_twin,
+    "negative-point": negative_point,
+    "outside-column-space": outside_column_space,
 }
-FAIR_CASES = [name for name in CASES if name != "twin"]
+UNFAIR_CASES = ("twin", "negative-point", "outside-column-space")
+SINGLE_POINT_CASES = ("more-assets", "zero-row", "negative-point", "outside-column-space")
+FAIR_CASES = [name for name in CASES if name not in UNFAIR_CASES]
 
 
 def node_system(model, node):
@@ -100,6 +132,11 @@ def node_system(model, node):
         at = np.flatnonzero(group.nodes == node)
         if at.size:
             return group, at
+
+
+def group_floors(group, floors):
+    """``floors`` as the child floors of every node of ``group``."""
+    return np.tile(floors, (group.nodes.size, 1))
 
 
 def raw_rows(model, node):
@@ -152,17 +189,17 @@ class TestAgainstHighs:
         pytest.importorskip("scipy")
         model, node = CASES[name]()
         group, at = node_system(model, node)
-        _, a_eq, b_eq = raw_rows(model, node)
-        for floors in floor_cases(group.children.shape[1]).values():
-            t, r = _floor_step(
-                group.matrix[at], group.rhs[at], group.left[at], group.rank[at], floors[np.newaxis]
-            )
+        ch, a_eq, b_eq = raw_rows(model, node)
+        for floors in floor_cases(len(ch)).values():
+            t, r = (part[at] for part in _floor_step(group, group_floors(group, floors)))
             expected = highs_floor(a_eq, b_eq, floors)
+            if name in SINGLE_POINT_CASES:
+                assert group.rank[at][0] == len(ch)
             assert close(float(t[0]), expected, floors.min()), (floors, t, expected)
             if expected > 0.0:
                 np.testing.assert_allclose(a_eq @ r[0], b_eq, rtol=0, atol=1e-12)
                 assert float((r[0] * floors).min()) >= t[0] * (1 - RTOL)
-        assert check_fair(model).fair == (name != "twin")
+        assert check_fair(model).fair == (name not in UNFAIR_CASES)
 
     @pytest.mark.parametrize("name", FAIR_CASES)
     def test_face_floor(self, name):
@@ -184,8 +221,8 @@ class TestAgainstHighs:
                 expected = highs_floor(np.vstack([a_eq, weights]), np.append(b_eq, upper), floors)
                 # a claim's scale changes no face
                 for scale in (1.0, 1e-12, 1e12):
-                    matrix, rhs, left, rank = _face_system(group, face * scale)
-                    t, _ = _floor_step(matrix[at], rhs[at], left[at], rank[at], floors[np.newaxis])
+                    t, _ = _floor_step(group, group_floors(group, floors), face * scale)
+                    t = t[at]
                     assert close(float(t[0]), expected, floors.min()), (value, scale, floors)
 
     @pytest.mark.parametrize("name", FAIR_CASES)
@@ -245,3 +282,60 @@ class TestNoSimplex:
             classify_attainability(model, claim)
             optional_decomposition(model, superhedge_process(model, claim))
         assert calls == []
+
+
+def per_group_build(model):
+    """The fields of :func:`_node_groups`' groups, built one ``(time,
+    branching)`` group at a time, latest time first."""
+    tree = model.tree
+    keyed = {}
+    for k in range(tree.n_nodes):
+        if tree.children[k]:
+            keyed.setdefault((int(tree.time[k]), len(tree.children[k])), []).append(k)
+    for key in sorted(keyed, reverse=True):
+        nodes = np.asarray(keyed[key])
+        children, probs, matrix, rhs, scale = _local_system(model, nodes)
+        left, singular, right, kept, rank = _svd_rank(matrix)
+        width = singular.shape[1]
+        inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
+        beyond = np.arange(key[1]) >= rank[:, np.newaxis]
+        yield dict(
+            nodes=nodes,
+            children=children,
+            probs=probs,
+            matrix=matrix,
+            rhs=rhs,
+            scale=scale,
+            rank=rank,
+            left=left,
+            pinv=np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width]),
+            null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
+            fixed=_single_points(matrix, rhs, left, rank),
+        )
+
+
+class TestNodeGroups:
+    def test_fused_build_equals_the_per_group_build(self):
+        models = [*fair_corpus(20), *(mixed_market(seed) for seed in range(6))]
+        for model in models:
+            groups = _node_groups(model)
+            expected = list(per_group_build(model))
+            assert len(groups) == len(expected)
+            for group, fields in zip(groups, expected):
+                for name, value in fields.items():
+                    np.testing.assert_array_equal(getattr(group, name), value, err_msg=name)
+
+    def test_complete_markets_deflators_are_martingales(self):
+        """A complete market's fairness witness and minimax deflator are
+        products of the nodes' single points, which solve the scaled rows
+        to rounding (a pseudo-inverse product left defects near 1e-12)."""
+        for seed in range(30):
+            for depth, branching, assets in (
+                (6, 2, 2), (4, 3, 3), (3, 4, 4), (5, 2, 2), (4, 2, 2), (2, 3, 3)
+            ):
+                model = generate_market(seed, depth, branching, assets)
+                assert check_complete(model).complete
+                witness = check_fair(model).witness.values
+                deflator = solve_primal(model, log_utility(), 1.0).deflator.values
+                for levels in (witness, deflator):
+                    assert martingale_defect(model, levels)[0] <= 1e-14, (seed, depth)

@@ -24,7 +24,7 @@ from fairtree import (
 )
 from fairtree.market import martingale_defect
 
-from conftest import fair_corpus
+from conftest import fair_corpus, shuffled_tree
 
 B1_NODES = [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)]
 B1_PRICES = [[1, 1, 1], [1, 2, 0.5]]
@@ -63,6 +63,21 @@ class TestScenarioTree:
         assert values[tree.node_index("b")] == pytest.approx(2.0)
         assert values[0] == pytest.approx(0.25 * 8 + 0.75 * 2)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_expect_terminal_matches_the_node_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = shuffled_tree(rng)
+        leaf_values = rng.uniform(0.5, 2.0, tree.n_leaves)
+        expected = np.zeros(tree.n_nodes)
+        expected[tree.leaves] = leaf_values
+        for k in range(tree.n_nodes - 1, -1, -1):
+            ch = list(tree.children[k])
+            if ch:
+                expected[k] = tree.branch_prob[ch] @ expected[ch]
+        values = tree.expect_terminal(leaf_values)
+        np.testing.assert_array_equal(values[tree.leaves], leaf_values)
+        assert np.abs(values - expected).max() <= 1e-15 * np.abs(expected).max()
+
     def test_descendant_leaves(self):
         tree = ScenarioTree.build(
             [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5),
@@ -97,28 +112,8 @@ class TestScenarioTree:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_arrays_match_the_node_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        # a random depth-3 tree with 1-4 children per node ...
-        parent, time, k = [-1], [0], 0
-        while k < len(parent):
-            if time[k] < 3:
-                count = int(rng.integers(1, 5))
-                parent += [k] * count
-                time += [time[k] + 1] * count
-            k += 1
-        n = len(parent)
-        probs = rng.random(n) + 0.1
-        probs[1:] /= np.bincount(parent[1:], weights=probs[1:], minlength=n)[parent[1:]]
-        # ... listed in a random order that keeps parents before children
-        order, ready = [], [0]
-        while ready:
-            k = ready.pop(int(rng.integers(len(ready))))
-            order.append(k)
-            ready += [c for c in range(n) if parent[c] == k]
-        tree = ScenarioTree.build(
-            [(f"n{k}", None if k == 0 else f"n{parent[k]}", probs[k] if k else 1.0)
-             for k in order]
-        )
+        tree = shuffled_tree(np.random.default_rng(seed))
+        n = tree.n_nodes
         kids, times, path = [[] for _ in range(n)], [0] * n, [1.0] * n
         for k in range(1, n):
             p = tree.parent[k]

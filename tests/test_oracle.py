@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 
 from fairtree import (
-    Claim,
-    ScenarioTree,
     SizeGuardError,
     UnfairMarketError,
     augment_market,
-    build_market,
     build_polytope,
     check_complete,
     check_deflator_values,
@@ -51,7 +48,7 @@ from fairtree.oracle import (
     oracle_price_interval,
 )
 
-from conftest import arb_corpus, corpus_claim, fair_corpus
+from conftest import arb_corpus, corpus_claim, fair_corpus, wide_market
 
 
 def small_corpus():
@@ -267,22 +264,6 @@ class TestHighs:
             assert classify_attainability(model, claim).classification == expected
             seen.add(expected)
         assert len(seen) >= 2
-
-
-def wide_market(children: int = 30):
-    """One step to ``children`` leaves, a bond and a stock, fair by
-    construction: child prices are scaled so that chosen positive ratios
-    price both assets."""
-    rng = np.random.default_rng(children)
-    probs = rng.dirichlet(np.ones(children))
-    ratios = rng.uniform(0.5, 1.5, children)
-    raw = np.vstack([np.ones(children), rng.uniform(0.5, 2.0, children)])
-    child = raw / (raw @ (probs * ratios))[:, np.newaxis]
-    tree = ScenarioTree.build(
-        [("r", None, 1.0)] + [(f"c{j}", "r", float(p)) for j, p in enumerate(probs)]
-    )
-    prices = np.hstack([np.ones((2, 1)), child])
-    return build_market(tree, prices, ("bond", "stock")), Claim(rng.uniform(0.0, 1.0, children))
 
 
 class TestWideNode:

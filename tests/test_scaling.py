@@ -17,6 +17,7 @@ import pytest
 
 from fairtree import (
     Claim,
+    Deflator,
     build_market,
     check_complete,
     check_fair,
@@ -26,10 +27,13 @@ from fairtree import (
     log_utility,
     optional_decomposition,
     oracle,
+    sample_deflators,
+    serialize_market,
     solve_primal,
     superhedge_price,
     superhedge_process,
 )
+from fairtree.cli import run_command
 from fairtree.hedging import INTERVAL_TOL, STRONGLY_REGULAR
 
 # name -> (seed, branching); all have depth 3 and two assets.  seed 3 at
@@ -159,6 +163,49 @@ class TestAssetScaling:
         # the payoffs' rounding error is that of the CLI's --verify check
         assert cert.payoffs.min() >= -1e-9
         assert cert.payoffs.max() > 1e-10
+
+
+def apart(seed: int, depth: int, branching: int, scale: float):
+    """``generate_market(seed, depth, branching, 2)`` with its first asset
+    multiplied by ``scale`` and its second by ``1 / scale``."""
+    base = generate_market(seed=seed, depth=depth, branching=branching, assets=2)
+    return build_market(base.tree, base.price * np.array([[scale], [1.0 / scale]]))
+
+
+class TestVertexOracles:
+    """The vertex oracles enumerate the whole-tree polytope over scaled
+    rows, so a fair market's polytope does not come out empty when its
+    assets are scaled apart."""
+
+    def test_cli_verify(self, capsys, tmp_path):
+        model = apart(0, 2, 2, 1e6)
+        claims = default_claims(model, seed=1)
+        path = tmp_path / "apart.market"
+        path.write_text(serialize_market(model, claims), encoding="utf-8")
+        for argv in (
+            ["complete", str(path), "--verify"],
+            *(["superhedge", str(path), "--claim", name, "--verify"] for name in claims),
+        ):
+            code = run_command(argv)
+            out = capsys.readouterr().out
+            assert code == 0, (argv, out)
+
+    def test_sample_deflators(self):
+        model = apart(0, 2, 2, 1e6)
+        samples = sample_deflators(model, 3, seed=1)
+        assert len(samples) == 3
+        assert all(isinstance(m, Deflator) for m in samples)
+
+    @pytest.mark.parametrize("depth, branching", [(2, 2), (2, 3), (1, 4)])
+    @pytest.mark.parametrize("scale", (1e6, 1e8))
+    def test_oracles_match_the_engine(self, depth, branching, scale):
+        for seed in range(3):
+            model = apart(seed, depth, branching, scale)
+            assert oracle.oracle_complete(model) == check_complete(model).complete
+            for claim in default_claims(model, seed=1).values():
+                interval = superhedge_price(model, claim)
+                lower, upper = oracle.oracle_price_interval(model, claim)
+                assert_same([lower, upper], [interval.lower, interval.upper])
 
 
 CLAIM_SCALES = (1e-8, 1e6, 1e9, 1e12)

@@ -288,9 +288,7 @@ def _cmd_superhedge(args) -> int:
     claim = _pick_claim(parsed, args.claim)
     verdict = classify_attainability(model, claim)
     interval = verdict.interval
-    dp = verdict.process
-    if dp is None:
-        dp = superhedge_process(model, claim)
+    dp = superhedge_process(model, claim)
     agreement = abs(float(dp[0]) - interval.upper)
     tolerance = args.tolerance if args.tolerance is not None else 1e-8
     report = _base_report("superhedge", parsed, {"oracle_agreement": tolerance})
@@ -302,9 +300,8 @@ def _cmd_superhedge(args) -> int:
         classification=verdict.classification,
         dp_upper=float(dp[0]),
         dp_agreement=agreement,
+        price=verdict.price,
     )
-    if verdict.price is not None:
-        report["price"] = verdict.price
     report["supporting_deflator"] = (
         None
         if verdict.supporting_deflator is None

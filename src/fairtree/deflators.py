@@ -19,8 +19,9 @@ all come from it; a node whose one-step matrix has full column rank has
 a single point (:func:`_single_points`), from which the floor is read
 directly.  Every recursion takes one array step per group: the floor
 (:func:`_floor_step`) and the best vertex under a linear cost
-(:func:`_vertex_step`).  The simplex runs only where a node has too many
-bases to list and in :func:`_extract_certificate`.
+(:func:`_vertex_step`).  The simplex runs only in :func:`_node_lp`, the
+one node LP of a node with too many bases to list, and in
+:func:`_extract_certificate`.
 
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
@@ -499,10 +500,11 @@ _LOCAL_VERTEX_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary(
 def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
     """Vertices of the one-step deflator-ratio polytope at a node.
 
-    A per-node view of the model's vertex tables, cached per model; these
-    small polytopes are re-scanned by every supermartingale check and
-    every oracle sweep.  Raises :class:`SizeGuardError` for a node past
-    the vertex-enumeration guard and ``ValueError`` for a leaf.
+    A per-node view of the model's vertex tables, cached per model, for
+    callers that inspect one node; the engine's recursions read the
+    stacked tables through :func:`_vertex_step`.  Raises
+    :class:`SizeGuardError` for a node past the vertex-enumeration guard
+    and ``ValueError`` for a leaf.
     """
     cache = _LOCAL_VERTEX_CACHE.setdefault(model, {})
     try:
@@ -527,22 +529,23 @@ def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
     raise ValueError(f"node {node!r} is not a non-leaf node of the market")
 
 
-def _best_vertex(model: MarketModel, node: int, cost: np.ndarray):
-    """Ratio vector minimizing ``cost @ r`` over the one-step polytope at
-    ``node``, and that minimum, by the node's one-step LP: the vertex
-    step of a node past the enumeration guard."""
-    _, _, matrix, rhs, _ = _local_system(model, node)
+def _node_lp(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray):
+    """``min cost @ r`` subject to ``matrix @ r = rhs``, ``r >= 0``, by the
+    simplex: the one node LP of a node past the vertex-enumeration guard.
+    Returns the solution and its row duals (``duals @ rhs`` is the optimum
+    and ``cost - matrix.T @ duals >= 0``), or ``None`` when the program
+    has no optimum."""
     sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
-    if sol.status != "optimal":  # pragma: no cover - fair market
-        raise SolverError(f"local LP {sol.status} at node {model.tree.ids[node]!r}")
-    return sol.x, float(sol.x @ cost)
+    if sol.status != "optimal":
+        return None
+    return sol.x, sol.duals
 
 
 def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
     """Ratio vectors minimizing ``cost[g] @ r`` over each one-step polytope
     of a group, and those minima: the best row of each node's vertices
     (the first on ties), one stacked product and ``argmin`` per stack of
-    ``table``, and :func:`_best_vertex` past the enumeration guard."""
+    ``table``, and :func:`_node_lp` past the enumeration guard."""
     chosen = np.empty(cost.shape)
     best = np.empty(cost.shape[0])
     for at, vertices in table.stacks:
@@ -551,8 +554,14 @@ def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
         rows = np.arange(vertices.shape[0])
         chosen[at] = vertices[rows, pick]
         best[at] = totals[rows, pick]
+    group = table.group
     for i in table.past.tolist():
-        chosen[i], best[i] = _best_vertex(model, int(table.group.nodes[i]), cost[i])
+        solved = _node_lp(group.matrix[i], group.rhs[i], cost[i])
+        if solved is None:  # pragma: no cover - fair market
+            raise SolverError(f"local LP has no optimum at node "
+                              f"{model.tree.ids[group.nodes[i]]!r}")
+        chosen[i] = solved[0]
+        best[i] = solved[0] @ cost[i]
     return chosen, best
 
 
@@ -594,66 +603,31 @@ def polytope_minimizer(model: MarketModel):
 # ---------------------------------------------------------------------------
 
 
-def _floor_lp(matrix: np.ndarray, rhs: np.ndarray, floors: np.ndarray):
-    """:func:`_floor_step` at one node by the simplex, for a node past the
-    vertex-enumeration guard: ``(t, r)``, or ``None`` when no ratio vector
-    satisfies ``matrix @ r = rhs``."""
-    unit = float(floors.min())
-    spread = unit / floors
-    n_children = matrix.shape[1]
-    objective = np.zeros(n_children + 1)
-    objective[n_children] = 1.0
-    lifted = np.column_stack([matrix, matrix @ spread])
-    sol = solve_lp(LinearProgram(objective, lifted, rhs, 0.0, "max"))
-    if sol.status != "optimal":
-        return None
-    tau = float(sol.x[n_children])
-    return unit * tau, tau * spread + sol.x[:n_children]
-
-
-def _face_system(group: _NodeGroup, face: np.ndarray):
-    """The group's rows with the face row ``probs * face[children] @ r =
-    face[node]`` added at each node, divided, value included, by its
-    largest magnitude as :func:`_local_system` divides the others (1 for a
-    zero row); ``(matrix, rhs, left, rank)``."""
-    weights = group.probs * face[group.children]
-    value = face[group.nodes]
-    size = np.maximum(np.abs(weights).max(axis=1), np.abs(value))
-    size[size == 0.0] = 1.0
-    matrix = np.concatenate([group.matrix, (weights / size[:, np.newaxis])[:, np.newaxis]], axis=1)
-    rhs = np.concatenate([group.rhs, (value / size)[:, np.newaxis]], axis=1)
-    left, _, _, _, rank = _svd_rank(matrix)
-    return matrix, rhs, left, rank
-
-
-def _floor_step(group: _NodeGroup, floors, face=None):
+def _floor_step(group: _NodeGroup, floors):
     """Largest ``t`` with a one-step ratio vector ``r`` such that
     ``r[j] * floors[g, j] >= t`` for every child ``j``, at each node of
-    ``group``, over its one-step system or, given a node process ``face``,
-    over its :func:`_face_system`.
+    ``group``.
 
     A node whose one-step matrix has full column rank has the single point
     ``r = group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]`` where
     that point passes the basis kernel's feasibility test
-    (:func:`_basic_solutions`) on the system's rows, the face row
-    included, and no ratio vector is feasible where it does not.  For the
-    other nodes, the program's columns are ``s >= 0`` (one per child) and
-    ``tau = t / min(floors)``, with ``r = tau * min(floors) / floors + s``,
-    so the floor rows need no slacks of their own: the lifted system is
-    ``[A | A @ spread]``, of the same rank as ``A``.  It is bounded because
-    the one-step polytope is, so its optimum is a basic solution; a
-    positive optimum has ``tau`` basic, so only the bases holding ``tau``
-    are solved (all of them at rank 0), and ties go to the first basis.
-    Measuring ``t`` in units of the smallest floor keeps every coefficient
-    at most 1: floors far below 1, as on a face whose exact floor is 0,
-    would otherwise put coefficients of 1e16 into the martingale rows.
-    Returns ``(t, r)``, ``t`` zero where a floor is zero or no ratio
-    vector is feasible.
+    (:func:`_basic_solutions`) on the system's rows, and no ratio vector
+    is feasible where it does not.  For the other nodes, the program's
+    columns are ``s >= 0`` (one per child) and ``tau = t / min(floors)``,
+    with ``r = tau * min(floors) / floors + s``, so the floor rows need no
+    slacks of their own: the lifted system is ``[A | A @ spread]``, of the
+    same rank as ``A``.  It is bounded because the one-step polytope is,
+    so its optimum is a basic solution; a positive optimum has ``tau``
+    basic, so only the bases holding ``tau`` are solved (all of them at
+    rank 0), and ties go to the first basis.  A node past the
+    vertex-enumeration guard solves the lifted system as its
+    :func:`_node_lp` with cost ``-tau``.  Measuring ``t`` in units of the
+    smallest floor keeps every coefficient at most 1: child floors far
+    below 1 would otherwise put coefficients of 1e16 into the martingale
+    rows.  Returns ``(t, r)``, ``t`` zero where a floor is zero or no
+    ratio vector is feasible.
     """
-    if face is None:
-        matrix, rhs, left, rank = group.matrix, group.rhs, group.left, group.rank
-    else:
-        matrix, rhs, left, rank = _face_system(group, face)
+    matrix, rhs = group.matrix, group.rhs
     count, _, columns = matrix.shape
     best = np.zeros(count)
     ratios = np.zeros((count, columns))
@@ -674,20 +648,20 @@ def _floor_step(group: _NodeGroup, floors, face=None):
     unit = floors[live].min(axis=1)
     spread = unit[:, np.newaxis] / floors[live]
     lifted = np.concatenate([matrix[live], matrix[live] @ spread[..., np.newaxis]], axis=2)
-    for value, at, within in _rank_slices(rank[live], columns + 1):
+    for value, at, within in _rank_slices(group.rank[live], columns + 1):
         nodes = live[at]
-        if not within:
-            for g in nodes:
-                solved = _floor_lp(matrix[g], rhs[g], floors[g])
-                if solved is not None:
-                    best[g], ratios[g] = solved
-            continue
-        x, feasible, _ = _basic_solutions(
-            lifted[at], rhs[nodes], left[nodes], value, pinned=value > 0
-        )
-        pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
-        chosen = x[np.arange(at.size), pick]
-        found = feasible.any(axis=1)
+        if within:
+            x, feasible, _ = _basic_solutions(
+                lifted[at], rhs[nodes], group.left[nodes], value, pinned=value > 0
+            )
+            pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
+            chosen = x[np.arange(at.size), pick]
+            found = feasible.any(axis=1)
+        else:
+            cost = -np.eye(columns + 1)[columns]  # maximize tau
+            solved = [_node_lp(lifted[i], rhs[g], cost) for i, g in zip(at, nodes)]
+            found = np.array([lp is not None for lp in solved])
+            chosen = np.array([np.zeros(columns + 1) if lp is None else lp[0] for lp in solved])
         tau = np.where(found, chosen[:, columns], 0.0)
         best[nodes] = unit[at] * tau
         r = tau[:, np.newaxis] * spread[at] + chosen[:, :columns]
@@ -695,7 +669,7 @@ def _floor_step(group: _NodeGroup, floors, face=None):
     return best, ratios
 
 
-def _max_floor(model: MarketModel, face=None):
+def _max_floor(model: MarketModel):
     """Largest uniform floor under the node levels, by backward recursion.
 
     ``F(k) = min(1, max_{r in P_k} min_j r_j F(c_j))`` with ``F = 1`` at
@@ -704,12 +678,12 @@ def _max_floor(model: MarketModel, face=None):
     Each ``(time, branching)`` group of :func:`_node_groups` runs as one
     :func:`_floor_step` once its children's floors are known: a node of
     full column rank reads its floor off its single point ``fixed``, the
-    others solve the lifted bases that hold the floor's column.  A node
-    with a child floor of 0 gets 0.  The cap at 1 (the node's own level) is
+    others solve the lifted bases that hold the floor's column, or their
+    :func:`_node_lp` past the vertex-enumeration guard.  A node with a
+    child floor of 0 gets 0.  The cap at 1 (the node's own level) is
     applied after the node's program, not inside it, so each node's ratios
     stay as balanced as its children's floors allow even where the cap
-    binds.  ``face``, a node process ``v``, restricts each node to its
-    face ``probs * v[children] @ r = v[node]``.  Returns ``F(root)`` and, when it is positive, the witness levels
+    binds.  Returns ``F(root)`` and, when it is positive, the witness levels
     rebuilt forward from the maximizing ratios.
     """
     tree = model.tree
@@ -717,7 +691,7 @@ def _max_floor(model: MarketModel, face=None):
     floors = np.ones(tree.n_nodes)
     ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
     for group in groups:
-        best, ratios[group.children] = _floor_step(group, floors[group.children], face)
+        best, ratios[group.children] = _floor_step(group, floors[group.children])
         floors[group.nodes] = np.minimum(1.0, best)
     radius = float(floors[0])
     if radius <= 0.0:

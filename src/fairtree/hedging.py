@@ -10,9 +10,11 @@ basis kernel (:func:`~fairtree.deflators._basic_solutions`).  One
 node of a ``(time, branching)`` group at once: for the price bounds
 through :func:`~fairtree.deflators.polytope_minimizer`, the running cost
 by :func:`superhedge_process` and the supermartingale test by
-:func:`check_supermartingale`.  The same kernel gives attainability its
-face floors and the decomposition its positions, as the duals of each
-node's optimal basis.  Independent cross-checks live in
+:func:`check_supermartingale`.  The same kernel gives the decomposition
+its positions, as the duals of each node's optimal basis; a node past the
+vertex-enumeration guard takes its vertex step and its position from one
+node LP (:func:`~fairtree.deflators._node_lp`).  Attainability is read
+off the price interval alone.  Independent cross-checks live in
 :mod:`fairtree.oracle`: the node-local LP recursion
 (:func:`~fairtree.oracle.lp_superhedge_process`) and the whole-tree linear
 programs that the recursions replace.
@@ -32,25 +34,21 @@ import numpy as np
 from .errors import SolverError, SupermartingaleError
 from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
-    FAIRNESS_THRESHOLD,
     Deflator,
     _basic_solutions,
-    _local_system,
-    _max_floor,
     _node_groups,
+    _node_lp,
     _rank_slices,
     _vertex_step,
     _vertex_tables,
     polytope_minimizer,
     require_fair,
 )
-from .optim import LinearProgram, solve_lp
 
 INTERVAL_TOL = 1e-9
 SUPERMARTINGALE_SLACK = 1e-9
 
 STRONGLY_REGULAR = "strongly-regular"
-REGULAR_ATTAINABLE = "regular-attainable"
 NOT_ATTAINABLE = "not-attainable"
 
 
@@ -83,15 +81,15 @@ class DecompositionResult:
 
 @dataclass(frozen=True, eq=False)
 class AttainabilityVerdict:
-    """``process`` is the :func:`superhedge_process` the face recursion
-    ran on, ``None`` for a strongly regular claim (which needs none)."""
+    """A strongly regular claim carries the fairness witness as its
+    ``supporting_deflator``; a claim that is not attainable carries the
+    upper bound point as its ``boundary_witness``."""
 
     classification: str
     price: float
     interval: PriceInterval
     supporting_deflator: Deflator | None
     boundary_witness: np.ndarray | None
-    process: np.ndarray | None = None
 
 
 def _claim_objective(model: MarketModel, payoff: np.ndarray) -> np.ndarray:
@@ -171,22 +169,6 @@ def check_supermartingale(
         raise SupermartingaleError(tree.ids[k], vertex, float(excess[k]))
 
 
-def _position_lp(model: MarketModel, node: int, values: np.ndarray) -> np.ndarray:
-    """The cheapest scaled position dominating the children's values at a
-    node past the vertex-enumeration guard, by LP over the transpose of
-    the node's scaled one-step rows."""
-    ch, probs, matrix, rhs, _ = _local_system(model, node)
-    d = model.n_assets
-    # columns: the scaled position (free), then one surplus per child
-    rows = np.hstack([matrix.T, -np.diag(probs)])
-    objective = np.concatenate([rhs, np.zeros(len(ch))])
-    lower = np.concatenate([np.full(d, -np.inf), np.zeros(len(ch))])
-    sol = solve_lp(LinearProgram(objective, rows, probs * values[ch], lower, "min"))
-    if sol.status != "optimal":  # pragma: no cover - fair market
-        raise SolverError(f"decomposition LP {sol.status} at node {model.tree.ids[node]!r}")
-    return sol.x[:d]
-
-
 def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     """Split a universal supermartingale into gains minus consumption.
 
@@ -200,10 +182,12 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     superhedging value, never above the node's own.  Every basis of each
     ``(time, branching)`` group comes from
     :func:`~fairtree.deflators._basic_solutions`, the first such basis is
-    taken, and ``theta`` is scaled back to holdings; a node past the
-    vertex-enumeration guard solves the dual LP instead.  The per-edge
-    consumption increment is the domination surplus at the child plus the
-    node-level cost gap, so the wealth identity holds exactly by
+    taken, and ``theta`` is scaled back to holdings.  A node past the
+    vertex-enumeration guard takes ``theta`` as minus the duals of its
+    :func:`~fairtree.deflators._node_lp` for the cost ``-c``: their dual
+    feasibility is the domination, and ``duals @ b`` is the optimum.  The
+    per-edge consumption increment is the domination surplus at the child
+    plus the node-level cost gap, so the wealth identity holds exactly by
     construction.  Domination, cost and the supermartingale precondition
     are checked with the relative ``SUPERMARTINGALE_SLACK``.  Attainable
     wealth is replicated without bases by
@@ -224,8 +208,9 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
         theta = np.zeros(group.rhs.shape)
         for rank, at, within in _rank_slices(group.rank, children.shape[1]):
             if not within:
-                for i in at:
-                    theta[i] = _position_lp(model, int(nodes[i]), values)
+                # check_supermartingale solved these programs, so each has an optimum
+                for i in at.tolist():
+                    theta[i] = -_node_lp(group.matrix[i], group.rhs[i], -target[i])[1]
                 continue
             _, feasible, duals = _basic_solutions(
                 group.matrix[at], group.rhs[at], group.left[at], rank, target[at]
@@ -261,17 +246,20 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
 
 
 def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVerdict:
-    """Three-way attainability verdict for a claim.
+    """Two-way attainability verdict for a claim, from its price interval.
 
     * ``strongly-regular``: the deflator-weighted expectation is constant
       over the polytope (upper and lower bounds agree within 1e-9) -- the
       claim is replicable and every deflator prices it identically.
-    * ``regular-attainable``: the upper bound is attained by a strictly
-      positive deflator, found by maximizing a uniform floor over the
-      optimal face; the face is the product of each node's locally
-      optimal face under :func:`superhedge_process`.
     * ``not-attainable``: the supremum is only approached; the optimal
       boundary point is returned as a witness.
+
+    There is no third class of claims whose upper bound a strictly
+    positive deflator attains while the interval stays open: a linear
+    price maximized at a strictly positive point of ``{m >= 0 : A m = b}``
+    is constant over the polytope, since from that point one can step a
+    little toward any other point and a little past it.
+    :func:`fairtree.oracle.lp_face_radius` checks this independently.
     """
     _check_claim(model, claim)
     report = require_fair(model)
@@ -285,27 +273,10 @@ def classify_attainability(model: MarketModel, claim: Claim) -> AttainabilityVer
             supporting_deflator=report.witness,
             boundary_witness=None,
         )
-
-    # A deflator attains the upper bound exactly when every node's ratios
-    # lie on the node's locally optimal face, so the floor recursion over
-    # those faces decides whether a strictly positive one does.
-    dp = superhedge_process(model, claim)
-    radius, levels = _max_floor(model, dp)
-    if radius > FAIRNESS_THRESHOLD:
-        return AttainabilityVerdict(
-            classification=REGULAR_ATTAINABLE,
-            price=interval.upper,
-            interval=interval,
-            supporting_deflator=Deflator.for_market(model, levels),
-            boundary_witness=None,
-            process=dp,
-        )
     return AttainabilityVerdict(
         classification=NOT_ATTAINABLE,
         price=interval.upper,
         interval=interval,
         supporting_deflator=None,
         boundary_witness=interval.upper_point,
-        process=dp,
     )
-

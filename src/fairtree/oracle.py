@@ -9,12 +9,15 @@ Four kinds live here, and none is used by the engine itself.
   method with no shared failure modes (no simplex pivoting, no
   first-order descent, no tree recursion).
 * **Whole-tree linear programs.**  The interior radius, the price bounds
-  and the attainability floor as one dense LP over the whole deflator
-  polytope (:func:`lp_interior_radius`, :func:`lp_price_interval`,
-  :func:`lp_face_radius`).  The engine answers the same questions by
-  backward recursions over one-step problems; these LPs share the simplex
-  but not the factorization, and their tableaux grow with the square of
-  the node count, so they suit small and mid-sized trees only.
+  and the attainability face floor as one dense LP over the whole
+  deflator polytope (:func:`lp_interior_radius`, :func:`lp_price_interval`,
+  :func:`lp_face_radius`).  The engine answers the first two by backward
+  recursions over one-step problems; the face floor is the independent
+  evidence that no strictly positive deflator attains the upper bound of
+  an open price interval, so the engine reads attainability off the
+  interval alone.  These LPs share the simplex but not the factorization,
+  and their tableaux grow with the square of the node count, so they suit
+  small and mid-sized trees only.
 * **The node-LP superhedge recursion.**  :func:`lp_superhedge_process`
   solves each node step by simplex where the engine's
   :func:`~fairtree.hedging.superhedge_process` reads it off enumerated
@@ -42,7 +45,8 @@ from .errors import SizeGuardError, SolverError, UnfairMarketError
 from .market import Claim, MarketModel, _check_claim
 from .deflators import (
     Deflator,
-    _best_vertex,
+    _local_system,
+    _node_lp,
     _scaled_rows,
     build_polytope,
     polytope_minimizer,
@@ -184,17 +188,18 @@ def lp_superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     """The running superhedging cost by a backward recursion of node-local
     LPs: each non-leaf node maximizes the probability-weighted continuation
     value over its one-step polytope by the simplex
-    (:func:`~fairtree.deflators._best_vertex`, the vertex step of a node
-    past the enumeration guard)."""
+    (:func:`~fairtree.deflators._node_lp`, the one node LP of a node past
+    the enumeration guard)."""
     payoff = _check_claim(model, claim)
     require_fair(model)
     tree = model.tree
     values = np.zeros(tree.n_nodes)
     values[tree.leaves] = payoff
     for k in range(tree.n_nodes - 1, -1, -1):
-        ch = list(tree.children[k])
-        if ch:
-            values[k] = -_best_vertex(model, k, -tree.branch_prob[ch] * values[ch])[1]
+        if tree.children[k]:
+            ch, probs, matrix, rhs, _ = _local_system(model, k)
+            cost = -probs * values[ch]
+            values[k] = -(_node_lp(matrix, rhs, cost)[0] @ cost)
     return values
 
 

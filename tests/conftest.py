@@ -118,20 +118,34 @@ def mixed_market(seed: int):
     return priced_market(shuffled_tree(rng), rng, 2 + seed % 2)
 
 
-def wide_market(children: int = 30):
-    """One step to ``children`` leaves, a bond and a stock, fair by
-    construction: child prices are scaled so that chosen positive ratios
-    price both assets."""
+def wide_market(children: int = 30, assets: int = 2):
+    """One step to ``children`` leaves, a bond and ``assets - 1`` stocks,
+    fair by construction: child prices are scaled so that chosen positive
+    ratios price every asset."""
     rng = np.random.default_rng(children)
     probs = rng.dirichlet(np.ones(children))
     ratios = rng.uniform(0.5, 1.5, children)
-    raw = np.vstack([np.ones(children), rng.uniform(0.5, 2.0, children)])
+    raw = np.vstack([np.ones(children), rng.uniform(0.5, 2.0, (assets - 1, children))])
     child = raw / (raw @ (probs * ratios))[:, np.newaxis]
     tree = ScenarioTree.build(
         [("r", None, 1.0)] + [(f"c{j}", "r", float(p)) for j, p in enumerate(probs)]
     )
-    prices = np.hstack([np.ones((2, 1)), child])
-    return build_market(tree, prices, ("bond", "stock")), Claim(rng.uniform(0.0, 1.0, children))
+    prices = np.hstack([np.ones((assets, 1)), child])
+    names = ("bond", "stock", *(f"stock{i}" for i in range(2, assets)))
+    return build_market(tree, prices, names), Claim(rng.uniform(0.0, 1.0, children))
+
+
+def wide_two_step_market(children: int = 30, assets: int = 2):
+    """Two steps: the root's first child has ``children`` leaves, past the
+    vertex-enumeration guard, beside two children with 3 and 2 leaves,
+    which the basis kernel handles; fair by :func:`priced_market`."""
+    rng = np.random.default_rng(children + assets)
+    nodes = [("r", None, 1.0), ("a", "r", 0.3), ("b", "r", 0.5), ("c", "r", 0.2)]
+    for parent, count in (("a", children), ("b", 3), ("c", 2)):
+        probs = rng.dirichlet(np.ones(count))
+        nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
+    model = priced_market(ScenarioTree.build(nodes), rng, assets)
+    return model, Claim(rng.uniform(0.0, 1.0, model.tree.n_leaves))
 
 
 def corpus_claim(model, i: int, seed0: int = 1000):

@@ -22,10 +22,17 @@ from fairtree import (
     wealth_process,
 )
 
-from fairtree.deflators import _best_vertex
+from fairtree.deflators import _local_system, _node_lp
 from fairtree.oracle import lp_superhedge_process
 
-from conftest import corpus_claim, fair_corpus, mixed_market, priced_market, wide_market
+from conftest import (
+    corpus_claim,
+    fair_corpus,
+    mixed_market,
+    priced_market,
+    wide_market,
+    wide_two_step_market,
+)
 
 
 def decomposition_wealth(model, result, x0):
@@ -128,7 +135,9 @@ def node_step(model, node, cost):
     try:
         table = np.array(local_vertices(model, node))
     except SizeGuardError:
-        return _best_vertex(model, node, cost)
+        _, _, matrix, rhs, _ = _local_system(model, node)
+        ratios = _node_lp(matrix, rhs, cost)[0]
+        return ratios, ratios @ cost
     totals = table @ cost
     best = int(np.argmin(totals))
     return table[best], totals[best]
@@ -165,14 +174,15 @@ def node_superhedge(model, claim):
 
 def step_markets():
     """Markets with their claims: ``fair_corpus``, random trees whose nodes
-    have 1-4 children, and the node past the vertex guard."""
+    have 1-4 children, and a node past the vertex guard at the root and
+    below it."""
     for i, model in enumerate(fair_corpus(20)):
         yield model, list(default_claims(model, seed=1000 + i).values())
     for seed in range(6):
         model = mixed_market(seed)
         yield model, list(default_claims(model, seed=seed).values())
-    model, claim = wide_market()
-    yield model, [claim]
+    for model, claim in (wide_market(), wide_two_step_market()):
+        yield model, [claim]
 
 
 class TestVertexStep:
@@ -291,18 +301,16 @@ class TestAttainability:
             claim = corpus_claim(model, i)
             verdict = classify_attainability(model, claim)
             seen.add(verdict.classification)
-            assert verdict.classification in {
-                "strongly-regular",
-                "regular-attainable",
-                "not-attainable",
-            }
+            assert verdict.classification in {"strongly-regular", "not-attainable"}
             if verdict.classification == "strongly-regular":
                 assert verdict.interval.width <= 1e-9 * max(1.0, verdict.price)
-            if verdict.supporting_deflator is not None:
                 assert verdict.supporting_deflator.values.min() > 0
+                assert verdict.boundary_witness is None
+            else:
+                assert verdict.boundary_witness is not None
+                assert verdict.supporting_deflator is None
         # the random corpus must exercise the degenerate and open cases
-        assert "strongly-regular" in seen or "regular-attainable" in seen
-        assert "not-attainable" in seen
+        assert seen == {"strongly-regular", "not-attainable"}
 
 
 class TestValidation:

@@ -202,30 +202,6 @@ class TestAgainstHighs:
         assert check_fair(model).fair == (name not in UNFAIR_CASES)
 
     @pytest.mark.parametrize("name", FAIR_CASES)
-    def test_face_floor(self, name):
-        pytest.importorskip("scipy")
-        model, node = CASES[name]()
-        group, at = node_system(model, node)
-        ch, a_eq, b_eq = raw_rows(model, node)
-        # three random claims, whose faces are mostly vertices, and the
-        # second asset, whose face row lies in the row space: every
-        # deflator prices it alike, so the face is the whole polytope
-        values = [np.random.default_rng(seed).uniform(0.0, 2.0, len(ch)) for seed in range(3)]
-        for value in values + [model.price[1, ch]]:
-            weights = model.tree.branch_prob[ch] * value
-            upper = float(-highs(-weights, a_eq, b_eq).fun)
-            face = np.zeros(model.tree.n_nodes)
-            face[ch] = value
-            face[node] = upper
-            for floors in floor_cases(len(ch)).values():
-                expected = highs_floor(np.vstack([a_eq, weights]), np.append(b_eq, upper), floors)
-                # a claim's scale changes no face
-                for scale in (1.0, 1e-12, 1e12):
-                    t, _ = _floor_step(group, group_floors(group, floors), face * scale)
-                    t = t[at]
-                    assert close(float(t[0]), expected, floors.min()), (value, scale, floors)
-
-    @pytest.mark.parametrize("name", FAIR_CASES)
     def test_position(self, name):
         """Some basis is primal and dual feasible for the node's cost, and
         the decomposition's position dominates the children (it is

@@ -48,7 +48,7 @@ from fairtree.oracle import (
     oracle_price_interval,
 )
 
-from conftest import arb_corpus, corpus_claim, fair_corpus, wide_market
+from conftest import arb_corpus, corpus_claim, fair_corpus, wide_market, wide_two_step_market
 
 
 def small_corpus():
@@ -266,38 +266,58 @@ class TestHighs:
         assert len(seen) >= 2
 
 
+def wide_cases():
+    """Markets with a node past the vertex guard, named: one step to 30,
+    40 and 26 children with 2, 3 and 4 assets, and two steps whose wide
+    node sits below the root beside nodes the basis kernel handles."""
+    for children, assets in ((30, 2), (40, 3), (26, 4)):
+        yield (f"{children} children, {assets} assets", *wide_market(children, assets))
+    yield ("two steps", *wide_two_step_market())
+
+
 class TestWideNode:
     def test_node_past_the_vertex_guard(self):
-        model, claim = wide_market()
-        with pytest.raises(SizeGuardError):
-            local_vertices(model, 0)
-        assert check_fair(model).fair
-        interval = superhedge_price(model, claim)
-        lower, upper, _, _ = lp_price_interval(model, claim)
-        assert _close(interval.lower, lower)
-        assert _close(interval.upper, upper)
-        process = superhedge_process(model, claim)
-        assert _close(process[0], upper)
-        np.testing.assert_allclose(process, lp_superhedge_process(model, claim), rtol=1e-8, atol=1e-8)
+        for name, model, claim in wide_cases():
+            tree = model.tree
+            wide = max(range(tree.n_nodes), key=lambda k: len(tree.children[k]))
+            with pytest.raises(SizeGuardError):
+                local_vertices(model, wide)
+            report = check_fair(model)
+            assert report.fair, name
+            assert _close(report.interior_radius, lp_interior_radius(model)[0]), name
+            interval = superhedge_price(model, claim)
+            lower, upper, _, _ = lp_price_interval(model, claim)
+            assert _close(interval.lower, lower), name
+            assert _close(interval.upper, upper), name
+            process = superhedge_process(model, claim)
+            assert _close(process[0], upper), name
+            np.testing.assert_allclose(
+                process, lp_superhedge_process(model, claim), rtol=1e-8, atol=1e-8, err_msg=name
+            )
 
     def test_decomposes_and_optimizes(self):
-        model, claim = wide_market()
-        process = superhedge_process(model, claim)
-        result = optional_decomposition(model, process)
-        tree = model.tree
-        # wealth identity: value = parent value + one-step gain - consumption
-        for k in range(1, tree.n_nodes):
-            p = tree.parent[k]
-            gain = result.strategy.holdings[:, p] @ (model.price[:, k] - model.price[:, p])
-            drop = result.consumption[k] - result.consumption[p]
-            assert abs(process[k] - process[p] - gain + drop) <= 1e-9
-            assert drop >= -1e-9
-        assert (process[tree.leaves] - claim.payoff).min() >= -1e-9
+        for name, model, claim in wide_cases():
+            process = superhedge_process(model, claim)
+            result = optional_decomposition(model, process)
+            tree = model.tree
+            holdings = result.strategy.holdings
+            for k in range(1, tree.n_nodes):
+                p = tree.parent[k]
+                # the parent's position dominates the child's value
+                assert holdings[:, p] @ model.price[:, k] >= process[k] - 1e-9, (name, k)
+                # wealth identity: value = parent value + one-step gain - consumption
+                gain = holdings[:, p] @ (model.price[:, k] - model.price[:, p])
+                drop = result.consumption[k] - result.consumption[p]
+                assert abs(process[k] - process[p] - gain + drop) <= 1e-9, (name, k)
+                assert drop >= -1e-9, (name, k)
+            assert (process[tree.leaves] - claim.payoff).min() >= -1e-9, name
 
-        primal = solve_primal(model, log_utility(), 1.0)
-        assert primal.budget_residual <= 1e-8
-        assert primal.max_consumption <= 1e-7
-        np.testing.assert_allclose(primal.wealth * primal.deflator.values, 1.0, atol=1e-8)
+            primal = solve_primal(model, log_utility(), 1.0)
+            assert primal.budget_residual <= 1e-8, name
+            assert primal.max_consumption <= 1e-7, name
+            np.testing.assert_allclose(
+                primal.wealth * primal.deflator.values, 1.0, atol=1e-8, err_msg=name
+            )
 
 
 class TestLargestShape:

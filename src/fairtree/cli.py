@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 
@@ -27,7 +26,7 @@ from .errors import (
     UnfairMarketError,
 )
 from .market import Claim, MarketModel, check_deflator_values, fair_price_process, martingale_defect
-from .deflators import FAIRNESS_THRESHOLD, check_complete, check_fair, fairness_report
+from .deflators import FAIRNESS_THRESHOLD, check_complete, check_fair, require_fair
 from .hedging import (
     classify_attainability,
     optional_decomposition,
@@ -49,6 +48,7 @@ from .marketio import (
     digest_text,
     emit_csv,
     emit_json,
+    market_document,
     parse_market,
     serialize_market,
 )
@@ -69,18 +69,45 @@ class VerifyError(Exception):
 
 
 def _node_map(model: MarketModel, values) -> dict:
-    return {model.tree.ids[k]: float(values[k]) for k in range(model.tree.n_nodes)}
+    return dict(zip(model.tree.ids, np.asarray(values, dtype=float).tolist()))
 
 
 def _strategy_map(model: MarketModel, holdings) -> dict:
-    out = {}
-    for k in range(model.tree.n_nodes):
-        if model.tree.is_leaf(k):
-            continue
-        out[model.tree.ids[k]] = {
-            name: float(holdings[a, k]) for a, name in enumerate(model.asset_names)
-        }
-    return out
+    tree, names = model.tree, model.asset_names
+    rows = np.asarray(holdings, dtype=float).T.tolist()
+    return {
+        tree.ids[k]: dict(zip(names, rows[k]))
+        for k in range(tree.n_nodes)
+        if tree.children[k]
+    }
+
+
+def _market_table(model: MarketModel):
+    """CSV header and rows of a market: one row per node."""
+    tree = model.tree
+    header = ["node", "parent", "prob", "time"] + list(model.asset_names)
+    parents = [""] + [tree.ids[p] for p in tree.parent[1:].tolist()]
+    rows = [
+        [node_id, parent, prob, time] + prices
+        for node_id, parent, prob, time, prices in zip(
+            tree.ids, parents, tree.branch_prob.tolist(), tree.time.tolist(),
+            model.price.T.tolist(),
+        )
+    ]
+    return header, rows
+
+
+def _node_rows(model: MarketModel, *columns, holdings=None) -> list:
+    """CSV rows, one per node: its id, each column's value there (a scalar
+    column repeats), then with ``holdings`` its holdings, blank at a leaf."""
+    tree = model.tree
+    values = np.column_stack(np.broadcast_arrays(*columns)).astype(float).tolist()
+    rows = [[node_id] + row for node_id, row in zip(tree.ids, values)]
+    if holdings is not None:
+        blank = [""] * model.n_assets
+        for k, held in enumerate(np.asarray(holdings, dtype=float).T.tolist()):
+            rows[k] += held if tree.children[k] else blank
+    return rows
 
 
 def _base_report(command: str, parsed: ParsedMarket, tolerances: dict) -> dict:
@@ -146,7 +173,7 @@ def _pick_claim(parsed: ParsedMarket, name: str) -> Claim:
 
 def _pick_deflator(model: MarketModel, choice: str):
     if choice == "witness":
-        return fairness_report(model).witness, "witness"
+        return require_fair(model).witness, "witness"
     if choice.startswith("minimax:"):
         utility = parse_utility(choice.split(":", 1)[1])
         return solve_dual(model, utility, 1.0).deflator, f"minimax ({utility.label})"
@@ -178,14 +205,7 @@ def _cmd_validate(args) -> int:
         round_trip = parse_market_text(serialize_market(model, parsed.claims))
         _check(markets_identical(model, round_trip.model), "serialization round trip")
         report["verify"] = {"round_trip": "ok"}
-    header = ["node", "parent", "prob", "time"] + list(model.asset_names)
-    rows = [
-        [tree.ids[k], "" if k == 0 else tree.ids[tree.parent[k]],
-         float(tree.branch_prob[k]), tree.time[k]]
-        + [float(model.price[a, k]) for a in range(model.n_assets)]
-        for k in range(tree.n_nodes)
-    ]
-    _print_report(args, report, header, rows)
+    _print_report(args, report, *_market_table(model))
     return EXIT_OK
 
 
@@ -335,17 +355,9 @@ def _cmd_superhedge(args) -> int:
             )
         report["verify"] = verify
     header = ["node", "dp_value", "lower_deflator", "upper_deflator", "lower", "upper"]
-    rows = [
-        [
-            model.tree.ids[k],
-            float(dp[k]),
-            float(interval.lower_point[k]),
-            float(interval.upper_point[k]),
-            interval.lower,
-            interval.upper,
-        ]
-        for k in range(model.tree.n_nodes)
-    ]
+    rows = _node_rows(
+        model, dp, interval.lower_point, interval.upper_point, interval.lower, interval.upper
+    )
     _print_report(args, report, header, rows)
     return EXIT_OK
 
@@ -388,18 +400,9 @@ def _cmd_decompose(args) -> int:
     header = ["node", "value", "consumption"] + [
         f"holding:{name}" for name in model.asset_names
     ]
-    rows = []
-    for k in range(model.tree.n_nodes):
-        row = [
-            model.tree.ids[k],
-            float(result.process[k]),
-            float(result.consumption[k]),
-        ]
-        if model.tree.is_leaf(k):
-            row += [""] * model.n_assets
-        else:
-            row += [float(result.strategy.holdings[a, k]) for a in range(model.n_assets)]
-        rows.append(row)
+    rows = _node_rows(
+        model, result.process, result.consumption, holdings=result.strategy.holdings
+    )
     _print_report(args, report, header, rows)
     return EXIT_OK
 
@@ -446,18 +449,9 @@ def _cmd_optimize(args) -> int:
     header = ["node", "wealth", "deflator"] + [
         f"holding:{name}" for name in model.asset_names
     ]
-    rows = []
-    for k in range(model.tree.n_nodes):
-        row = [
-            model.tree.ids[k],
-            float(primal.wealth[k]),
-            float(primal.deflator.values[k]),
-        ]
-        if model.tree.is_leaf(k):
-            row += [""] * model.n_assets
-        else:
-            row += [float(primal.strategy.holdings[a, k]) for a in range(model.n_assets)]
-        rows.append(row)
+    rows = _node_rows(
+        model, primal.wealth, primal.deflator.values, holdings=primal.strategy.holdings
+    )
     _print_report(args, report, header, rows)
     return EXIT_OK
 
@@ -506,7 +500,6 @@ def _cmd_augment(args) -> int:
         model, utility, args.wealth, claim, name=args.asset_name
     )
     tolerance = args.tolerance if args.tolerance is not None else 1e-7
-    document = json.loads(serialize_market(augmented, parsed.claims))
     report = _base_report("augment", parsed, {"invariance": tolerance})
     report.update(
         claim=args.claim,
@@ -520,7 +513,7 @@ def _cmd_augment(args) -> int:
             "deflator_shift": diagnostics.deflator_shift,
             "primal_value_shift": diagnostics.primal_value_shift,
         },
-        market=document,
+        market=market_document(augmented, parsed.claims),
     )
     if args.verify:
         bound = max(tolerance, 1e-7)
@@ -539,11 +532,7 @@ def _cmd_augment(args) -> int:
         )
         report["verify"] = {"invariance": "ok"}
     header = ["node"] + list(augmented.asset_names)
-    rows = [
-        [augmented.tree.ids[k]]
-        + [float(augmented.price[a, k]) for a in range(augmented.n_assets)]
-        for k in range(augmented.tree.n_nodes)
-    ]
+    rows = _node_rows(augmented, *augmented.price)
     _print_report(args, report, header, rows)
     return EXIT_OK
 
@@ -574,10 +563,7 @@ def _cmd_price_process(args) -> int:
         _check(worst <= 1e-9, f"deflated price is not a martingale ({worst:.3e})")
         report["verify"] = {"terminal_gap": terminal_gap, "martingale_defect": worst}
     header = ["node", "price", "deflator"]
-    rows = [
-        [model.tree.ids[k], float(prices[k]), float(deflator.values[k])]
-        for k in range(model.tree.n_nodes)
-    ]
+    rows = _node_rows(model, prices, deflator.values)
     _print_report(args, report, header, rows)
     return EXIT_OK
 
@@ -595,7 +581,6 @@ def _cmd_generate(args) -> int:
         "assets": args.assets,
         "arbitrage": args.arb,
     }
-    document = serialize_market(model, claims, metadata)
     if args.verify:
         verdict = check_fair(model)
         _check(
@@ -603,17 +588,9 @@ def _cmd_generate(args) -> int:
             f"generated market fairness {verdict.fair} contradicts arb={args.arb}",
         )
     if args.format == "csv":
-        tree = model.tree
-        header = ["node", "parent", "prob", "time"] + list(model.asset_names)
-        rows = [
-            [tree.ids[k], "" if k == 0 else tree.ids[tree.parent[k]],
-             float(tree.branch_prob[k]), tree.time[k]]
-            + [float(model.price[a, k]) for a in range(model.n_assets)]
-            for k in range(tree.n_nodes)
-        ]
-        sys.stdout.write(emit_csv(header, rows))
+        sys.stdout.write(emit_csv(*_market_table(model)))
     else:
-        sys.stdout.write(document)
+        sys.stdout.write(serialize_market(model, claims, metadata))
     return EXIT_OK
 
 

@@ -34,6 +34,65 @@ def _frozen(values, dtype=float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _node_arrays(entries: list):
+    """Ids, parent indices (-1 for none) and branch probabilities (capped
+    at 1) of ``(id, parent_id or None, branch_prob)`` triples.  The whole
+    list is checked at once -- unique non-empty ids, parents listed
+    earlier, probabilities in (0, 1] -- and the node loop runs only when
+    that check fails, to name the first offender."""
+    try:
+        rows = [(str(node_id), parent_id, float(prob)) for node_id, parent_id, prob in entries]
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None:
+        ids, parent_ids, probs = zip(*rows)
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        parent = np.array(
+            [-1 if p is None else index.get(str(p), n) for p in parent_ids], dtype=int
+        )
+        prob = np.array(probs)
+        if (
+            len(index) == n
+            and all(ids)
+            and np.all(parent < np.arange(n))
+            and np.all(np.isfinite(prob) & (prob > 0.0) & (prob <= 1.0 + PROB_SUM_TOL))
+        ):
+            return ids, parent, np.minimum(prob, 1.0)
+
+    index: dict[str, int] = {}
+    ids: list[str] = []
+    parents: list[int] = []
+    probs: list[float] = []
+    for k, (node_id, parent_id, prob) in enumerate(entries):
+        node_id = str(node_id)
+        if not node_id:
+            raise ModelError("node ids must be non-empty strings")
+        if node_id in index:
+            raise ModelError(f"duplicate node id {node_id!r}")
+        if parent_id is None:
+            parent_idx = -1
+        else:
+            parent_id = str(parent_id)
+            if parent_id not in index:
+                raise ModelError(
+                    f"node {node_id!r}: parent {parent_id!r} must appear "
+                    "earlier in the node list"
+                )
+            parent_idx = index[parent_id]
+        prob = float(prob)
+        if not math.isfinite(prob) or prob <= 0.0 or prob > 1.0 + PROB_SUM_TOL:
+            raise ModelError(
+                f"node {node_id!r}: branch probability must lie in (0, 1], "
+                f"got {prob!r}"
+            )
+        index[node_id] = k
+        ids.append(node_id)
+        parents.append(parent_idx)
+        probs.append(min(prob, 1.0))
+    return ids, np.asarray(parents, dtype=int), np.asarray(probs, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """Finite event tree with strictly positive one-step branch probabilities.
@@ -66,47 +125,16 @@ class ScenarioTree:
         if not entries:
             raise ModelError("a scenario tree needs at least one node")
 
-        index: dict[str, int] = {}
-        ids: list[str] = []
-        parents: list[int] = []
-        probs: list[float] = []
-        for k, (node_id, parent_id, prob) in enumerate(entries):
-            node_id = str(node_id)
-            if not node_id:
-                raise ModelError("node ids must be non-empty strings")
-            if node_id in index:
-                raise ModelError(f"duplicate node id {node_id!r}")
-            if parent_id is None:
-                parent_idx = -1
-            else:
-                parent_id = str(parent_id)
-                if parent_id not in index:
-                    raise ModelError(
-                        f"node {node_id!r}: parent {parent_id!r} must appear "
-                        "earlier in the node list"
-                    )
-                parent_idx = index[parent_id]
-            prob = float(prob)
-            if not math.isfinite(prob) or prob <= 0.0 or prob > 1.0 + PROB_SUM_TOL:
-                raise ModelError(
-                    f"node {node_id!r}: branch probability must lie in (0, 1], "
-                    f"got {prob!r}"
-                )
-            index[node_id] = k
-            ids.append(node_id)
-            parents.append(parent_idx)
-            probs.append(min(prob, 1.0))
-
-        parent = np.asarray(parents, dtype=int)
+        ids, parent, branch_prob = _node_arrays(entries)
         roots = np.flatnonzero(parent < 0)
         if len(roots) != 1 or roots[0] != 0:
             raise ModelError("exactly one root is allowed and it must be listed first")
-        if abs(probs[0] - 1.0) > PROB_SUM_TOL:
+        if abs(branch_prob[0] - 1.0) > PROB_SUM_TOL:
             raise ModelError("the root's branch probability must be 1")
-        probs[0] = 1.0
+        branch_prob[0] = 1.0
 
         n = len(ids)
-        below, branch_prob = parent[1:], np.asarray(probs, dtype=float)
+        below = parent[1:]
         # children in index order, grouped by parent
         order = (np.argsort(below, kind="stable") + 1).tolist()
         counts = np.bincount(below, minlength=n)

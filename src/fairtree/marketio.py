@@ -5,6 +5,16 @@ strict -- unknown fields, duplicate keys, and schema violations are
 rejected with a JSON-path location -- and serialization writes floats
 with 17 significant digits, so ``parse(serialize(model))`` reproduces the
 model bit for bit.
+
+Both directions work on whole containers.  The parser checks each tree
+entry list, asset price map and claim leaf map at once (exact key set,
+known ids, every value's type) and fills it with one ``np.fromiter``;
+only when that check fails does it walk the container value by value,
+and the first offender in document order names the error, so every
+location and message is the one a value-by-value parse gives.  The
+emitter writes the scalar children of each dict and list inline and joins
+each container once; anything else (numpy values, tuples) takes the
+general branch, with the same bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +22,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +36,9 @@ from .market import Claim, MarketModel, ScenarioTree, build_market
 MARKET_FORMAT = "fairtree-market/1"
 REPORT_FORMAT = "fairtree-report/1"
 
+#: what ``json.dumps`` calls for a string under its defaults
+_quote = json.encoder.encode_basestring_ascii
+
 
 # ---------------------------------------------------------------------------
 # JSON emission with explicit float formatting
@@ -31,7 +47,7 @@ REPORT_FORMAT = "fairtree-report/1"
 
 def format_float(x: float) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite number {x!r}")
     return format(float(x), ".17g")
 
@@ -44,53 +60,63 @@ def emit_json(value, indent: int = 2) -> str:
     to pin the documented 17-significant-digit contract instead.  Dict keys
     keep insertion order.
     """
-    out: list[str] = []
-    _emit(value, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    return _emit(value, indent, 0) + "\n"
 
 
-def _emit(value, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(value, indent: int, level: int) -> str:
+    """Any value: numpy scalars and arrays become Python values, tuples and
+    other containers go through :func:`_join`."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}{json.dumps(key)}: ")
-            _emit(item, out, indent, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}}}")
-    elif isinstance(value, (list, tuple)):
-        if not len(value):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _emit(item, out, indent, level + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(f"{close_pad}]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} value {value!r}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (dict, list, tuple)):
+        return _join(value, indent, level)
+    raise TypeError(f"cannot serialize {type(value).__name__} value {value!r}")
+
+
+def _join(value, indent: int, level: int) -> str:
+    """One dict, list or tuple as one joined string.  Children of an exact
+    scalar, dict or list type are written here; anything else (numpy
+    values, tuples, non-finite floats) goes through :func:`_emit`."""
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    pad = " " * (indent * (level + 1))
+    parts = []
+    for key, item in value.items() if is_dict else enumerate(value):
+        if is_dict and not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        kind = type(item)
+        if kind is float and math.isfinite(item):
+            text = format(item, ".17g")
+        elif kind is str:
+            text = _quote(item)
+        elif kind is int:
+            text = str(item)
+        elif kind is bool:
+            text = "true" if item else "false"
+        elif item is None:
+            text = "null"
+        elif kind is dict or kind is list:
+            text = _join(item, indent, level + 1)
+        else:
+            text = _emit(item, indent, level + 1)
+        parts.append(f"{pad}{_quote(key)}: {text}" if is_dict else pad + text)
+    close_pad = " " * (indent * level)
+    if is_dict:
+        return "{\n" + ",\n".join(parts) + f"\n{close_pad}}}"
+    return "[\n" + ",\n".join(parts) + f"\n{close_pad}]"
 
 
 def emit_csv(header, rows) -> str:
@@ -124,11 +150,13 @@ class ParsedMarket:
 
 
 def _reject_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise MarketFileError("$", f"duplicate key {key!r} in object")
-        seen[key] = value
+    seen = dict(pairs)
+    if len(seen) != len(pairs):
+        seen = {}
+        for key, value in pairs:
+            if key in seen:
+                raise MarketFileError("$", f"duplicate key {key!r} in object")
+            seen[key] = value
     return seen
 
 
@@ -154,6 +182,15 @@ def _expect_string(value, where: str) -> str:
     return value
 
 
+#: the exact field set of a tree entry, and its fields in tuple order
+_NODE_FIELDS = frozenset(("id", "parent", "prob"))
+_NODE_ROW = operator.itemgetter("id", "parent", "prob")
+#: the exact types ``json.loads`` gives each kind of value (bool is no number)
+_STRING = frozenset((str,))
+_PARENT = frozenset((str, type(None)))
+_NUMBER = frozenset((int, float))
+
+
 def _check_fields(obj: dict, where: str, required, optional=()) -> None:
     for name in required:
         if name not in obj:
@@ -161,6 +198,65 @@ def _check_fields(obj: dict, where: str, required, optional=()) -> None:
     for name in obj:
         if name not in required and name not in optional:
             raise MarketFileError(f"{where}.{name}", "unknown field")
+
+
+def _tree_nodes(entries: list) -> list:
+    """The tree entries as ``(id, parent, prob)`` triples.  The whole list
+    is checked at once; the entry loop runs only when that check fails, to
+    name the first offender."""
+    if all(type(entry) is dict and entry.keys() == _NODE_FIELDS for entry in entries):
+        nodes = list(map(_NODE_ROW, entries))
+        ids, parents, probs = zip(*nodes)
+        if (
+            _STRING.issuperset(map(type, ids))
+            and _PARENT.issuperset(map(type, parents))
+            and _NUMBER.issuperset(map(type, probs))
+        ):
+            return nodes
+    nodes = []
+    for i, entry in enumerate(entries):
+        where = f"$.tree[{i}]"
+        entry = _expect_object(entry, where)
+        _check_fields(entry, where, required=("id", "parent", "prob"))
+        node_id = _expect_string(entry["id"], f"{where}.id")
+        parent = entry["parent"]
+        if parent is not None:
+            parent = _expect_string(parent, f"{where}.parent")
+        prob = _expect_number(entry["prob"], f"{where}.prob")
+        nodes.append((node_id, parent, prob))
+    return nodes
+
+
+def _price_row(levels: dict, known: dict, where: str) -> np.ndarray:
+    """One asset's prices in node order (``known`` maps node id to index).
+    The map is checked whole; the per-price loop runs only when that check
+    fails, to name the first offender."""
+    if levels.keys() == known.keys() and _NUMBER.issuperset(map(type, levels.values())):
+        return np.fromiter(map(levels.__getitem__, known), float, len(known))
+    row = np.zeros(len(known))
+    for node_id, price in levels.items():
+        if node_id not in known:
+            raise MarketFileError(f"{where}.{node_id}", "unknown node id")
+        row[known[node_id]] = _expect_number(price, f"{where}.{node_id}")
+    missing = [node_id for node_id in known if node_id not in levels]
+    if missing:
+        raise MarketFileError(where, f"no price for node {missing[0]!r}")
+    return row
+
+
+def _payoff_row(payoffs: dict, leaf_ids: dict, where: str) -> np.ndarray:
+    """One claim's payoffs in leaf order, 0 where the map names no leaf.
+    Checked whole like :func:`_price_row`."""
+    if payoffs.keys() <= leaf_ids.keys() and _NUMBER.issuperset(map(type, payoffs.values())):
+        return np.fromiter(
+            map(payoffs.get, leaf_ids, itertools.repeat(0.0)), float, len(leaf_ids)
+        )
+    values = np.zeros(len(leaf_ids))
+    for leaf_id, payoff in payoffs.items():
+        if leaf_id not in leaf_ids:
+            raise MarketFileError(f"{where}.{leaf_id}", "not a leaf node id")
+        values[leaf_ids[leaf_id]] = _expect_number(payoff, f"{where}.{leaf_id}")
+    return values
 
 
 def parse_market_text(text: str, source: str = "<string>") -> ParsedMarket:
@@ -186,52 +282,29 @@ def parse_market_text(text: str, source: str = "<string>") -> ParsedMarket:
     entries = doc["tree"]
     if not isinstance(entries, list) or not entries:
         raise MarketFileError("$.tree", "expected a non-empty list of nodes")
-    nodes = []
-    for i, entry in enumerate(entries):
-        where = f"$.tree[{i}]"
-        entry = _expect_object(entry, where)
-        _check_fields(entry, where, required=("id", "parent", "prob"))
-        node_id = _expect_string(entry["id"], f"{where}.id")
-        parent = entry["parent"]
-        if parent is not None:
-            parent = _expect_string(parent, f"{where}.parent")
-        prob = _expect_number(entry["prob"], f"{where}.prob")
-        nodes.append((node_id, parent, prob))
     try:
-        tree = ScenarioTree.build(nodes)
+        tree = ScenarioTree.build(_tree_nodes(entries))
     except ModelError as exc:
         raise MarketFileError("$.tree", str(exc)) from None
 
     assets = _expect_object(doc["assets"], "$.assets")
     if not assets:
         raise MarketFileError("$.assets", "at least one asset is required")
-    known = {node_id: k for k, node_id in enumerate(tree.ids)}
+    known = dict(zip(tree.ids, range(tree.n_nodes)))
     prices = np.zeros((len(assets), tree.n_nodes))
     for a, (name, levels) in enumerate(assets.items()):
         where = f"$.assets.{name}"
-        levels = _expect_object(levels, where)
-        for node_id, price in levels.items():
-            if node_id not in known:
-                raise MarketFileError(f"{where}.{node_id}", "unknown node id")
-            prices[a, known[node_id]] = _expect_number(price, f"{where}.{node_id}")
-        missing = [node_id for node_id in tree.ids if node_id not in levels]
-        if missing:
-            raise MarketFileError(where, f"no price for node {missing[0]!r}")
+        prices[a] = _price_row(_expect_object(levels, where), known, where)
     try:
         model = build_market(tree, prices, tuple(assets))
     except ModelError as exc:
         raise MarketFileError("$.assets", str(exc)) from None
 
     claims: dict = {}
-    leaf_ids = {tree.ids[leaf]: j for j, leaf in enumerate(tree.leaves)}
+    leaf_ids = {tree.ids[leaf]: j for j, leaf in enumerate(tree.leaves.tolist())}
     for name, payoffs in _expect_object(doc.get("claims", {}), "$.claims").items():
         where = f"$.claims.{name}"
-        payoffs = _expect_object(payoffs, where)
-        values = np.zeros(tree.n_leaves)
-        for leaf_id, payoff in payoffs.items():
-            if leaf_id not in leaf_ids:
-                raise MarketFileError(f"{where}.{leaf_id}", "not a leaf node id")
-            values[leaf_ids[leaf_id]] = _expect_number(payoff, f"{where}.{leaf_id}")
+        values = _payoff_row(_expect_object(payoffs, where), leaf_ids, where)
         try:
             claims[name] = Claim(values)
         except ModelError as exc:
@@ -258,36 +331,36 @@ def parse_market(path) -> ParsedMarket:
     return parse_market_text(text, source=str(path))
 
 
-def serialize_market(model: MarketModel, claims=None, metadata=None) -> str:
-    """Canonical market document; leaf maps list every leaf explicitly."""
+def market_document(model: MarketModel, claims=None, metadata=None) -> dict:
+    """The canonical market document as a dict, ready for :func:`emit_json`;
+    leaf maps list every leaf explicitly."""
     tree = model.tree
+    ids = tree.ids
+    parents = [None] + [ids[p] for p in tree.parent[1:].tolist()]
+    leaf_ids = [ids[leaf] for leaf in tree.leaves.tolist()]
     doc = {
         "format": MARKET_FORMAT,
         "tree": [
-            {
-                "id": tree.ids[k],
-                "parent": None if k == 0 else tree.ids[tree.parent[k]],
-                "prob": float(tree.branch_prob[k]),
-            }
-            for k in range(tree.n_nodes)
+            {"id": node_id, "parent": parent, "prob": prob}
+            for node_id, parent, prob in zip(ids, parents, tree.branch_prob.tolist())
         ],
         "assets": {
-            name: {
-                tree.ids[k]: float(model.price[a, k]) for k in range(tree.n_nodes)
-            }
-            for a, name in enumerate(model.asset_names)
+            name: dict(zip(ids, row))
+            for name, row in zip(model.asset_names, model.price.tolist())
         },
         "claims": {
-            name: {
-                tree.ids[leaf]: float(claim.payoff[j])
-                for j, leaf in enumerate(tree.leaves)
-            }
+            name: dict(zip(leaf_ids, claim.payoff.tolist()))
             for name, claim in (claims or {}).items()
         },
     }
     if metadata is not None:
         doc["metadata"] = metadata
-    return emit_json(doc)
+    return doc
+
+
+def serialize_market(model: MarketModel, claims=None, metadata=None) -> str:
+    """Canonical market document text; see :func:`market_document`."""
+    return emit_json(market_document(model, claims, metadata))
 
 
 def markets_identical(a: MarketModel, b: MarketModel) -> bool:

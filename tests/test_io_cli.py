@@ -51,6 +51,111 @@ class TestFormatting:
         payload = {"z": 1.5, "a": [True, False], "nested": {"k": 2 / 3}}
         assert emit_json(payload) == emit_json(payload)
 
+    def test_emit_json_golden_bytes(self):
+        value = {
+            "format": "fairtree-report/1",
+            "scalars": [np.float64(0.1), np.int64(-7), np.float32(0.5), True, False, None,
+                        -0.0, 1e-300, 1e17, 2 / 3, 12, 10**20],
+            "array": np.array([[1.5, -0.0], [np.pi, 1e17]]),
+            "ints": np.arange(3),
+            "pair": (1, "two", (3.25, [])),
+            "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros(0),
+                      "nested": [[], {}, [{}]]},
+            "text": ["café – \U0001d11e", 'tab\there "quoted" back\\slash\n',
+                     "\x00\x1f", ""],
+            "nésted": {"deep": {"deeper": [{"k": np.float64(-1.25e-5)}]}},
+        }
+        lines = [
+            '{',
+            '  "format": "fairtree-report/1",',
+            '  "scalars": [',
+            '    0.10000000000000001,',
+            '    -7,',
+            '    0.5,',
+            '    true,',
+            '    false,',
+            '    null,',
+            '    -0,',
+            '    1e-300,',
+            '    1e+17,',
+            '    0.66666666666666663,',
+            '    12,',
+            '    100000000000000000000',
+            '  ],',
+            '  "array": [',
+            '    [',
+            '      1.5,',
+            '      -0',
+            '    ],',
+            '    [',
+            '      3.1415926535897931,',
+            '      1e+17',
+            '    ]',
+            '  ],',
+            '  "ints": [',
+            '    0,',
+            '    1,',
+            '    2',
+            '  ],',
+            '  "pair": [',
+            '    1,',
+            '    "two",',
+            '    [',
+            '      3.25,',
+            '      []',
+            '    ]',
+            '  ],',
+            '  "empty": {',
+            '    "list": [],',
+            '    "dict": {},',
+            '    "tuple": [],',
+            '    "array": [],',
+            '    "nested": [',
+            '      [],',
+            '      {},',
+            '      [',
+            '        {}',
+            '      ]',
+            '    ]',
+            '  },',
+            '  "text": [',
+            r'    "caf\u00e9 \u2013 \ud834\udd1e",',
+            r'    "tab\there \"quoted\" back\\slash\n",',
+            r'    "\u0000\u001f",',
+            '    ""',
+            '  ],',
+            r'  "n\u00e9sted": {',
+            '    "deep": {',
+            '      "deeper": [',
+            '        {',
+            '          "k": -1.2500000000000001e-05',
+            '        }',
+            '      ]',
+            '    }',
+            '  }',
+            '}',
+        ]
+        assert emit_json(value) == "\n".join(lines) + "\n"
+        assert emit_json([1.0, [2.0, {"a": None}]], indent=0) == (
+            '[\n1,\n[\n2,\n{\n"a": null\n}\n]\n]\n'
+        )
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            ([1.0, float("nan")], ValueError, "refusing to serialize non-finite number nan"),
+            ({"a": np.array([1.0, np.nan])}, ValueError,
+             "refusing to serialize non-finite number nan"),
+            ([np.array([np.inf])], ValueError, "refusing to serialize non-finite number inf"),
+            ({1: 2.0}, TypeError, "JSON object keys must be strings, got 1"),
+            ({"a": {2.5: 1}}, TypeError, "JSON object keys must be strings, got 2.5"),
+        ],
+    )
+    def test_emit_json_refusals(self, value, error, message):
+        with pytest.raises(error) as info:
+            emit_json(value)
+        assert str(info.value) == message
+
     def test_emit_csv_quoting_and_floats(self):
         out = emit_csv(["name", "value"], [["a,b", 1 / 3]])
         lines = out.splitlines()
@@ -82,6 +187,69 @@ def minimal_doc(**overrides):
     return doc
 
 
+class TextEdit:
+    """A mutation of a document's JSON text, for what a dict cannot hold:
+    duplicate keys and numbers that overflow to infinity."""
+
+    def __init__(self, old, new):
+        self.old, self.new = old, new
+
+    def __call__(self, text):
+        assert self.old in text
+        return text.replace(self.old, self.new, 1)
+
+
+def _case(mutate, location, message, name=None):
+    # the cases without a name keep the ids pytest generated for them
+    # before their messages were pinned
+    return pytest.param(mutate, location, message, id=name or f"<lambda>-{location}")
+
+
+def _stray_parent(d):
+    d["tree"][1]["parant"] = d["tree"][1].pop("parent")
+
+
+ERROR_CASES = [
+    _case(lambda d: d.pop("format"), "$", "missing required field 'format'"),
+    _case(lambda d: d.update(format="fairtree-market/2"), "$.format",
+          "unsupported format 'fairtree-market/2'; expected 'fairtree-market/1'"),
+    _case(lambda d: d.update(extra=1), "$.extra", "unknown field"),
+    _case(lambda d: d.update(tree={}), "$.tree", "expected a non-empty list of nodes"),
+    _case(lambda d: d["tree"][1].pop("prob"), "$.tree[1]", "missing required field 'prob'"),
+    _case(lambda d: d["tree"][1].update(prob="x"), "$.tree[1].prob",
+          "expected a number, got 'x'"),
+    _case(lambda d: d["tree"][0].update(parent=3), "$.tree[0].parent",
+          "expected a string, got 3"),
+    _case(lambda d: d.update(assets={}), "$.assets", "at least one asset is required"),
+    _case(lambda d: d["assets"]["bond"].update(zz=1), "$.assets.bond.zz", "unknown node id"),
+    _case(lambda d: d["assets"]["bond"].pop("u"), "$.assets.bond", "no price for node 'u'"),
+    _case(lambda d: d.update(claims={"c": {"r": 1}}), "$.claims.c.r", "not a leaf node id"),
+    _case(lambda d: d.update(claims={"c": {"u": -1}}), "$.claims.c",
+          "claim payoffs must be finite and nonnegative"),
+    _case(lambda d: d.update(metadata=[1]), "$.metadata", "expected an object, got list"),
+    # one case per branch of the one-by-one checks behind the whole-map ones
+    _case(lambda d: d["tree"][1].update(prob=True), "$.tree[1].prob",
+          "expected a number, got True", "bool-prob"),
+    _case(lambda d: d["assets"]["bond"].update(d=False), "$.assets.bond.d",
+          "expected a number, got False", "bool-price"),
+    _case(lambda d: d.update(claims={"c": {"u": 1, "d": "0"}}), "$.claims.c.d",
+          "expected a number, got '0'", "string-payoff"),
+    _case(lambda d: d["assets"].update(bond={"r": 1, "u": 1, "d": 1, "x": 1}),
+          "$.assets.bond.x", "unknown node id", "unknown-id-after-valid-ones"),
+    _case(lambda d: d["assets"].update(bond={"r": 1, "d": 1}), "$.assets.bond",
+          "no price for node 'u'", "missing-price"),
+    _case(TextEdit('{"id": "u", "parent": "r"', '{"id": "u", "parent": "r", "id": "u"'),
+          "$", "duplicate key 'id' in object", "duplicate-key-in-entry"),
+    _case(TextEdit('{"r": 1, "u": 1', '{"r": 1, "u": 1, "r": 1'),
+          "$", "duplicate key 'r' in object", "duplicate-key-in-prices"),
+    _case(_stray_parent, "$.tree[1]", "missing required field 'parent'", "stray-field"),
+    _case(TextEdit('"u": 1,', '"u": 1e999,'), "$.assets", "prices must be finite",
+          "overflowing-price"),
+    _case(TextEdit('"prob": 0.5', '"prob": 1e999'), "$.tree",
+          "node 'u': branch probability must lie in (0, 1], got inf", "overflowing-prob"),
+]
+
+
 class TestParseMarket:
     def test_parses_the_bundled_markets(self):
         for name in ("b1", "t1"):
@@ -106,30 +274,36 @@ class TestParseMarket:
         again = parse_market_text(serialize_market(model, claims))
         assert markets_identical(model, again.model)
 
-    @pytest.mark.parametrize(
-        "mutate, location",
-        [
-            (lambda d: d.pop("format"), "$"),
-            (lambda d: d.update(format="fairtree-market/2"), "$.format"),
-            (lambda d: d.update(extra=1), "$.extra"),
-            (lambda d: d.update(tree={}), "$.tree"),
-            (lambda d: d["tree"][1].pop("prob"), "$.tree[1]"),
-            (lambda d: d["tree"][1].update(prob="x"), "$.tree[1].prob"),
-            (lambda d: d["tree"][0].update(parent=3), "$.tree[0].parent"),
-            (lambda d: d.update(assets={}), "$.assets"),
-            (lambda d: d["assets"]["bond"].update(zz=1), "$.assets.bond.zz"),
-            (lambda d: d["assets"]["bond"].pop("u"), "$.assets.bond"),
-            (lambda d: d.update(claims={"c": {"r": 1}}), "$.claims.c.r"),
-            (lambda d: d.update(claims={"c": {"u": -1}}), "$.claims.c"),
-            (lambda d: d.update(metadata=[1]), "$.metadata"),
-        ],
-    )
-    def test_error_locations(self, mutate, location):
+    @pytest.mark.parametrize("mutate, location, message", ERROR_CASES)
+    def test_error_locations(self, mutate, location, message):
         doc = minimal_doc()
-        mutate(doc)
+        if isinstance(mutate, TextEdit):
+            text = mutate(json.dumps(doc))
+        else:
+            mutate(doc)
+            text = json.dumps(doc)
         with pytest.raises(MarketFileError) as info:
-            parse_market_text(json.dumps(doc))
-        assert info.value.location == location
+            parse_market_text(text)
+        assert (info.value.location, info.value.reason) == (location, message)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_maps_parse_alike(self, seed):
+        model = generate_market(seed=40 + seed, depth=2, branching=3, assets=2)
+        claims = default_claims(model, seed=40 + seed)
+        doc = json.loads(serialize_market(model, claims))
+        rng = np.random.default_rng(seed)
+
+        def shuffled(mapping):
+            keys = list(mapping)
+            return {keys[i]: mapping[keys[i]] for i in rng.permutation(len(keys))}
+
+        doc["assets"] = {name: shuffled(levels) for name, levels in doc["assets"].items()}
+        doc["claims"] = {name: shuffled(leaves) for name, leaves in doc["claims"].items()}
+        again = parse_market_text(json.dumps(doc))
+        assert markets_identical(model, again.model)
+        assert set(again.claims) == set(claims)
+        for name, claim in claims.items():
+            np.testing.assert_array_equal(again.claims[name].payoff, claim.payoff)
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(MarketFileError, match="invalid JSON"):
@@ -319,6 +493,33 @@ class TestCli:
         augmented = parse_market_text(emit_json(report["market"]))
         assert "digital" in augmented.model.asset_names
         assert augmented.model.price[2, 0] == pytest.approx(2 / 9, abs=1e-8)
+
+    def test_augment_embeds_the_canonical_document(self, capsys, tmp_path):
+        # The market block is serialize_market's own text, indented, down to
+        # a signed zero: "-0", where decoding and re-emitting printed "0".
+        doc = json.loads(bundled_text("t1"))
+        doc["claims"]["signed-zero"] = {"u": 1, "m": 0.5, "d": -0.0}
+        path = tmp_path / "signed.market"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_command(
+            ["augment", str(path), "--claim", "digital-up", "--utility", "log",
+             "--wealth", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        augmented = parse_market_text(emit_json(json.loads(out)["market"])).model
+        block = serialize_market(augmented, parse_market(path).claims)
+        assert '"d": -0\n' in block
+        assert '"market": ' + block.rstrip("\n").replace("\n", "\n  ") in out
+
+    def test_price_process_on_an_unfair_market_is_a_verdict(self, capsys, tmp_path):
+        model = generate_market(seed=6, depth=2, branching=2, assets=2, arbitrage=True)
+        path = tmp_path / "arb.market"
+        path.write_text(serialize_market(model, default_claims(model, 6)), encoding="utf-8")
+        report = run_json(capsys, ["price-process", str(path), "--claim", "call"], expect=1)
+        assert report["command"] == "price-process"
+        assert report["verdict"] == "unfair"
+        assert "no martingale deflator" in report["message"]
 
     def test_price_process_with_minimax_deflator(self, capsys, t1_path):
         report = run_json(

@@ -136,6 +136,27 @@ class TestScenarioTree:
             "children of node 'a': branch probabilities sum to 1.2, expected 1"
         )
 
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            # each list breaks more than one whole-list check; the message
+            # names the first offender in node order
+            ([("r", None, 1.0), ("a", "r", 1.5), ("a", "r", 0.5)],
+             "node 'a': branch probability must lie in (0, 1], got 1.5"),
+            ([("r", None, 1.0), ("a", "b", 0.5), ("b", "r", 0.0)],
+             "node 'a': parent 'b' must appear earlier in the node list"),
+            ([("r", None, 1.0), ("r", "r", 0.5), ("b", "r", "x")], "duplicate node id 'r'"),
+            ([("r", None, 1.0), ("", "r", 0.5), ("b", "r")],
+             "node ids must be non-empty strings"),
+            ([("r", None, 1.0), ("a", "a", 1.0)],
+             "node 'a': parent 'a' must appear earlier in the node list"),
+        ],
+    )
+    def test_names_the_first_offending_node(self, nodes, message):
+        with pytest.raises(ModelError) as info:
+            ScenarioTree.build(nodes)
+        assert str(info.value) == message
+
     def test_two_roots_rejected(self):
         with pytest.raises(ModelError):
             ScenarioTree.build([("r", None, 1.0), ("s", None, 1.0)])

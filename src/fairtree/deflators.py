@@ -12,12 +12,13 @@ independent one-step polytope for its children's levels, cut out by the
 node's scaled one-step rows (:func:`_local_system`).  Its optimum over any
 linear cost is a basic feasible solution, and a node has few candidate
 bases, so one kernel (:func:`_basic_solutions`) solves every basis of
-every node of a ``(time, branching)`` group (:func:`_node_groups`) in one
-stacked solve.  The fairness floor, its arbitrage screen, the vertex
-tables behind price bounds and the optional decomposition's positions
-all come from it; a node whose one-step matrix has full column rank has
-a single point (:func:`_single_points`), from which the floor is read
-directly.  Every recursion takes one array step per group: the floor
+every node of a ``(time, branching)`` group (:func:`_node_groups`), or of
+a branching's whole stack (:func:`_node_stacks`), in one stacked solve.
+The fairness floor, its arbitrage screen, the vertex tables behind price
+bounds and the optional decomposition's positions all come from it; a
+node whose one-step matrix has full column rank has a single point
+(:func:`_single_points`), from which its floor and its vertex table are
+read directly.  Every recursion takes one array step per group: the floor
 (:func:`_floor_step`) and the best vertex under a linear cost
 (:func:`_vertex_step`).  The simplex runs only in :func:`_node_lp`, the
 one node LP of a node with too many bases to list, and in
@@ -221,8 +222,10 @@ def _svd_rank(matrix: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class _NodeGroup:
-    """The non-leaf nodes of one time step with the same number of
-    children, their :func:`_local_system` rows stacked.
+    """Non-leaf nodes with the same number of children, their
+    :func:`_local_system` rows stacked: those of one time step (a group of
+    :func:`_node_groups`) or of every time step in time order (a stack of
+    :func:`_node_stacks`).
 
     ``matrix[g] @ r = rhs[g]`` is node ``nodes[g]``'s one-step system in
     its ratios ``r``, asset ``i``'s row divided by ``scale[g, i]``.  One
@@ -257,15 +260,28 @@ _NODE_GROUP_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
 
 def _node_groups(model: MarketModel) -> tuple[_NodeGroup, ...]:
     """Non-leaf nodes batched by ``(time, branching)``, latest time first,
-    so a backward recursion can solve each group at once.  The systems of
-    all nodes with the same branching are built and decomposed together,
-    ordered by time, and each group is a slice of them.  Cached per
+    so a backward recursion can solve each group at once.  Each group is
+    a slice of its branching's stack (:func:`_node_stacks`).  Cached per
     model."""
-    groups = _NODE_GROUP_CACHE.get(model)
-    if groups is not None:
-        return groups
+    return _node_systems(model)[1]
+
+
+def _node_stacks(model: MarketModel) -> tuple[_NodeGroup, ...]:
+    """Non-leaf nodes batched by branching, fewest children first, each
+    stack ordered by time: the systems of all nodes with the same
+    branching, built and decomposed together.  Cached per model."""
+    return _node_systems(model)[0]
+
+
+def _node_systems(model: MarketModel):
+    """``(stacks, groups)`` of :func:`_node_stacks` and
+    :func:`_node_groups`, built once per model."""
+    systems = _NODE_GROUP_CACHE.get(model)
+    if systems is not None:
+        return systems
     tree = model.tree
     branchings = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
+    stacks = []
     built = {}
     for branching in np.unique(branchings[branchings > 0]).tolist():
         nodes = np.flatnonzero(branchings == branching)
@@ -277,26 +293,30 @@ def _node_groups(model: MarketModel) -> tuple[_NodeGroup, ...]:
         pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
         beyond = np.arange(branching) >= rank[:, np.newaxis]
         null = right.transpose(0, 2, 1) * beyond[:, np.newaxis, :]
-        fixed = _single_points(matrix, rhs, left, rank)
+        stack = _NodeGroup(
+            nodes=nodes,
+            children=children,
+            probs=probs,
+            matrix=matrix,
+            rhs=rhs,
+            scale=scale,
+            rank=rank,
+            left=left,
+            pinv=pinv,
+            null=null,
+            fixed=_single_points(matrix, rhs, left, rank),
+        )
+        stacks.append(stack)
         times = tree.time[nodes]
         starts = np.flatnonzero(np.diff(times, prepend=-1))
         for lo, hi in zip(starts.tolist(), np.append(starts[1:], nodes.size).tolist()):
             at = slice(lo, hi)
             built[int(times[lo]), branching] = _NodeGroup(
-                nodes=nodes[at],
-                children=children[at],
-                probs=probs[at],
-                matrix=matrix[at],
-                rhs=rhs[at],
-                scale=scale[at],
-                rank=rank[at],
-                left=left[at],
-                pinv=pinv[at],
-                null=null[at],
-                fixed=fixed[at],
+                **{name: value[at] for name, value in vars(stack).items()}
             )
-    groups = _NODE_GROUP_CACHE[model] = tuple(built[key] for key in sorted(built, reverse=True))
-    return groups
+    groups = tuple(built[key] for key in sorted(built, reverse=True))
+    systems = _NODE_GROUP_CACHE[model] = (tuple(stacks), groups)
+    return systems
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +395,10 @@ def _basic_solutions(matrix, rhs, left, rank: int, cost=None, pinned: bool = Fal
     candidates of all systems are solved by one stacked
     ``np.linalg.solve``.  A basis is singular when, its columns scaled to
     unit length, its smallest singular value is at most ``RANK_RTOL``
-    times its largest.  A solution is feasible when its entries are at
-    least ``-_FEAS_TOL * (1 + max|x|)`` and it meets the unprojected rows
-    within the same bound, so a right-hand side outside the column space
-    leaves no feasible basis; entries below zero are set to zero.
+    times its largest.  A regular basis's solution is feasible by
+    :func:`_feasible_points`, which also checks the unprojected rows, so a
+    right-hand side outside the column space leaves no feasible basis;
+    entries below zero are set to zero.
 
     Returns ``(x, feasible, duals)``, shaped ``(g, bases, columns)``,
     ``(g, bases)`` and ``(g, bases, rows)``.  ``duals`` (``None`` without
@@ -397,16 +417,25 @@ def _basic_solutions(matrix, rhs, left, rank: int, cost=None, pinned: bool = Fal
     solved = np.linalg.solve(bases, np.broadcast_to(target, bases.shape[:3] + (1,)))
     x = np.zeros((count, len(combos), columns))
     x[:, np.arange(len(combos))[:, np.newaxis], combos] = solved[..., 0] / norms[:, combos]
-    bound = _FEAS_TOL * (1.0 + np.abs(x).max(axis=2))
-    residual = np.abs(np.einsum("gmc,gbc->gbm", matrix, x) - rhs[:, np.newaxis, :]).max(axis=2)
-    feasible = regular & (x.min(axis=2) >= -bound) & (residual <= bound)
-    np.maximum(x, 0.0, out=x)
+    feasible = regular & _feasible_points(matrix, rhs, x)
     if cost is None:
         return x, feasible, None
     multipliers = np.linalg.solve(
         bases.transpose(0, 1, 3, 2), (cost[:, combos] / norms[:, combos])[..., np.newaxis]
     )[..., 0]
     return x, feasible, np.einsum("gmr,gbr->gbm", span, multipliers)
+
+
+def _feasible_points(matrix, rhs, x):
+    """Which of the candidate solutions ``x[g, b]`` of the stacked systems
+    ``matrix[g] @ x = rhs[g]``, ``x >= 0``, are feasible: entries at least
+    ``-_FEAS_TOL * (1 + max|x|)`` and the rows met within the same bound.
+    Entries below zero are then set to zero in place."""
+    bound = _FEAS_TOL * (1.0 + np.abs(x).max(axis=2))
+    residual = np.abs(np.einsum("gmc,gbc->gbm", matrix, x) - rhs[:, np.newaxis, :]).max(axis=2)
+    feasible = (x.min(axis=2) >= -bound) & (residual <= bound)
+    np.maximum(x, 0.0, out=x)
+    return feasible
 
 
 def _distinct_vertices(x, feasible):
@@ -454,18 +483,19 @@ def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
     """One :class:`_VertexTable` per group of :func:`_node_groups`, in its
     order, cached per model.  The vertices are read off the feasible bases
     (:func:`_distinct_vertices`), from one :func:`_basic_solutions` call
-    per branching and rank across the groups."""
+    per stack of :func:`_node_stacks` and rank; a node of full column rank
+    has one basis, whose solution is its single point ``fixed``, so it
+    takes that point through the kernel's feasibility test
+    (:func:`_feasible_points`) without a solve."""
     tables = _VERTEX_TABLE_CACHE.get(model)
     if tables is not None:
         return tables
     groups = _node_groups(model)
+    times = model.tree.time
     tables = [None] * len(groups)
-    for branching in sorted({g.children.shape[1] for g in groups}):
-        members = [i for i, g in enumerate(groups) if g.children.shape[1] == branching]
-        matrix, rhs, left, rank = (
-            np.concatenate([getattr(groups[i], name) for i in members])
-            for name in ("matrix", "rhs", "left", "rank")
-        )
+    for stack in _node_stacks(model):
+        matrix, rhs, left, rank = stack.matrix, stack.rhs, stack.left, stack.rank
+        branching = stack.children.shape[1]
         counts = np.zeros(rank.size, dtype=int)
         past = np.zeros(rank.size, dtype=bool)
         found = []
@@ -473,23 +503,29 @@ def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
             if not within:
                 past[at] = True
                 continue
-            x, feasible, _ = _basic_solutions(matrix[at], rhs[at], left[at], value)
+            if value == branching:
+                x = stack.fixed[at][:, np.newaxis].copy()
+                feasible = _feasible_points(matrix[at], rhs[at], x)
+            else:
+                x, feasible, _ = _basic_solutions(matrix[at], rhs[at], left[at], value)
             x, counts[at] = _distinct_vertices(x, feasible)
             found.append((at, x))
         vertices = np.zeros((rank.size, counts.max(), branching))
         for at, x in found:
             vertices[at, : x.shape[1]] = x
-        start = 0
-        for i in members:
-            span = slice(start, start + groups[i].nodes.size)
-            start = span.stop
+        stack_times = times[stack.nodes]
+        for i, group in enumerate(groups):
+            if group.children.shape[1] != branching:
+                continue
+            time = times[group.nodes[0]]
+            span = slice(*np.searchsorted(stack_times, [time, time + 1]).tolist())
             own, shut = counts[span], past[span]
             stacks = []
             for count in np.unique(own[~shut]).tolist():
                 at = np.flatnonzero((own == count) & ~shut)
-                stack = _frozen(vertices[span][at, :count])
-                stacks.append((slice(None) if at.size == own.size else at, stack))
-            tables[i] = _VertexTable(groups[i], tuple(stacks), np.flatnonzero(shut))
+                table = _frozen(vertices[span][at, :count])
+                stacks.append((slice(None) if at.size == own.size else at, table))
+            tables[i] = _VertexTable(group, tuple(stacks), np.flatnonzero(shut))
     tables = _VERTEX_TABLE_CACHE[model] = tuple(tables)
     return tables
 

@@ -173,7 +173,10 @@ def _expect_object(value, where: str) -> dict:
 def _expect_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MarketFileError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise MarketFileError(where, "integer too large for a double") from None
 
 
 def _expect_string(value, where: str) -> str:
@@ -202,17 +205,19 @@ def _check_fields(obj: dict, where: str, required, optional=()) -> None:
 
 def _tree_nodes(entries: list) -> list:
     """The tree entries as ``(id, parent, prob)`` triples.  The whole list
-    is checked at once; the entry loop runs only when that check fails, to
-    name the first offender."""
+    is checked at once; the entry loop runs only when that check fails (or
+    an integer prob overflows a double), to name the first offender."""
     if all(type(entry) is dict and entry.keys() == _NODE_FIELDS for entry in entries):
-        nodes = list(map(_NODE_ROW, entries))
-        ids, parents, probs = zip(*nodes)
+        ids, parents, probs = zip(*map(_NODE_ROW, entries))
         if (
             _STRING.issuperset(map(type, ids))
             and _PARENT.issuperset(map(type, parents))
             and _NUMBER.issuperset(map(type, probs))
         ):
-            return nodes
+            try:
+                return list(zip(ids, parents, map(float, probs)))
+            except OverflowError:
+                pass
     nodes = []
     for i, entry in enumerate(entries):
         where = f"$.tree[{i}]"
@@ -230,9 +235,12 @@ def _tree_nodes(entries: list) -> list:
 def _price_row(levels: dict, known: dict, where: str) -> np.ndarray:
     """One asset's prices in node order (``known`` maps node id to index).
     The map is checked whole; the per-price loop runs only when that check
-    fails, to name the first offender."""
+    fails (or an integer overflows a double), to name the first offender."""
     if levels.keys() == known.keys() and _NUMBER.issuperset(map(type, levels.values())):
-        return np.fromiter(map(levels.__getitem__, known), float, len(known))
+        try:
+            return np.fromiter(map(levels.__getitem__, known), float, len(known))
+        except OverflowError:
+            pass
     row = np.zeros(len(known))
     for node_id, price in levels.items():
         if node_id not in known:
@@ -248,9 +256,12 @@ def _payoff_row(payoffs: dict, leaf_ids: dict, where: str) -> np.ndarray:
     """One claim's payoffs in leaf order, 0 where the map names no leaf.
     Checked whole like :func:`_price_row`."""
     if payoffs.keys() <= leaf_ids.keys() and _NUMBER.issuperset(map(type, payoffs.values())):
-        return np.fromiter(
-            map(payoffs.get, leaf_ids, itertools.repeat(0.0)), float, len(leaf_ids)
-        )
+        try:
+            return np.fromiter(
+                map(payoffs.get, leaf_ids, itertools.repeat(0.0)), float, len(leaf_ids)
+            )
+        except OverflowError:
+            pass
     values = np.zeros(len(leaf_ids))
     for leaf_id, payoff in payoffs.items():
         if leaf_id not in leaf_ids:

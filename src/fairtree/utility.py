@@ -8,10 +8,11 @@ replicating that attainable wealth node by node with the same one-step
 rows the dual uses, and marginal prices of claims.
 
 The objective factorizes over the tree just as the polytope does, so the
-minimax deflator comes from a backward recursion: each node solves the
-one-step dual problem of its children, weighted by their subtrees' values,
-by damped Newton on its ratios, from the fairness witness and batched over
-the nodes of a tree level.  One sweep of the polytope's linear oracle then
+minimax deflator is made of one-step problems: each node's ratios solve
+the one-step dual problem of its children, weighted by their subtrees'
+values.  One damped Newton solves every node's problem at once, from the
+fairness witness, with the subtree weights refreshed from the current
+ratios at each iteration.  One sweep of the polytope's linear oracle then
 certifies the whole-tree duality gap.
 
 Both supported utility families -- logarithmic and power -- have scale-
@@ -44,6 +45,7 @@ from .market import (
 from .deflators import (
     Deflator,
     _node_groups,
+    _node_stacks,
     fairness_report,
     polytope_minimizer,
     require_fair,
@@ -253,14 +255,22 @@ _ARMIJO = 0.25
 _BACKTRACKS = 60
 
 
-def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float):
-    """Minimax ratios of a stack of one-step dual problems.
+def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: float) -> None:
+    """Minimax ratios of every node whose one-step matrix lacks full column
+    rank (a Newton node), by one damped Newton over the whole tree.
 
-    Node ``g`` minimizes ``sum_j probs_j heights_j V(r_j)`` over its
-    one-step polytope ``{r > 0 : matrix @ r = rhs}``, where
-    ``V`` is the conjugate of the utility with exponent ``p`` (0 for log).
-    Damped Newton solves all nodes at once from the strictly positive
-    ratios ``r``.  Each step makes the least-norm move onto the martingale
+    ``ratio[j]`` is child ``j``'s level over its parent's; it holds the
+    single points of the full-rank nodes and is overwritten, in place, for
+    the Newton nodes' children, from the ratios of the strictly positive
+    levels ``start``.  Node ``k`` minimizes ``sum_j p_j h_j V(r_j)`` over
+    its one-step polytope ``{r > 0 : matrix @ r = rhs}``, where ``V`` is
+    the conjugate of the utility with exponent ``p`` (0 for log) and ``h``
+    the subtree heights of :func:`_minimax_levels`.  The Newton nodes of
+    each stack of :func:`~fairtree.deflators._node_stacks` are one working
+    set, and the stacks advance in lockstep; for power utility each
+    iteration first refreshes ``h`` from the current ratios, level by
+    level, while for log utility ``h`` is 1 and the nodes' problems are
+    independent.  Each step makes the least-norm move onto the martingale
     system, ``-pinv @ residual``, plus the Newton step of the objective
     along the system's null space; it is halved until the ratios stay
     strictly positive and, while the Newton decrement exceeds
@@ -269,63 +279,145 @@ def _newton_ratios(r, matrix, rhs, pinv, null, probs, heights, p: float):
     checked: the remaining gain is below what the function values resolve,
     so a sufficient-decrease test would stall there.  A node stops once a
     full step leaves the decrement, below that threshold, above a quarter
-    of its previous value (the rounding floor).  The weights are
-    normalized per node, so the thresholds do not depend on the heights.
-    Returns the ratios and, per node, the decrement left above that
-    threshold after ``_NEWTON_ITERS`` iterations (0 where Newton stopped).
+    of its previous value (the rounding floor) -- for power utility only
+    once its whole subtree has stopped too, since until then its heights
+    still move.  A full-rank node counts as stopped once its children
+    have, and the stops are settled level by level, latest first, so a
+    whole subtree can stop in one iteration.  The weights are normalized
+    per node, so the thresholds do not depend on the heights.  A working
+    set drops its stopped nodes once at most half of it is live.  Raises
+    :class:`SolverError` naming the node with the largest decrement left
+    above that threshold after ``_NEWTON_ITERS`` iterations.
     """
-    weights = probs * heights
-    weights = weights / weights.sum(axis=1, keepdims=True)
+    tree = model.tree
     # V(r) = (1 - p) / p * r**(p * a), or -ln r for log; V'(r) = -r**a and
     # V''(r) = r**(a - 1) / (1 - p)
     a = 1.0 / (p - 1.0)
-    padding = np.eye(null.shape[2]) * ~null.any(axis=1)[:, np.newaxis, :]
+    q = p / (p - 1.0)
+    groups = _node_groups(model)
+    heights = np.ones(tree.n_nodes)
+    # nodes whose subtree has stopped, and nodes that may stop: the
+    # full-rank ones, and the Newton nodes whose last step left them at
+    # the rounding floor
+    settled = np.zeros(tree.n_nodes, dtype=bool)
+    settled[tree.leaves] = True
+    floored = np.ones(tree.n_nodes, dtype=bool)
+    works = []
+    for stack in _node_stacks(model):
+        newton = stack.rank < stack.children.shape[1]
+        if not newton.any():
+            continue
+        nodes, children, null = stack.nodes[newton], stack.children[newton], stack.null[newton]
+        works.append({
+            "nodes": nodes,
+            "children": children,
+            "matrix": stack.matrix[newton],
+            "rhs": stack.rhs[newton],
+            "pinv": stack.pinv[newton],
+            "null": null,
+            "padding": np.eye(null.shape[2]) * ~null.any(axis=1)[:, np.newaxis, :],
+            "probs": stack.probs[newton],
+            "r": start[children] / start[nodes][:, np.newaxis],
+            "active": np.ones(nodes.size, dtype=bool),
+            "previous": np.full(nodes.size, np.inf),
+            "full": np.zeros(nodes.size, dtype=bool),
+        })
+        ratio[children] = works[-1]["r"]
 
-    def value(r):
+    def value(weights, r):
         v = -np.log(r) if p == 0.0 else (1.0 - p) / p * _pow(r, p * a)
         return (weights * v).sum(axis=1)
 
-    active = np.ones(len(r), dtype=bool)
-    previous = np.full(len(r), np.inf)
-    full = np.zeros(len(r), dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        residual = np.einsum("gdn,gn->gd", matrix, r) - rhs
-        move = -np.einsum("gnd,gd->gn", pinv, residual)
-        slope = -weights * _pow(r, a)
-        curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
-        hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + padding
-        grad = np.einsum("gnk,gn->gk", null, slope + curvature * move)
-        newton = np.linalg.solve(hess, grad[:, :, np.newaxis])[:, :, 0]
-        decrement = np.einsum("gk,gk->g", grad, newton)
-        step = move - np.einsum("gnk,gk->gn", null, newton)
-        active &= ~(full & (previous <= _FULL_STEP_DECREMENT) & (decrement >= 0.25 * previous))
-        previous = decrement
-        if not active.any():
+        if p != 0.0:
+            powered = _pow(ratio, q)
+            # latest level first; the root's height (the last group) weighs nothing
+            for group in groups[:-1]:
+                heights[group.nodes] = (
+                    group.probs * heights[group.children] * powered[group.children]
+                ).sum(axis=1)
+        steps = []
+        floor_seen = False
+        for w in works:
+            r, null = w["r"], w["null"]
+            weights = w["probs"] * heights[w["children"]]
+            weights = weights / weights.sum(axis=1, keepdims=True)
+            residual = np.einsum("gdn,gn->gd", w["matrix"], r) - w["rhs"]
+            move = -np.einsum("gnd,gd->gn", w["pinv"], residual)
+            slope = -weights * _pow(r, a)
+            curvature = weights * _pow(r, a - 1.0) / (1.0 - p)
+            hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + w["padding"]
+            grad = np.einsum("gnk,gn->gk", null, slope + curvature * move)
+            newton = np.linalg.solve(hess, grad[:, :, np.newaxis])[:, :, 0]
+            decrement = np.einsum("gk,gk->g", grad, newton)
+            step = move - np.einsum("gnk,gk->gn", null, newton)
+            previous = w["previous"]
+            floor = w["full"] & (previous <= _FULL_STEP_DECREMENT) & (decrement >= 0.25 * previous)
+            if p == 0.0:
+                w["active"] &= ~floor
+            else:
+                floored[w["nodes"]] = floor
+                floor_seen = floor_seen or floor.any()
+            w["previous"] = decrement
+            steps.append((weights, slope, step))
+        if floor_seen:
+            for group in groups:
+                settled[group.nodes] |= floored[group.nodes] & settled[group.children].all(axis=1)
+            for w in works:
+                w["active"] &= ~settled[w["nodes"]]
+        if not any(w["active"].any() for w in works):
             break
-        damped = decrement > _FULL_STEP_DECREMENT
-        current = value(r)
-        descent = (slope * step).sum(axis=1)
-        length = active.astype(float)
-        for _ in range(_BACKTRACKS):
-            trial = r + length[:, np.newaxis] * step
-            inside = np.all(trial > 0.0, axis=1)
-            accepted = inside & (
-                ~damped
-                | (value(np.where(inside[:, np.newaxis], trial, 1.0))
-                   <= current + _ARMIJO * length * descent)
-            )
-            if accepted.all():
-                break
-            length = np.where(accepted, length, 0.5 * length)
-        else:
-            length = np.where(accepted, length, 0.0)
-        full = length == 1.0
-        r = r + length[:, np.newaxis] * step
-    return r, np.where(active & (previous > _FULL_STEP_DECREMENT), previous, 0.0)
+        for i, (w, (weights, slope, step)) in enumerate(zip(works, steps)):
+            r, active = w["r"], w["active"]
+            if not active.any():
+                continue
+            damped = w["previous"] > _FULL_STEP_DECREMENT
+            if damped.any():
+                current = value(weights, r)
+                descent = (slope * step).sum(axis=1)
+            length = active.astype(float)
+            for _ in range(_BACKTRACKS):
+                trial = r + length[:, np.newaxis] * step
+                accepted = np.all(trial > 0.0, axis=1)
+                if damped.any():
+                    accepted &= ~damped | (
+                        value(weights, np.where(accepted[:, np.newaxis], trial, 1.0))
+                        <= current + _ARMIJO * length * descent
+                    )
+                if accepted.all():
+                    break
+                length = np.where(accepted, length, 0.5 * length)
+            else:
+                length = np.where(accepted, length, 0.0)
+            w["full"] = length == 1.0
+            w["r"] = r + length[:, np.newaxis] * step
+            ratio[w["children"]] = w["r"]
+            if 2 * active.sum() <= active.size:
+                works[i] = {name: rows[active] for name, rows in w.items()}
+    left = np.concatenate([
+        np.where(w["active"] & (w["previous"] > _FULL_STEP_DECREMENT), w["previous"], 0.0)
+        for w in works
+    ])
+    if left.any():
+        worst = int(np.argmax(left))
+        node = np.concatenate([w["nodes"] for w in works])[worst]
+        raise SolverError(
+            f"one-step dual Newton left a decrement of {left[worst]:.3e} "
+            f"at node {tree.ids[node]!r} after {_NEWTON_ITERS} iterations"
+        )
+
+
+def _check_positive(model: MarketModel, nodes: np.ndarray, r: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.all(r > 0.0, axis=1))
+    if bad.size:
+        raise SolverError(
+            f"minimax ratios are not strictly positive at node "
+            f"{model.tree.ids[nodes[bad[0]]]!r}"
+        )
 
 
 def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray) -> np.ndarray:
-    """Minimax deflator levels by a backward recursion over the tree.
+    """Minimax deflator levels from the one-step problems of the tree.
 
     With ``h = 1`` at the leaves, node ``k`` takes the ratios minimizing
     ``sum_j p_j h_j V(r_j)`` over its one-step polytope; for power utility
@@ -333,49 +425,27 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
     ``q``-th power of the subtree's relative levels, and for log utility
     ``h`` stays 1.  Nodes whose one-step matrix has full column rank have a
     single admissible ratio vector, taken as it is; the others are solved
-    by :func:`_newton_ratios` from the ratios of the strictly positive
-    deflator levels ``start``.  The levels are rebuilt forward from the
-    ratios.
+    together by :func:`_newton_ratios`, from the ratios of the strictly
+    positive deflator levels ``start``, and a tree without such nodes
+    iterates nothing.  The levels are rebuilt forward from the ratios.
     """
     p = 0.0 if utility.kind == "log" else float(utility.exponent)
-    q = p / (p - 1.0)
     tree = model.tree
-    groups = _node_groups(model)
-    heights = np.ones(tree.n_nodes)
-    ratios = []
-    for group in groups:
-        r = group.fixed.copy()
-        newton = group.rank < group.children.shape[1]
-        if newton.any():
-            nodes, children = group.nodes[newton], group.children[newton]
-            r[newton], left = _newton_ratios(
-                start[children] / start[nodes][:, np.newaxis],
-                group.matrix[newton],
-                group.rhs[newton],
-                group.pinv[newton],
-                group.null[newton],
-                group.probs[newton],
-                heights[children],
-                p,
-            )
-            if left.any():
-                worst = int(np.argmax(left))
-                raise SolverError(
-                    f"one-step dual Newton left a decrement of {left[worst]:.3e} "
-                    f"at node {tree.ids[nodes[worst]]!r} after {_NEWTON_ITERS} iterations"
-                )
-        bad = np.flatnonzero(~np.all(r > 0.0, axis=1))
-        if bad.size:
-            raise SolverError(
-                f"minimax ratios are not strictly positive at node "
-                f"{tree.ids[group.nodes[bad[0]]]!r}"
-            )
-        if p != 0.0:
-            heights[group.nodes] = (group.probs * heights[group.children] * _pow(r, q)).sum(axis=1)
-        ratios.append(r)
+    stacks = _node_stacks(model)
+    ratio = np.ones(tree.n_nodes)
+    newton = False
+    for stack in stacks:
+        full = stack.rank == stack.children.shape[1]
+        _check_positive(model, stack.nodes[full], stack.fixed[full])
+        ratio[stack.children] = stack.fixed
+        newton = newton or not full.all()
+    if newton:
+        _newton_ratios(model, ratio, start, p)
+        for stack in stacks:
+            _check_positive(model, stack.nodes, ratio[stack.children])
     levels = np.ones(tree.n_nodes)
-    for group, r in zip(reversed(groups), reversed(ratios)):
-        levels[group.children] = levels[group.nodes][:, np.newaxis] * r
+    for group in reversed(_node_groups(model)):
+        levels[group.children] = levels[group.nodes][:, np.newaxis] * ratio[group.children]
     return levels
 
 
@@ -391,13 +461,14 @@ def solve_dual(
     """Minimize the expected conjugate over the deflator polytope.
 
     The objective factorizes over the tree like the polytope does, so the
-    minimizer (the minimax deflator) comes from the backward recursion of
-    one-step problems in :func:`_minimax_levels`.  The infinite marginal
-    utility at zero keeps every ratio strictly positive.  The result is
-    certified globally: the Frank-Wolfe duality gap ``g . (m - s)``, with
-    ``g`` the gradient at the levels ``m`` and ``s`` the
-    :func:`~fairtree.deflators.polytope_minimizer` sweep of ``g``, must be
-    at most ``tol * max(1, |g . m|)``; otherwise :class:`SolverError` is
+    minimizer (the minimax deflator) is made of the one-step problems of
+    :func:`_minimax_levels`, which one whole-tree Newton solves
+    (:func:`_newton_ratios`).  The infinite marginal utility at zero keeps
+    every ratio strictly positive.  Newton's stop test is node by node, so
+    the result is certified globally: the Frank-Wolfe duality gap
+    ``g . (m - s)``, with ``g`` the gradient at the levels ``m`` and ``s``
+    the :func:`~fairtree.deflators.polytope_minimizer` sweep of ``g``, must
+    be at most ``tol * max(1, |g . m|)``; otherwise :class:`SolverError` is
     raised.  The gap is the difference of two inner products of the size
     of ``|g . m|`` (``y`` times the wealth that ``y`` finances, 1 for log
     utility), so it is resolved only relative to that size; steep power

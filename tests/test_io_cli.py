@@ -247,6 +247,13 @@ ERROR_CASES = [
           "overflowing-price"),
     _case(TextEdit('"prob": 0.5', '"prob": 1e999'), "$.tree",
           "node 'u': branch probability must lie in (0, 1], got inf", "overflowing-prob"),
+    # integers too large for a double, which json.loads keeps exact
+    _case(TextEdit('"u": 1,', f'"u": {"9" * 400},'), "$.assets.bond.u",
+          "integer too large for a double", "huge-integer-price"),
+    _case(TextEdit('"prob": 0.5', f'"prob": {"9" * 400}'), "$.tree[1].prob",
+          "integer too large for a double", "huge-integer-prob"),
+    _case(lambda d: d.update(claims={"c": {"u": 1, "d": int("9" * 400)}}), "$.claims.c.d",
+          "integer too large for a double", "huge-integer-payoff"),
 ]
 
 

@@ -31,11 +31,14 @@ from fairtree import (
 from fairtree import check_complete, generate_market, log_utility, solve_primal
 from fairtree.deflators import (
     _basic_solutions,
+    _distinct_vertices,
     _floor_step,
     _local_system,
     _node_groups,
+    _node_stacks,
     _single_points,
     _svd_rank,
+    _vertex_tables,
 )
 from fairtree.market import martingale_defect
 
@@ -301,6 +304,17 @@ class TestNodeGroups:
                 for name, value in fields.items():
                     np.testing.assert_array_equal(getattr(group, name), value, err_msg=name)
 
+    def test_groups_are_time_slices_of_the_stacks(self):
+        for model in [*fair_corpus(20), *(mixed_market(seed) for seed in range(6))]:
+            times = model.tree.time
+            for stack in _node_stacks(model):
+                branching = stack.children.shape[1]
+                assert np.all(np.diff(times[stack.nodes]) >= 0)
+                sliced = [g for g in reversed(_node_groups(model)) if g.children.shape[1] == branching]
+                for name, value in vars(stack).items():
+                    joined = np.concatenate([getattr(g, name) for g in sliced])
+                    np.testing.assert_array_equal(joined, value, err_msg=name)
+
     def test_complete_markets_deflators_are_martingales(self):
         """A complete market's fairness witness and minimax deflator are
         products of the nodes' single points, which solve the scaled rows
@@ -315,3 +329,52 @@ class TestNodeGroups:
                 deflator = solve_primal(model, log_utility(), 1.0).deflator.values
                 for levels in (witness, deflator):
                     assert martingale_defect(model, levels)[0] <= 1e-14, (seed, depth)
+
+
+def complete_markets():
+    """New models of the benchmark's complete shapes, seeds 0-4, whose
+    nodes all have full column rank."""
+    shapes = ((6, 2, 2), (4, 3, 3), (3, 4, 4), (5, 2, 2))
+    return [generate_market(seed, *shape) for seed in range(5) for shape in shapes]
+
+
+class TestVertexTables:
+    """A node of full column rank has one basis, whose solution is its
+    single point: its table is read off that point, without the kernel,
+    and equals the kernel's table bit for bit."""
+
+    def test_no_kernel_call_for_a_full_rank_node(self, monkeypatch):
+        calls = []
+
+        def counted(matrix, rhs, left, rank, *args, **kwargs):
+            calls.append((rank, matrix.shape[2]))
+            return _basic_solutions(matrix, rhs, left, rank, *args, **kwargs)
+
+        monkeypatch.setattr(fairtree.deflators, "_basic_solutions", counted)
+        for model in complete_markets():
+            _vertex_tables(model)
+        assert calls == []
+        for seed in range(6):
+            _vertex_tables(mixed_market(seed))
+        assert calls and all(rank < columns for rank, columns in calls)
+
+    def test_full_rank_tables_equal_the_kernels(self):
+        checked = 0
+        for model in [*complete_markets(), *(mixed_market(seed) for seed in range(6))]:
+            for table in _vertex_tables(model):
+                group = table.group
+                columns = group.children.shape[1]
+                for at, vertices in table.stacks:
+                    at = np.arange(group.nodes.size)[at]
+                    full = group.rank[at] == columns
+                    if not full.any():
+                        continue
+                    rows = at[full]
+                    x, feasible, _ = _basic_solutions(
+                        group.matrix[rows], group.rhs[rows], group.left[rows], columns
+                    )
+                    x, count = _distinct_vertices(x, feasible)
+                    assert np.all(count == vertices.shape[1])
+                    assert x.tobytes() == np.ascontiguousarray(vertices[full]).tobytes()
+                    checked += rows.size
+        assert checked > 500

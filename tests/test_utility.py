@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from fairtree import (
     Claim,
     Deflator,
+    ScenarioTree,
     augment_market,
     check_complete,
     davis_price,
@@ -23,6 +24,7 @@ from fairtree import (
     log_utility,
     optional_decomposition,
     parse_utility,
+    polytope_minimizer,
     power_utility,
     require_fair,
     sample_deflators,
@@ -32,10 +34,16 @@ from fairtree import (
     value_functions,
     verify_minimax,
 )
+from fairtree.deflators import _node_stacks
 from fairtree.errors import ModelError, SolverError
-from fairtree.utility import CONSUMPTION_TOL, _budget_multiplier
+from fairtree.utility import (
+    CONSUMPTION_TOL,
+    _budget_multiplier,
+    _dual_objective,
+    _minimax_levels,
+)
 
-from conftest import fair_corpus
+from conftest import fair_corpus, priced_market
 
 UTILITIES = [log_utility(), power_utility(0.5), power_utility(-1.0)]
 
@@ -464,3 +472,111 @@ class TestWildNumeraire:
             solve_dual(wild, power_utility(p), 1.0)
         named = re.search(r"at node '([^']+)'", str(info.value)).group(1)
         assert named in wild.tree.ids
+
+
+# ---------------------------------------------------------------------------
+# the whole-tree Newton
+# ---------------------------------------------------------------------------
+
+STACKED_UTILITIES = [
+    log_utility(),
+    power_utility(0.5),
+    power_utility(-1.0),
+    power_utility(-5.0),
+    power_utility(0.9),
+]
+
+
+def layered_market(layout, assets: int, seed: int):
+    """A fair market whose nodes at time ``t`` have ``layout[t][i % len]``
+    children, ``i`` counting that level's nodes (:func:`priced_market`)."""
+    rng = np.random.default_rng(seed)
+    nodes, level = [("n", None, 1.0)], ["n"]
+    for counts in layout:
+        below = []
+        for i, parent in enumerate(level):
+            probs = rng.dirichlet(np.ones(counts[i % len(counts)]))
+            below += [f"{parent}{j}" for j in range(probs.size)]
+            nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
+        level = below
+    return priced_market(ScenarioTree.build(nodes), rng, assets)
+
+
+# On most markets the levels converge together, so a node that stopped
+# before its subtree would still land within the gap's bound; on these
+# seeds it leaves a gap of 1e-7 or more under power:-1.
+STACKED_MARKETS = {
+    # Newton nodes with 3 and 4 children beside full-rank ones with 2
+    "mixed-branching": lambda: layered_market([(3,), (2, 3, 4), (4, 2, 3)], 2, 34),
+    # a Newton root above full-rank nodes above Newton nodes: the root's
+    # heights move until the bottom level has stopped
+    "full-rank-between": lambda: layered_market([(3,), (2,), (3,), (2,)], 2, 4),
+}
+
+
+def _newton_nodes(model):
+    """``(node, branching)`` of the nodes without full column rank."""
+    return {
+        (int(k), stack.children.shape[1])
+        for stack in _node_stacks(model)
+        for k, rank in zip(stack.nodes, stack.rank)
+        if rank < stack.children.shape[1]
+    }
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestStackedNewton:
+    def test_markets_have_the_intended_shape(self):
+        mixed = STACKED_MARKETS["mixed-branching"]()
+        assert {b for _, b in _newton_nodes(mixed)} == {3, 4}
+        between = STACKED_MARKETS["full-rank-between"]()
+        tree = between.tree
+        newton = {k for k, _ in _newton_nodes(between)}
+        full = set(range(tree.n_nodes)) - newton - set(tree.leaves.tolist())
+        assert 0 in newton
+        assert {int(tree.time[k]) for k in full} == {1, 3}
+        assert {int(tree.time[k]) for k in newton} == {0, 2}
+
+    @pytest.mark.parametrize("u", STACKED_UTILITIES, ids=lambda u: u.label)
+    @pytest.mark.parametrize("name", sorted(STACKED_MARKETS))
+    def test_whole_tree_gap(self, name, u):
+        # the gap of solve_dual's certificate, recomputed here from the
+        # objective's gradient and one sweep of the linear oracle
+        model = STACKED_MARKETS[name]()
+        levels = _minimax_levels(model, u, require_fair(model).witness.values)
+        Deflator.for_market(model, levels)
+        _, gradient, _ = _dual_objective(model, u, 1.0)
+        grad = gradient(levels)
+        gap = float(grad @ (levels - polytope_minimizer(model)(grad)))
+        assert abs(gap) <= 1e-11 * max(1.0, abs(float(grad @ levels)))
+
+    @pytest.mark.parametrize("u", UTILITIES, ids=lambda u: u.label)
+    def test_one_solve_per_iteration_for_the_whole_tree(self, u, monkeypatch):
+        # 63 Newton nodes on six levels, all solved by one Newton of about
+        # ten iterations, one solve each
+        model = generate_market(seed=0, depth=6, branching=2, assets=1)
+        start = require_fair(model).witness.values
+        assert len(_newton_nodes(model)) == 63
+        calls = _count_solves(monkeypatch)
+        _minimax_levels(model, u, start)
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("u", UTILITIES, ids=lambda u: u.label)
+    def test_a_complete_tree_iterates_nothing(self, u, two_period, monkeypatch):
+        start = require_fair(two_period).witness.values
+        _node_stacks(two_period)
+        calls = _count_solves(monkeypatch)
+        levels = _minimax_levels(two_period, u, start)
+        assert calls == []
+        np.testing.assert_allclose(levels, start, rtol=1e-12)

@@ -14,15 +14,20 @@ linear cost is a basic feasible solution, and a node has few candidate
 bases, so one kernel (:func:`_basic_solutions`) solves every basis of
 every node of a ``(time, branching)`` group (:func:`_node_groups`), or of
 a branching's whole stack (:func:`_node_stacks`), in one stacked solve.
-The fairness floor, its arbitrage screen, the vertex tables behind price
-bounds and the optional decomposition's positions all come from it; a
-node whose one-step matrix has full column rank has a single point
-(:func:`_single_points`), from which its floor and its vertex table are
-read directly.  Every recursion takes one array step per group: the floor
-(:func:`_floor_step`) and the best vertex under a linear cost
-(:func:`_vertex_step`).  The simplex runs only in :func:`_node_lp`, the
-one node LP of a node with too many bases to list, and in
-:func:`_extract_certificate`.
+The vertex tables behind price bounds and the optional decomposition's
+positions come from it.  The fairness floor comes from the dual side: by
+LP duality a node's floor is the least cost per unit of floor-weighted
+payoff over the extreme rays of its cone of portfolios with nonnegative
+payoffs, and those rays do not depend on the children's floors, so they
+are listed once per model (:func:`_ray_tables`); the arbitrage screen
+reads the same rays.  A node whose one-step matrix has full column rank
+has a single point (:func:`_single_points`), from which its floor and its
+vertex table are read directly.  Every recursion takes one array step per
+group: the floor (:func:`_floor_step`) and the best vertex under a linear
+cost (:func:`_vertex_step`).  The floor's maximizing ratios are solved
+after the recursion, one basis per node (:func:`_witness_ratios`).  The
+simplex runs only in :func:`_node_lp`, the one node LP of a node with too
+many bases to list, and in :func:`_extract_certificate`.
 
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
@@ -581,24 +586,28 @@ def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
     """Ratio vectors minimizing ``cost[g] @ r`` over each one-step polytope
     of a group, and those minima: the best row of each node's vertices
     (the first on ties), one stacked product and ``argmin`` per stack of
-    ``table``, and :func:`_node_lp` past the enumeration guard."""
+    ``table``, and :func:`_node_lp` past the enumeration guard.  Returns
+    ``(chosen, best, duals)``; ``duals`` holds the row duals of the node
+    LPs past the guard (zero for the other nodes; ``None`` for a group
+    without such nodes), so a caller that needs them solves no LP again."""
     chosen = np.empty(cost.shape)
     best = np.empty(cost.shape[0])
+    group = table.group
+    duals = np.zeros(group.rhs.shape) if table.past.size else None
     for at, vertices in table.stacks:
         totals = np.matmul(vertices, cost[at, :, np.newaxis])[..., 0]
         pick = totals.argmin(axis=1)
         rows = np.arange(vertices.shape[0])
         chosen[at] = vertices[rows, pick]
         best[at] = totals[rows, pick]
-    group = table.group
     for i in table.past.tolist():
         solved = _node_lp(group.matrix[i], group.rhs[i], cost[i])
         if solved is None:  # pragma: no cover - fair market
             raise SolverError(f"local LP has no optimum at node "
                               f"{model.tree.ids[group.nodes[i]]!r}")
-        chosen[i] = solved[0]
+        chosen[i], duals[i] = solved
         best[i] = solved[0] @ cost[i]
-    return chosen, best
+    return chosen, best, duals
 
 
 def polytope_minimizer(model: MarketModel):
@@ -621,7 +630,7 @@ def polytope_minimizer(model: MarketModel):
         per_unit = np.asarray(cost, dtype=float).copy()
         chosen = []
         for table in tables:
-            ratios, best = _vertex_step(model, table, per_unit[table.group.children])
+            ratios, best, _ = _vertex_step(model, table, per_unit[table.group.children])
             per_unit[table.group.nodes] += best
             chosen.append(ratios)
         levels = np.zeros(tree.n_nodes)
@@ -639,38 +648,199 @@ def polytope_minimizer(model: MarketModel):
 # ---------------------------------------------------------------------------
 
 
-def _floor_step(group: _NodeGroup, floors):
+def _payoff_rays(matrix, rhs, left, rank: int):
+    """The extreme rays of the cones ``{y : matrix[g].T @ y >= 0}`` of
+    stacked systems of rank ``rank``: the portfolios of a node's assets
+    whose child payoffs are all nonnegative.
+
+    The rows are projected onto their ``rank`` leading left singular
+    vectors (:func:`_projection`), which drops the left null space, so the
+    cone is pointed and each extreme ray is orthogonal to ``rank - 1``
+    independent columns.  Every ``(rank - 1)``-subset of the columns, in
+    ``itertools.combinations`` order, gives its null vector ``y``: at rank
+    2 the column ``(a, b)`` turned to ``(-b, a)``, above it the last
+    column of a complete QR of the subset, regular when every diagonal
+    entry of the triangular factor exceeds ``RANK_RTOL`` (the columns have
+    unit length).  ``y`` is a ray where its payoffs ``w = A.T @ y``, at
+    unit column length, all have one sign within ``_FEAS_TOL`` of the
+    largest; the sign is flipped to make that one positive, and entries
+    below zero are set to zero.  The tolerance only admits vectors a
+    rounding outside the cone, which can only lower a floor
+    (:func:`_floor_step`), never raise it.
+
+    Returns ``(payoffs, cost, ray, inside, rows, target)``: ``payoffs``
+    ``(g, subsets, columns)`` are ``w`` on the unprojected rows, ``cost =
+    rhs @ y`` and ``ray`` are ``(g, subsets)``, ``inside`` says whether the
+    right-hand side lies in the column space (its projection meets the
+    unprojected rows within ``_FEAS_TOL``), and ``rows @ x = target`` is the
+    projected system, columns at their own length.
+    """
+    count, _, columns = matrix.shape
+    span, rows, norms, target = _projection(matrix, rhs, left, rank)
+    inside = np.abs(np.einsum("gmr,gr->gm", span, target) - rhs).max(axis=1) <= _FEAS_TOL
+    if rank == 1:
+        null, regular = np.ones((count, 1, 1)), True
+    elif rank == 2:
+        null = rows[:, ::-1].transpose(0, 2, 1) * np.array([-1.0, 1.0])
+        regular = np.abs(null).max(axis=2) > RANK_RTOL
+    else:
+        faces = rows[:, :, _combinations(columns, rank - 1, False)].transpose(0, 2, 1, 3)
+        q, tri = np.linalg.qr(faces, mode="complete")
+        null = q[..., -1]
+        regular = np.abs(np.diagonal(tri, axis1=-2, axis2=-1)).min(axis=-1) > RANK_RTOL
+    payoffs = null @ rows
+    sign = np.where(payoffs.max(axis=2) >= -payoffs.min(axis=2), 1.0, -1.0)
+    payoffs *= sign[..., np.newaxis]
+    ray = regular & (payoffs.min(axis=2) >= -_FEAS_TOL * payoffs.max(axis=2))
+    np.maximum(payoffs, 0.0, out=payoffs)
+    cost = sign * (null @ target[..., np.newaxis])[..., 0]
+    scale = norms[:, np.newaxis, :]
+    return payoffs * scale, cost, ray, inside, rows * scale, target
+
+
+@dataclass(frozen=True, eq=False)
+class _RayTable:
+    """The floor programs of a :class:`_NodeGroup`'s nodes, in dual form.
+
+    ``single`` holds the positions of the nodes of full column rank (a
+    full slice where they make up the group, ``None`` where there are
+    none), and ``past`` those of the nodes past the vertex-enumeration
+    guard of the lifted floor program (:func:`_rank_slices` over
+    ``children + 1`` columns).  ``stacks`` holds one ``(at, payoffs,
+    cost)`` triple per rank for the other nodes (``at`` a full slice where
+    one rank holds the whole group): ``payoffs[i, e]`` and ``cost[i, e]``
+    are the child payoffs and the cost of extreme ray ``e`` of node
+    ``group.nodes[at][i]`` (:func:`_payoff_rays`), and a node with fewer
+    rays than the widest repeats its first, which changes no minimum.  A
+    node in none of them has its right-hand side off its column space, so
+    it has no ratio vector and its floor is 0."""
+
+    group: _NodeGroup
+    single: np.ndarray
+    stacks: tuple
+    past: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _RaySlice:
+    """The ray nodes of one rank of a branching's stack
+    (:func:`_node_stacks`), for the witness pass (:func:`_witness_ratios`):
+    their positions ``at`` in ``stack``, their projected systems ``rows @ r
+    = target`` (:func:`_payoff_rays`) and, for each of their rays in
+    :class:`_RayTable` order, the ``rank - 1`` columns it is orthogonal to
+    (``tight``)."""
+
+    stack: _NodeGroup
+    at: np.ndarray
+    rank: int
+    tight: np.ndarray
+    rows: np.ndarray
+    target: np.ndarray
+
+
+def _ray_tables(model: MarketModel):
+    """``(tables, slices)``: one :class:`_RayTable` per group of
+    :func:`_node_groups`, in its order, and the :class:`_RaySlice` of
+    every ``(branching, rank)`` slice of :func:`_node_stacks` with ray
+    nodes.  The rays of a slice come from one :func:`_payoff_rays` call
+    per chunk of :func:`_rank_slices`; a stack of full-rank nodes builds
+    none.  Rays do not depend on the children's floors, so one table
+    serves the floor recursion and the certificate screen."""
+    rays, slices = {}, []
+    for stack in _node_stacks(model):
+        branching = stack.children.shape[1]
+        single = stack.rank == branching
+        past = np.zeros(single.size, dtype=bool)
+        chunks = {}
+        lacking = np.flatnonzero(~single)
+        for value, at, within in _rank_slices(stack.rank[lacking], branching + 1):
+            at = lacking[at]
+            if not within:
+                past[at] = True
+                continue
+            chunk = _payoff_rays(stack.matrix[at], stack.rhs[at], stack.left[at], value)
+            chunks.setdefault(value, []).append((at, *chunk))
+        found = []
+        for value, parts in chunks.items():
+            at, payoffs, cost, ray, inside, rows, target = map(np.concatenate, zip(*parts))
+            at, payoffs, cost, ray, rows, target = (
+                part[inside] for part in (at, payoffs, cost, ray, rows, target)
+            )
+            if not at.size:
+                continue
+            count = ray.sum(axis=1)
+            if not count.all():  # pragma: no cover - the cone is pointed
+                node = stack.nodes[at[np.argmin(count)]]
+                raise SolverError(f"no extreme payoff ray at node {model.tree.ids[node]!r}")
+            order = np.argsort(~ray, axis=1, kind="stable")[:, : count.max()]
+            order = np.where(np.arange(order.shape[1]) < count[:, np.newaxis], order, order[:, :1])
+            each = np.arange(at.size)[:, np.newaxis]
+            tight = _combinations(branching, value - 1, False)[order]
+            slices.append(_RaySlice(stack, at, value, tight, rows, target))
+            found.append((at, payoffs[each, order], cost[each, order], count))
+        rays[branching] = (single, past if past.any() else None, found, [0])
+    tables = []
+    for group in reversed(_node_groups(model)):  # each stack's groups in time order
+        single, past, found, offset = rays[group.children.shape[1]]
+        lo = offset[0]
+        hi = offset[0] = lo + group.nodes.size
+        stacks = []
+        for at, payoffs, cost, count in found:
+            first, last = np.searchsorted(at, [lo, hi]).tolist()
+            if first == last:
+                continue
+            width = count[first:last].max()
+            own = slice(None) if last - first == hi - lo else at[first:last] - lo
+            stacks.append((own, payoffs[first:last, :width], cost[first:last, :width]))
+        own = single[lo:hi]
+        tables.append(_RayTable(
+            group,
+            slice(None) if own.all() else np.flatnonzero(own) if own.any() else None,
+            tuple(stacks),
+            np.flatnonzero(past[lo:hi]) if past is not None else np.zeros(0, dtype=np.intp),
+        ))
+    tables = tuple(reversed(tables))
+    return tables, tuple(slices)
+
+
+def _floor_step(table: _RayTable, floors):
     """Largest ``t`` with a one-step ratio vector ``r`` such that
     ``r[j] * floors[g, j] >= t`` for every child ``j``, at each node of
-    ``group``.
+    ``table.group``.
 
     A node whose one-step matrix has full column rank has the single point
     ``r = group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]`` where
     that point passes the basis kernel's feasibility test
     (:func:`_basic_solutions`) on the system's rows, and no ratio vector
-    is feasible where it does not.  For the other nodes, the program's
-    columns are ``s >= 0`` (one per child) and ``tau = t / min(floors)``,
-    with ``r = tau * min(floors) / floors + s``, so the floor rows need no
-    slacks of their own: the lifted system is ``[A | A @ spread]``, of the
-    same rank as ``A``.  It is bounded because the one-step polytope is,
-    so its optimum is a basic solution; a positive optimum has ``tau``
-    basic, so only the bases holding ``tau`` are solved (all of them at
-    rank 0), and ties go to the first basis.  A node past the
-    vertex-enumeration guard solves the lifted system as its
-    :func:`_node_lp` with cost ``-tau``.  Measuring ``t`` in units of the
-    smallest floor keeps every coefficient at most 1: child floors far
-    below 1 would otherwise put coefficients of 1e16 into the martingale
-    rows.  Returns ``(t, r)``, ``t`` zero where a floor is zero or no
-    ratio vector is feasible.
+    is feasible where it does not.  For the other nodes LP duality gives
+    ``t = min_e cost_e / sum_j payoffs_ej / floors[g, j]`` over the node's
+    extreme payoff rays (:class:`_RayTable`), clipped at 0 (a ray of
+    negative cost leaves no ratio vector): one stacked product and
+    ``argmin`` per rank, measured in units of the smallest floor so that
+    floors far below 1 stay in range.  The minimizing ray is returned for
+    the witness pass (:func:`_witness_ratios`), which finds those nodes'
+    ratios.  A node past the vertex-enumeration guard solves the lifted
+    program as its :func:`_node_lp`: columns ``s >= 0`` (one per child)
+    and ``tau = t / min(floors)``, with ``r = tau * min(floors) / floors +
+    s``, so the system is ``[A | A @ spread]`` and the cost ``-tau``.
+    Returns ``(t, r, pick)``: ``t`` is zero where a floor is zero or no
+    ratio vector is feasible, ``r`` is zero at the ray nodes, and ``pick``
+    holds the ray nodes' minimizing rays.
     """
+    group = table.group
     matrix, rhs = group.matrix, group.rhs
     count, _, columns = matrix.shape
     best = np.zeros(count)
     ratios = np.zeros((count, columns))
-    positive = floors.min(axis=1) > 0.0
-    full = group.rank == columns
-    single = np.flatnonzero(positive & full)
-    if single.size:
+    pick = np.zeros(count, dtype=np.intp)
+    unit = floors.min(axis=1)
+    positive = unit > 0.0
+    everywhere = positive.all()
+    if not everywhere:
+        floors = np.where(positive[:, np.newaxis], floors, 1.0)
+        unit = floors.min(axis=1)
+    single = table.single
+    if single is not None:
         point = group.fixed[single]
         bound = _FEAS_TOL * (1.0 + np.abs(point).max(axis=1))
         residual = np.abs(np.einsum("gmc,gc->gm", matrix[single], point) - rhs[single])
@@ -678,62 +848,124 @@ def _floor_step(group: _NodeGroup, floors):
         point = np.where(met[:, np.newaxis], np.maximum(point, 0.0), 0.0)
         best[single] = (point * floors[single]).min(axis=1)
         ratios[single] = point
-    live = np.flatnonzero(positive & ~full)
-    if not live.size:
-        return best, ratios
-    unit = floors[live].min(axis=1)
-    spread = unit[:, np.newaxis] / floors[live]
-    lifted = np.concatenate([matrix[live], matrix[live] @ spread[..., np.newaxis]], axis=2)
-    for value, at, within in _rank_slices(group.rank[live], columns + 1):
-        nodes = live[at]
-        if within:
-            x, feasible, _ = _basic_solutions(
-                lifted[at], rhs[nodes], group.left[nodes], value, pinned=value > 0
+    for at, payoffs, cost in table.stacks:
+        spread = unit[at, np.newaxis] / floors[at]
+        bounds = cost / np.matmul(payoffs, spread[..., np.newaxis])[..., 0]
+        chosen = bounds.argmin(axis=1)
+        pick[at] = chosen
+        best[at] = unit[at] * np.maximum(bounds[np.arange(chosen.size), chosen], 0.0)
+    for i in table.past.tolist():
+        if not positive[i]:
+            continue
+        spread = unit[i] / floors[i]
+        lifted = np.column_stack([matrix[i], matrix[i] @ spread])
+        solved = _node_lp(lifted, rhs[i], -np.eye(columns + 1)[columns])  # maximize tau
+        if solved is not None:
+            tau = solved[0][columns]
+            best[i] = unit[i] * tau
+            ratios[i] = tau * spread + solved[0][:columns]
+    if not everywhere:
+        best[~positive] = 0.0
+        ratios[~positive] = 0.0
+    return best, ratios, pick
+
+
+def _witness_ratios(model: MarketModel, ray_slice: _RaySlice, floors, best, pick):
+    """The maximizing ratio vectors of the floor programs of a
+    :class:`_RaySlice`'s nodes, from the final floors.
+
+    By complementary slackness, ``s`` is zero wherever the node's
+    minimizing ray pays, so its basis of the lifted system ``[A | A @
+    spread]`` (:func:`_floor_step`) is the ray's tight columns plus
+    ``tau``.  All of a slice's bases are solved by one stacked solve on the
+    projected rows.  Where several rays tie, the chosen basis may have a
+    negative entry (below ``-_FEAS_TOL * (1 + max|x|)``); only those nodes
+    solve every basis that holds ``tau`` (:func:`_basic_solutions`) and
+    take the best feasible one.  Each node's ``min_j r_j floors_j`` must
+    meet its ray floor ``best`` within ``_FEAS_TOL`` relative; otherwise
+    :class:`SolverError` names the node."""
+    stack, at, rows = ray_slice.stack, ray_slice.at, ray_slice.rows
+    nodes = stack.nodes[at]
+    child_floors = floors[stack.children[at]]
+    spread = child_floors.min(axis=1)[:, np.newaxis] / child_floors
+    each = np.arange(at.size)[:, np.newaxis]
+    tight = ray_slice.tight[each[:, 0], pick[nodes]]
+    by_column = rows.transpose(0, 2, 1)
+    tau = (rows @ spread[..., np.newaxis]).transpose(0, 2, 1)
+    bases = np.concatenate([by_column[each, tight], tau], axis=1).transpose(0, 2, 1)
+    x = np.linalg.solve(bases, ray_slice.target[..., np.newaxis])[..., 0]
+    feasible = x.min(axis=1) >= -_FEAS_TOL * (1.0 + np.abs(x).max(axis=1))
+    ratios = x[:, -1:] * spread
+    ratios[each, tight] += np.maximum(x[:, :-1], 0.0)
+    retry = np.flatnonzero(~feasible)
+    if retry.size:
+        width = spread.shape[1]
+        matrix = stack.matrix[at[retry]]
+        lifted = np.concatenate([matrix, matrix @ spread[retry, :, np.newaxis]], axis=2)
+        x, feasible, _ = _basic_solutions(
+            lifted, stack.rhs[at[retry]], stack.left[at[retry]], ray_slice.rank, pinned=True
+        )
+        found = feasible.any(axis=1)
+        if not found.all():  # pragma: no cover - the floor is positive
+            node = nodes[retry[np.argmin(found)]]
+            raise SolverError(
+                f"floor program has no feasible basis at node {model.tree.ids[node]!r}"
             )
-            pick = np.argmax(np.where(feasible, x[:, :, columns], -np.inf), axis=1)
-            chosen = x[np.arange(at.size), pick]
-            found = feasible.any(axis=1)
-        else:
-            cost = -np.eye(columns + 1)[columns]  # maximize tau
-            solved = [_node_lp(lifted[i], rhs[g], cost) for i, g in zip(at, nodes)]
-            found = np.array([lp is not None for lp in solved])
-            chosen = np.array([np.zeros(columns + 1) if lp is None else lp[0] for lp in solved])
-        tau = np.where(found, chosen[:, columns], 0.0)
-        best[nodes] = unit[at] * tau
-        r = tau[:, np.newaxis] * spread[at] + chosen[:, :columns]
-        ratios[nodes] = np.where(found[:, np.newaxis], r, 0.0)
-    return best, ratios
+        x = x[np.arange(retry.size), np.argmax(np.where(feasible, x[:, :, width], -np.inf), axis=1)]
+        ratios[retry] = x[:, width, np.newaxis] * spread[retry] + x[:, :width]
+    attained = (ratios * child_floors).min(axis=1)
+    miss = np.abs(attained - best[nodes]) > _FEAS_TOL * best[nodes]
+    if miss.any():
+        i = np.argmax(miss)
+        raise SolverError(
+            f"floor witness at node {model.tree.ids[nodes[i]]!r} attains {attained[i]:.17g}, "
+            f"not the ray floor {best[nodes[i]]:.17g}"
+        )
+    return ratios
 
 
-def _max_floor(model: MarketModel):
-    """Largest uniform floor under the node levels, by backward recursion.
+def _max_floor(model: MarketModel, rays):
+    """Largest uniform floor under the node levels, by backward recursion
+    over the ray tables ``rays`` (:func:`_ray_tables`).
 
     ``F(k) = min(1, max_{r in P_k} min_j r_j F(c_j))`` with ``F = 1`` at
     the leaves is the largest floor of the subtree at ``k`` relative to its
     own level, so ``F(root)`` is the interior radius of the whole polytope.
-    Each ``(time, branching)`` group of :func:`_node_groups` runs as one
-    :func:`_floor_step` once its children's floors are known: a node of
-    full column rank reads its floor off its single point ``fixed``, the
-    others solve the lifted bases that hold the floor's column, or their
+    Each ``(time, branching)`` group runs as one :func:`_floor_step` once
+    its children's floors are known: a node of full column rank reads its
+    floor off its single point ``fixed``, the others take the best bound
+    of their extreme payoff rays, one product per rank, or their
     :func:`_node_lp` past the vertex-enumeration guard.  A node with a
     child floor of 0 gets 0.  The cap at 1 (the node's own level) is
     applied after the node's program, not inside it, so each node's ratios
     stay as balanced as its children's floors allow even where the cap
-    binds.  Returns ``F(root)`` and, when it is positive, the witness levels
-    rebuilt forward from the maximizing ratios.
+    binds.  Returns ``F(root)`` and, when it exceeds
+    ``FAIRNESS_THRESHOLD``, the witness levels rebuilt forward from the
+    maximizing ratios, which the ray nodes take in one pass per slice
+    (:func:`_witness_ratios`).
     """
+    tables, slices = rays
     tree = model.tree
-    groups = _node_groups(model)
     floors = np.ones(tree.n_nodes)
+    best = np.zeros(tree.n_nodes)
+    pick = np.zeros(tree.n_nodes, dtype=np.intp)
     ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
-    for group in groups:
-        best, ratios[group.children] = _floor_step(group, floors[group.children])
-        floors[group.nodes] = np.minimum(1.0, best)
+    for table in tables:
+        group = table.group
+        found, ratios[group.children], pick[group.nodes] = _floor_step(
+            table, floors[group.children]
+        )
+        best[group.nodes] = found
+        floors[group.nodes] = np.minimum(1.0, found)
     radius = float(floors[0])
-    if radius <= 0.0:
+    if radius <= FAIRNESS_THRESHOLD:
         return radius, None
+    for ray_slice in slices:
+        children = ray_slice.stack.children[ray_slice.at]
+        ratios[children] = _witness_ratios(model, ray_slice, floors, best, pick)
     levels = np.ones(tree.n_nodes)
-    for group in reversed(groups):
+    for table in reversed(tables):
+        group = table.group
         levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios[group.children]
     return radius, levels
 
@@ -779,14 +1011,15 @@ def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate 
     )
 
 
-def _find_certificate(model: MarketModel) -> ArbitrageCertificate | None:
+def _find_certificate(model: MarketModel, rays) -> ArbitrageCertificate | None:
     """A one-step arbitrage at the first node, in tree order, whose own
     one-step polytope has no unit floor above the fairness threshold
-    (:func:`_floor_step` with unit child floors)."""
+    (:func:`_floor_step` with unit child floors over the ray tables
+    ``rays``, so the rays' own costs and payoffs decide)."""
     suspects = []
-    for group in _node_groups(model):
-        unit, _ = _floor_step(group, np.ones(group.children.shape))
-        suspects.extend(group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
+    for table in rays[0]:
+        unit, _, _ = _floor_step(table, np.ones(table.group.children.shape))
+        suspects.extend(table.group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
     for node in sorted(suspects):
         certificate = _extract_certificate(model, node)
         if certificate is not None:
@@ -799,23 +1032,26 @@ def check_fair(model: MarketModel) -> FairnessReport:
 
     The floor, ``max eps`` subject to the martingale constraints and
     ``m[node] >= eps`` for every node, comes from the backward recursion of
-    :func:`_max_floor`, one batched basis solve per ``(time, branching)``
-    group.  The market is fair exactly when it exceeds 1e-10; the levels
-    rebuilt from the maximizing ratios are returned as a strictly positive
-    witness whose smallest level is the floor.  When unfair, a one-step
-    arbitrage certificate is assembled by LP at the first node whose own
-    polytope has no positive unit floor (``None`` in the near-degenerate
+    :func:`_max_floor` over the nodes' extreme payoff rays
+    (:func:`_ray_tables`, built here once and passed on), one stacked
+    product per ``(time, branching)`` group and rank.  The market is fair
+    exactly when it exceeds 1e-10; the levels rebuilt from the maximizing
+    ratios are returned as a strictly positive witness whose smallest
+    level is the floor.  When unfair, a one-step arbitrage certificate is
+    assembled by LP at the first node whose own polytope has no positive
+    unit floor, read from the same rays (``None`` in the near-degenerate
     case where every node passes locally but the floor is still tiny).
     :func:`fairtree.oracle.lp_interior_radius` solves the same problem as
     one whole-tree LP, for cross-checks.
     """
-    radius, levels = _max_floor(model)
+    rays = _ray_tables(model)
+    radius, levels = _max_floor(model, rays)
     if radius <= FAIRNESS_THRESHOLD:
         return FairnessReport(
             fair=False,
             witness=None,
             interior_radius=radius,
-            certificate=_find_certificate(model),
+            certificate=_find_certificate(model, rays),
         )
     return FairnessReport(
         fair=True,

@@ -37,7 +37,6 @@ from .deflators import (
     Deflator,
     _basic_solutions,
     _node_groups,
-    _node_lp,
     _rank_slices,
     _vertex_step,
     _vertex_tables,
@@ -131,7 +130,7 @@ def superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     values[model.tree.leaves] = payoff
     for table in _vertex_tables(model):
         group = table.group
-        _, best = _vertex_step(model, table, -group.probs * values[group.children])
+        _, best, _ = _vertex_step(model, table, -group.probs * values[group.children])
         values[group.nodes] = -best
     return values
 
@@ -149,24 +148,34 @@ def check_supermartingale(
     first violating node in tree order, naming that worst vertex.
     ``slack`` is relative to the magnitude of the terms compared.
     """
-    values = np.asarray(process, dtype=float)
+    _supermartingale_duals(model, np.asarray(process, dtype=float), slack)
+
+
+def _supermartingale_duals(model: MarketModel, values: np.ndarray, slack: float):
+    """:func:`check_supermartingale`, returning each group's
+    :func:`~fairtree.deflators._vertex_step` duals in the order of
+    :func:`~fairtree.deflators._node_groups`: the row duals of the node LPs
+    past the vertex guard, for the cost ``-probs * values[children]``."""
     tree = model.tree
     if values.shape != (tree.n_nodes,):
         raise ValueError("process needs one value per node")
     # each node's one-step maximum; a leaf's own value, so it never violates
     upper = values.copy()
     found = []
+    duals = []
     for table in _vertex_tables(model):
         group = table.group
-        vertices, best = _vertex_step(model, table, -group.probs * values[group.children])
+        vertices, best, past = _vertex_step(model, table, -group.probs * values[group.children])
         upper[group.nodes] = -best
         found.append((group.nodes, vertices))
+        duals.append(past)
     excess = upper - values
     bad = np.flatnonzero(excess > slack * np.maximum(np.maximum(1.0, np.abs(upper)), np.abs(values)))
     if bad.size:
         k = bad[0]
         vertex = next(vertices[nodes == k][0] for nodes, vertices in found if k in nodes)
         raise SupermartingaleError(tree.ids[k], vertex, float(excess[k]))
+    return duals
 
 
 def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
@@ -184,7 +193,8 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     :func:`~fairtree.deflators._basic_solutions`, the first such basis is
     taken, and ``theta`` is scaled back to holdings.  A node past the
     vertex-enumeration guard takes ``theta`` as minus the duals of its
-    :func:`~fairtree.deflators._node_lp` for the cost ``-c``: their dual
+    :func:`~fairtree.deflators._node_lp` for the cost ``-c``, which the
+    supermartingale check's vertex step has already solved: their dual
     feasibility is the domination, and ``duals @ b`` is the optimum.  The
     per-edge consumption increment is the domination surplus at the child
     plus the node-level cost gap, so the wealth identity holds exactly by
@@ -196,11 +206,11 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     values = np.asarray(process, dtype=float)
     tree = model.tree
     require_fair(model)
-    check_supermartingale(model, values)
+    past_duals = _supermartingale_duals(model, values, SUPERMARTINGALE_SLACK)
 
     holdings = np.zeros((model.n_assets, tree.n_nodes))
     consumption = np.zeros(tree.n_nodes)
-    for group in reversed(_node_groups(model)):
+    for group, past in zip(reversed(_node_groups(model)), reversed(past_duals)):
         nodes, children = group.nodes, group.children
         target = group.probs * values[children]
         cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[nodes]))
@@ -208,9 +218,8 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
         theta = np.zeros(group.rhs.shape)
         for rank, at, within in _rank_slices(group.rank, children.shape[1]):
             if not within:
-                # check_supermartingale solved these programs, so each has an optimum
-                for i in at.tolist():
-                    theta[i] = -_node_lp(group.matrix[i], group.rhs[i], -target[i])[1]
+                # the supermartingale check solved these nodes' LPs for the cost -target
+                theta[at] = -past[at]
                 continue
             _, feasible, duals = _basic_solutions(
                 group.matrix[at], group.rhs[at], group.left[at], rank, target[at]

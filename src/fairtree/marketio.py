@@ -149,15 +149,61 @@ class ParsedMarket:
     source: str = "<string>"
 
 
+class _DuplicateKey(Exception):
+    """A repeated key (``args[0]``) in some object of the document,
+    located afterwards by :func:`_locate_duplicate`."""
+
+
 def _reject_duplicates(pairs):
     seen = dict(pairs)
     if len(seen) != len(pairs):
         seen = {}
         for key, value in pairs:
             if key in seen:
-                raise MarketFileError("$", f"duplicate key {key!r} in object")
+                raise _DuplicateKey(key)
             seen[key] = value
     return seen
+
+
+class _Duplicated(dict):
+    """An object with a repeated key, as :func:`_mark_duplicates` decodes
+    it: its first repeated key in ``key``."""
+
+    key = None
+
+
+def _mark_duplicates(pairs):
+    seen = _Duplicated()
+    for key, value in pairs:
+        if key in seen and seen.key is None:
+            seen.key = key
+        seen[key] = value
+    return seen if seen.key is not None else dict(seen)
+
+
+def _locate_duplicate(text: str, key: str) -> MarketFileError:
+    """The error for a document with a repeated key, at the JSON path of
+    the first object, in document order, that repeats one.  The document
+    is decoded again with each such object marked, then walked; only this
+    error path pays for it.  Where the text past the first repeated key
+    is not JSON, the error names ``key``, the first repeat the decoder
+    met, at ``$``."""
+    try:
+        pending = [("$", json.loads(text, object_pairs_hook=_mark_duplicates))]
+    except json.JSONDecodeError:
+        pending = []
+    while pending:
+        where, value = pending.pop()
+        if isinstance(value, _Duplicated):
+            return MarketFileError(where, f"duplicate key {value.key!r} in object")
+        if isinstance(value, dict):
+            items = [(f"{where}.{key}", item) for key, item in value.items()]
+        elif isinstance(value, list):
+            items = [(f"{where}[{i}]", item) for i, item in enumerate(value)]
+        else:
+            continue
+        pending.extend(reversed(items))
+    return MarketFileError("$", f"duplicate key {key!r} in object")
 
 
 def _reject_constant(token):
@@ -281,6 +327,8 @@ def parse_market_text(text: str, source: str = "<string>") -> ParsedMarket:
         raise MarketFileError(
             "$", f"invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from None
+    except _DuplicateKey as exc:
+        raise _locate_duplicate(text, exc.args[0]) from None
     doc = _expect_object(doc, "$")
     _check_fields(doc, "$", required=("format", "tree", "assets"),
                   optional=("claims", "metadata"))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fairtree.deflators
 from fairtree import (
     Claim,
     ModelError,
     ScenarioTree,
+    build_market,
     SizeGuardError,
     SupermartingaleError,
     check_supermartingale,
@@ -250,6 +252,58 @@ class TestDecomposition:
             assert (
                 wealth[tree.leaves] - claim.payoff
             ).min() >= -1e-9
+
+    def test_node_past_the_guard_solves_one_lp(self, monkeypatch):
+        """The supermartingale check's vertex step hands its node LP's
+        duals to the decomposition, so the 30-child root is solved once."""
+        model, claim = wide_market()
+        process = superhedge_process(model, claim)
+        original = fairtree.deflators.solve_lp
+        calls = []
+
+        def counted(program):
+            calls.append(program.objective.size)
+            return original(program)
+
+        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        result = optional_decomposition(model, process)
+        assert len(calls) == 1
+        wealth = decomposition_wealth(model, result, process[0])
+        np.testing.assert_allclose(wealth, process, rtol=0, atol=1e-9)
+
+    def test_group_with_kernel_and_node_lp_nodes(self, monkeypatch):
+        """One level group holds a rank-2 node, solved by the kernel, and a
+        rank-12 node past the guard (C(25, 12) bases), which takes the
+        vertex step's duals: each gets its own node's position."""
+        rng = np.random.default_rng(12)
+        nodes = [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5)]
+        for parent in "ab":
+            probs = rng.dirichlet(np.ones(25))
+            nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
+        tree = ScenarioTree.build(nodes)
+        ratio = rng.uniform(0.7, 1.3, tree.n_nodes)
+        prices = np.ones((12, tree.n_nodes))
+        prices[1:, tree.leaves] = rng.uniform(0.5, 2.0, (11, tree.n_leaves))
+        a, b = tree.ids.index("a"), tree.ids.index("b")
+        b_leaves = list(tree.children[b])
+        prices[2:, b_leaves] = prices[1, b_leaves]  # rank 2 at b
+        for k in (b, a, 0):
+            ch = list(tree.children[k])
+            prices[:, k] = prices[:, ch] @ (tree.branch_prob[ch] * ratio[ch])
+        model = build_market(tree, prices)
+        process = superhedge_process(model, Claim(rng.uniform(0.0, 1.0, tree.n_leaves)))
+        original = fairtree.deflators.solve_lp
+        calls = []
+
+        def counted(program):
+            calls.append(program.objective.size)
+            return original(program)
+
+        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        result = optional_decomposition(model, process)
+        assert len(calls) == 1
+        wealth = decomposition_wealth(model, result, process[0])
+        np.testing.assert_allclose(wealth, process, rtol=0, atol=1e-9)
 
     def test_supermartingale_precondition_enforced(self, t1_model):
         growing = np.asarray(t1_model.tree.time, dtype=float)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import fairtree.cli
 from fairtree import MarketFileError, default_claims, generate_market
 from fairtree.cli import run_command
 from fairtree.data import text as bundled_text
@@ -239,9 +240,14 @@ ERROR_CASES = [
     _case(lambda d: d["assets"].update(bond={"r": 1, "d": 1}), "$.assets.bond",
           "no price for node 'u'", "missing-price"),
     _case(TextEdit('{"id": "u", "parent": "r"', '{"id": "u", "parent": "r", "id": "u"'),
-          "$", "duplicate key 'id' in object", "duplicate-key-in-entry"),
+          "$.tree[1]", "duplicate key 'id' in object", "duplicate-key-in-entry"),
     _case(TextEdit('{"r": 1, "u": 1', '{"r": 1, "u": 1, "r": 1'),
-          "$", "duplicate key 'r' in object", "duplicate-key-in-prices"),
+          "$.assets.bond", "duplicate key 'r' in object", "duplicate-key-in-prices"),
+    _case(TextEdit('"format": "fairtree-market/1"',
+                   '"format": "fairtree-market/1", "format": "fairtree-market/1"'),
+          "$", "duplicate key 'format' in object", "duplicate-key-at-the-top"),
+    _case(TextEdit('{"id": "r", "parent": null', '{"id": "r", "parent": null, "parent": null'),
+          "$.tree[0]", "duplicate key 'parent' in object", "duplicate-key-in-first-entry"),
     _case(_stray_parent, "$.tree[1]", "missing required field 'parent'", "stray-field"),
     _case(TextEdit('"u": 1,', '"u": 1e999,'), "$.assets", "prices must be finite",
           "overflowing-price"),
@@ -320,6 +326,18 @@ class TestParseMarket:
         text = '{"format": "fairtree-market/1", "format": "fairtree-market/1"}'
         with pytest.raises(MarketFileError, match="duplicate key"):
             parse_market_text(text)
+
+    def test_duplicate_key_before_malformed_text_stays_at_the_root(self):
+        text = '{"tree": [{"id": "r", "id": "r"}], "assets": '
+        with pytest.raises(MarketFileError) as info:
+            parse_market_text(text)
+        assert (info.value.location, info.value.reason) == ("$", "duplicate key 'id' in object")
+
+    def test_first_duplicate_in_document_order_is_reported(self):
+        text = '{"tree": [{"id": "r", "id": "r"}], "tree": []}'
+        with pytest.raises(MarketFileError) as info:
+            parse_market_text(text)
+        assert (info.value.location, info.value.reason) == ("$", "duplicate key 'tree' in object")
 
     def test_non_finite_numbers_rejected(self):
         doc = json.dumps(minimal_doc()).replace('"prob": 1}', '"prob": NaN}', 1)
@@ -627,6 +645,88 @@ class TestCli:
             capsys, ["optimize", t1_path, "--utility", "power:0.5", "--wealth", "2"]
         )
         assert first == second
+
+
+#: each market command's arguments past the market path: those that
+#: succeed on a fair market, and those that name a missing claim and a bad
+#: utility or wealth (``None`` where the command takes neither)
+CONTRACT_COMMANDS = {
+    "validate": ([], None, None),
+    "fair": ([], None, None),
+    "complete": ([], None, None),
+    "superhedge": (["--claim", "call"], ["--claim", "missing"], None),
+    "decompose": (["--claim", "call"], ["--claim", "missing"], None),
+    "optimize": (["--utility", "log", "--wealth", "1"], None,
+                 ["--utility", "cubic", "--wealth", "1"]),
+    "davis": (["--utility", "log", "--wealth", "1", "--claim", "call"],
+              ["--utility", "log", "--wealth", "1", "--claim", "missing"],
+              ["--utility", "log", "--wealth", "-2", "--claim", "call"]),
+    "augment": (["--utility", "log", "--wealth", "1", "--claim", "call"],
+                ["--utility", "log", "--wealth", "1", "--claim", "missing"],
+                ["--utility", "power:1.5", "--wealth", "1", "--claim", "call"]),
+    "price-process": (["--claim", "call"], ["--claim", "missing"],
+                      ["--claim", "call", "--deflator", "minimax:cubic"]),
+}
+
+#: the exit code of each command on a fair market, its arbitrage twin, a
+#: malformed document, a missing claim, a bad utility or wealth, and an
+#: unexpected exception inside the command (0 success, 1 verdict, 2 usage
+#: or input error, 3 internal error)
+CONTRACT = {
+    "validate": (0, 0, 2, None, None, 3),
+    "fair": (0, 1, 2, None, None, 3),
+    "complete": (0, 1, 2, None, None, 3),
+    "superhedge": (0, 1, 2, 2, None, 3),
+    "decompose": (0, 1, 2, 2, None, 3),
+    "optimize": (0, 1, 2, None, 2, 3),
+    "davis": (0, 1, 2, 2, 2, 3),
+    "augment": (0, 1, 2, 2, 2, 3),
+    "price-process": (0, 1, 2, 2, 2, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    """A fair generated market with its default claims, its arbitrage
+    twin and a malformed document."""
+    folder = tmp_path_factory.mktemp("contract")
+    paths = {}
+    for name, arbitrage in (("fair", False), ("twin", True)):
+        model = generate_market(seed=6, depth=2, branching=3, assets=2, arbitrage=arbitrage)
+        paths[name] = folder / f"{name}.market"
+        paths[name].write_text(serialize_market(model, default_claims(model, 6)), encoding="utf-8")
+    paths["malformed"] = folder / "malformed.market"
+    paths["malformed"].write_text('{"format": "fairtree-market/1", "tree": [', encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", list(CONTRACT))
+    def test_exit_codes(self, capsys, monkeypatch, contract_paths, command):
+        good, missing_claim, bad_utility = CONTRACT_COMMANDS[command]
+        cases = [
+            [contract_paths["fair"], *good],
+            [contract_paths["twin"], *good],
+            [contract_paths["malformed"], *good],
+            None if missing_claim is None else [contract_paths["fair"], *missing_claim],
+            None if bad_utility is None else [contract_paths["fair"], *bad_utility],
+        ]
+        codes = [None if argv is None else run_command([command, *argv]) for argv in cases]
+        capsys.readouterr()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(fairtree.cli, "parse_market", broken)
+        codes.append(run_command([command, contract_paths["fair"], *good]))
+        assert "RuntimeError: unexpected" in capsys.readouterr().err
+        assert tuple(codes) == CONTRACT[command]
+
+    def test_every_market_command_is_in_the_table(self, capsys):
+        assert run_command(["--help"]) == 0
+        usage = capsys.readouterr().out
+        commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert set(commands) - {"generate"} == set(CONTRACT)
 
 
 class TestParserReuse:

@@ -8,7 +8,8 @@ children, an absorbed asset's zero row, an arbitrage twin, a single point
 with a negative entry, and more assets than children with prices off the
 column space.  HiGHS solves the same programs from the raw (unscaled)
 prices.  Nodes of full column rank take their floor from their single
-point, the others from the kernel's bases.
+point, the others from their extreme payoff rays, with the maximizing
+ratios from the witness pass.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import fairtree.optim
 from fairtree import (
     Claim,
     ScenarioTree,
+    SolverError,
     build_market,
     check_fair,
     classify_attainability,
     optional_decomposition,
     superhedge_process,
 )
-from fairtree import check_complete, generate_market, log_utility, solve_primal
+from fairtree import augment_market, check_complete, generate_market, log_utility, solve_primal
 from fairtree.deflators import (
     _basic_solutions,
     _distinct_vertices,
@@ -36,11 +38,13 @@ from fairtree.deflators import (
     _local_system,
     _node_groups,
     _node_stacks,
+    _ray_tables,
     _single_points,
     _svd_rank,
     _vertex_tables,
+    _witness_ratios,
 )
-from fairtree.market import martingale_defect
+from fairtree.market import check_deflator_values, martingale_defect
 
 from conftest import corpus_claim, fair_corpus, mixed_market
 
@@ -115,6 +119,12 @@ def outside_column_space():
     return one_step(probs, child, root), 0
 
 
+def empty_rank_deficient():
+    # three children, two assets, the stock's root price above every child
+    # price: no ratio vector, though the rows lack full column rank
+    return one_step([0.3, 0.3, 0.4], [[1, 1, 1], [0.5, 1.5, 1.0]], [1, 2]), 0
+
+
 CASES = {
     "degenerate": degenerate,
     "duplicated-row": duplicated_row,
@@ -123,8 +133,9 @@ CASES = {
     "twin": arbitrage_twin,
     "negative-point": negative_point,
     "outside-column-space": outside_column_space,
+    "empty-rank-deficient": empty_rank_deficient,
 }
-UNFAIR_CASES = ("twin", "negative-point", "outside-column-space")
+UNFAIR_CASES = ("twin", "negative-point", "outside-column-space", "empty-rank-deficient")
 SINGLE_POINT_CASES = ("more-assets", "zero-row", "negative-point", "outside-column-space")
 FAIR_CASES = [name for name in CASES if name not in UNFAIR_CASES]
 
@@ -140,6 +151,32 @@ def node_system(model, node):
 def group_floors(group, floors):
     """``floors`` as the child floors of every node of ``group``."""
     return np.tile(floors, (group.nodes.size, 1))
+
+
+def ray_floor(model, node, floors):
+    """``node``'s floor and maximizing ratios with child floors ``floors``
+    through the engine's route: the :func:`_floor_step` of its group over
+    the ray tables, then, for a node served by rays, the witness pass of
+    its slice.  Every node with as many children gets the same floors, so
+    the slice's other nodes are consistent too."""
+    tables, slices = _ray_tables(model)
+    n = model.tree.n_nodes
+    child_floors, best, pick = np.ones(n), np.zeros(n), np.zeros(n, dtype=np.intp)
+    for table in tables:
+        group = table.group
+        if group.children.shape[1] != len(floors):
+            continue
+        child_floors[group.children] = floors
+        best[group.nodes], ratios, pick[group.nodes] = _floor_step(
+            table, group_floors(group, floors)
+        )
+        if node in group.nodes:
+            r = ratios[group.nodes == node][0]
+    for ray_slice in slices:
+        nodes = ray_slice.stack.nodes[ray_slice.at]
+        if node in nodes and best[node] > 0.0:
+            r = _witness_ratios(model, ray_slice, child_floors, best, pick)[nodes == node][0]
+    return best[node], r
 
 
 def raw_rows(model, node):
@@ -194,14 +231,14 @@ class TestAgainstHighs:
         group, at = node_system(model, node)
         ch, a_eq, b_eq = raw_rows(model, node)
         for floors in floor_cases(len(ch)).values():
-            t, r = (part[at] for part in _floor_step(group, group_floors(group, floors)))
+            t, r = ray_floor(model, node, floors)
             expected = highs_floor(a_eq, b_eq, floors)
             if name in SINGLE_POINT_CASES:
                 assert group.rank[at][0] == len(ch)
-            assert close(float(t[0]), expected, floors.min()), (floors, t, expected)
+            assert close(float(t), expected, floors.min()), (floors, t, expected)
             if expected > 0.0:
-                np.testing.assert_allclose(a_eq @ r[0], b_eq, rtol=0, atol=1e-12)
-                assert float((r[0] * floors).min()) >= t[0] * (1 - RTOL)
+                np.testing.assert_allclose(a_eq @ r, b_eq, rtol=0, atol=1e-12)
+                assert float((r * floors).min()) >= t * (1 - RTOL)
         assert check_fair(model).fair == (name not in UNFAIR_CASES)
 
     @pytest.mark.parametrize("name", FAIR_CASES)
@@ -378,3 +415,87 @@ class TestVertexTables:
                     assert x.tobytes() == np.ascontiguousarray(vertices[full]).tobytes()
                     checked += rows.size
         assert checked > 500
+
+
+def counting_kernel(monkeypatch):
+    """Count :func:`_basic_solutions` calls made through the module."""
+    calls = []
+
+    def counted(matrix, rhs, left, rank, *args, **kwargs):
+        calls.append(matrix.shape)
+        return _basic_solutions(matrix, rhs, left, rank, *args, **kwargs)
+
+    monkeypatch.setattr(fairtree.deflators, "_basic_solutions", counted)
+    return calls
+
+
+def tied_market():
+    """An augmented market whose claim pays only on every third leaf: the
+    claim's zero payoffs make payoff rays that are tight on more columns
+    than the rank needs, so some nodes' chosen bases are infeasible."""
+    base = generate_market(seed=3, depth=2, branching=4, assets=2)
+    payoff = np.zeros(base.tree.n_leaves)
+    payoff[::3] = 1.0
+    augmented, _ = augment_market(base, log_utility(), 1.0, Claim(payoff))
+    return build_market(augmented.tree, augmented.price, augmented.asset_names)
+
+
+class TestRayFloors:
+    """The floor recursion over each node's extreme payoff rays: no basis
+    solve on a generic market, the pinned kernel only where a chosen basis
+    is infeasible, and every ray floor met by its witness ratios."""
+
+    def test_generic_market_makes_no_kernel_call(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        report = check_fair(generate_market(seed=3, depth=4, branching=3, assets=2))
+        assert report.fair
+        assert calls == []
+
+    def test_infeasible_chosen_basis_falls_back_to_the_kernel(self, monkeypatch):
+        from fairtree.oracle import lp_interior_radius
+
+        model = tied_market()
+        calls = counting_kernel(monkeypatch)
+        report = check_fair(model)
+        assert len(calls) == 1
+        assert report.fair
+        check_deflator_values(model, report.witness.values)
+        assert report.witness.values.min() >= report.interior_radius * (1 - 1e-12)
+        expected = lp_interior_radius(model)[0]
+        assert abs(report.interior_radius - expected) <= 1e-12 * expected
+
+    def test_a_floor_its_witness_misses_raises(self, monkeypatch):
+        """With every ray but one dropped, some node claims a floor above
+        its true one, and no ratio vector meets it."""
+        payoff_rays = fairtree.deflators._payoff_rays
+
+        def one_ray(*args):
+            payoffs, cost, ray, inside, rows, target = payoff_rays(*args)
+            last = ray.shape[1] - 1 - np.argmax(ray[:, ::-1], axis=1)
+            kept = np.zeros_like(ray)
+            kept[np.arange(ray.shape[0]), last] = True
+            return payoffs, cost, kept, inside, rows, target
+
+        monkeypatch.setattr(fairtree.deflators, "_payoff_rays", one_ray)
+        with pytest.raises(SolverError, match="floor witness at node"):
+            check_fair(generate_market(seed=3, depth=4, branching=3, assets=2))
+
+    def test_ray_floors_meet_their_witness_at_the_largest_branching(self):
+        model = generate_market(seed=7, depth=6, branching=4, assets=2)
+        tables, slices = _ray_tables(model)
+        n = model.tree.n_nodes
+        floors, best, pick = np.ones(n), np.zeros(n), np.zeros(n, dtype=np.intp)
+        for table in tables:
+            group = table.group
+            found, _, pick[group.nodes] = _floor_step(table, floors[group.children])
+            best[group.nodes] = found
+            floors[group.nodes] = np.minimum(1.0, found)
+        checked = 0
+        for ray_slice in slices:
+            ratios = _witness_ratios(model, ray_slice, floors, best, pick)
+            children = ray_slice.stack.children[ray_slice.at]
+            attained = (ratios * floors[children]).min(axis=1)
+            expected = best[ray_slice.stack.nodes[ray_slice.at]]
+            np.testing.assert_allclose(attained, expected, rtol=1e-12, atol=0)
+            checked += attained.size
+        assert checked == model.tree.n_nodes - model.tree.n_leaves

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -939,15 +939,17 @@ def _max_floor(model: MarketModel, rays):
     child floor of 0 gets 0.  The cap at 1 (the node's own level) is
     applied after the node's program, not inside it, so each node's ratios
     stay as balanced as its children's floors allow even where the cap
-    binds.  Returns ``F(root)`` and, when it exceeds
-    ``FAIRNESS_THRESHOLD``, the witness levels rebuilt forward from the
-    maximizing ratios, which the ray nodes take in one pass per slice
-    (:func:`_witness_ratios`).
+    binds.  Returns ``F(root)``, the witness levels rebuilt forward from
+    the maximizing ratios when it exceeds ``FAIRNESS_THRESHOLD`` (``None``
+    otherwise), which the ray nodes take in one pass per slice
+    (:func:`_witness_ratios`), and each node's floor before the cap (1 at
+    the leaves), which the certificate screen reuses
+    (:func:`_find_certificate`).
     """
     tables, slices = rays
     tree = model.tree
     floors = np.ones(tree.n_nodes)
-    best = np.zeros(tree.n_nodes)
+    best = np.ones(tree.n_nodes)
     pick = np.zeros(tree.n_nodes, dtype=np.intp)
     ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
     for table in tables:
@@ -959,7 +961,7 @@ def _max_floor(model: MarketModel, rays):
         floors[group.nodes] = np.minimum(1.0, found)
     radius = float(floors[0])
     if radius <= FAIRNESS_THRESHOLD:
-        return radius, None
+        return radius, None, best
     for ray_slice in slices:
         children = ray_slice.stack.children[ray_slice.at]
         ratios[children] = _witness_ratios(model, ray_slice, floors, best, pick)
@@ -967,7 +969,7 @@ def _max_floor(model: MarketModel, rays):
     for table in reversed(tables):
         group = table.group
         levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios[group.children]
-    return radius, levels
+    return radius, levels, best
 
 
 def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate | None:
@@ -1011,15 +1013,21 @@ def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate 
     )
 
 
-def _find_certificate(model: MarketModel, rays) -> ArbitrageCertificate | None:
+def _find_certificate(model: MarketModel, rays, best) -> ArbitrageCertificate | None:
     """A one-step arbitrage at the first node, in tree order, whose own
     one-step polytope has no unit floor above the fairness threshold
     (:func:`_floor_step` with unit child floors over the ray tables
-    ``rays``, so the rays' own costs and payoffs decide)."""
+    ``rays``, so the rays' own costs and payoffs decide).  A node past the
+    vertex-enumeration guard whose children all had floor 1 in the
+    recursion (``best``, from :func:`_max_floor`) solved this very program
+    there, so it takes that floor instead of its lifted node LP again."""
     suspects = []
     for table in rays[0]:
-        unit, _, _ = _floor_step(table, np.ones(table.group.children.shape))
-        suspects.extend(table.group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
+        group, past = table.group, table.past
+        reused = (best[group.children[past]] >= 1.0).all(axis=1)
+        unit, _, _ = _floor_step(replace(table, past=past[~reused]), np.ones(group.children.shape))
+        unit[past[reused]] = best[group.nodes[past[reused]]]
+        suspects.extend(group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
     for node in sorted(suspects):
         certificate = _extract_certificate(model, node)
         if certificate is not None:
@@ -1045,13 +1053,13 @@ def check_fair(model: MarketModel) -> FairnessReport:
     one whole-tree LP, for cross-checks.
     """
     rays = _ray_tables(model)
-    radius, levels = _max_floor(model, rays)
+    radius, levels, best = _max_floor(model, rays)
     if radius <= FAIRNESS_THRESHOLD:
         return FairnessReport(
             fair=False,
             witness=None,
             interior_radius=radius,
-            certificate=_find_certificate(model, rays),
+            certificate=_find_certificate(model, rays, best),
         )
     return FairnessReport(
         fair=True,

@@ -13,8 +13,11 @@ by :func:`superhedge_process` and the supermartingale test by
 :func:`check_supermartingale`.  The same kernel gives the decomposition
 its positions, as the duals of each node's optimal basis; a node past the
 vertex-enumeration guard takes its vertex step and its position from one
-node LP (:func:`~fairtree.deflators._node_lp`).  Attainability is read
-off the price interval alone.  Independent cross-checks live in
+node LP (:func:`~fairtree.deflators._node_lp`).  The decomposed process is
+known at every node, so the positions are not a recursion: they come from
+one pass per branching's stack (:func:`~fairtree.deflators._node_stacks`),
+and only the consumption sum runs forward, group by group.  Attainability
+is read off the price interval alone.  Independent cross-checks live in
 :mod:`fairtree.oracle`: the node-local LP recursion
 (:func:`~fairtree.oracle.lp_superhedge_process`) and the whole-tree linear
 programs that the recursions replace.
@@ -37,6 +40,7 @@ from .deflators import (
     Deflator,
     _basic_solutions,
     _node_groups,
+    _node_stacks,
     _rank_slices,
     _vertex_step,
     _vertex_tables,
@@ -152,23 +156,24 @@ def check_supermartingale(
 
 
 def _supermartingale_duals(model: MarketModel, values: np.ndarray, slack: float):
-    """:func:`check_supermartingale`, returning each group's
-    :func:`~fairtree.deflators._vertex_step` duals in the order of
-    :func:`~fairtree.deflators._node_groups`: the row duals of the node LPs
-    past the vertex guard, for the cost ``-probs * values[children]``."""
+    """:func:`check_supermartingale`, returning the row duals of the node
+    LPs past the vertex guard that its :func:`~fairtree.deflators._vertex_step`
+    solved for the cost ``-probs * values[children]``, one row per node
+    (zero at the other nodes)."""
     tree = model.tree
     if values.shape != (tree.n_nodes,):
         raise ValueError("process needs one value per node")
     # each node's one-step maximum; a leaf's own value, so it never violates
     upper = values.copy()
     found = []
-    duals = []
+    duals = np.zeros((tree.n_nodes, model.n_assets))
     for table in _vertex_tables(model):
         group = table.group
         vertices, best, past = _vertex_step(model, table, -group.probs * values[group.children])
         upper[group.nodes] = -best
         found.append((group.nodes, vertices))
-        duals.append(past)
+        if past is not None:
+            duals[group.nodes] = past
     excess = upper - values
     bad = np.flatnonzero(excess > slack * np.maximum(np.maximum(1.0, np.abs(upper)), np.abs(values)))
     if bad.size:
@@ -188,20 +193,23 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     primal feasible and dual feasible for the cost ``-c`` gives the scaled
     position ``theta`` with ``A_B^T theta = c_B`` and ``A^T theta >= c``
     (complementary slackness), and its cost ``b @ theta`` is the node's
-    superhedging value, never above the node's own.  Every basis of each
-    ``(time, branching)`` group comes from
-    :func:`~fairtree.deflators._basic_solutions`, the first such basis is
-    taken, and ``theta`` is scaled back to holdings.  A node past the
-    vertex-enumeration guard takes ``theta`` as minus the duals of its
-    :func:`~fairtree.deflators._node_lp` for the cost ``-c``, which the
-    supermartingale check's vertex step has already solved: their dual
-    feasibility is the domination, and ``duals @ b`` is the optimum.  The
-    per-edge consumption increment is the domination surplus at the child
-    plus the node-level cost gap, so the wealth identity holds exactly by
-    construction.  Domination, cost and the supermartingale precondition
-    are checked with the relative ``SUPERMARTINGALE_SLACK``.  Attainable
-    wealth is replicated without bases by
-    :func:`~fairtree.utility._replicate`.
+    superhedging value, never above the node's own.  Every node's values
+    are known, so the positions need no recursion: every basis of each
+    branching's stack (:func:`~fairtree.deflators._node_stacks`) comes
+    from one :func:`~fairtree.deflators._basic_solutions` call per rank
+    chunk, the first such basis is taken, and ``theta`` is scaled back to
+    holdings.  A node past the vertex-enumeration guard takes ``theta`` as
+    minus the duals of its :func:`~fairtree.deflators._node_lp` for the
+    cost ``-c``, which the supermartingale check's vertex step has already
+    solved: their dual feasibility is the domination, and ``duals @ b`` is
+    the optimum.  The per-edge consumption increment is the domination
+    surplus at the child plus the node-level cost gap, summed forward one
+    ``(time, branching)`` group at a time, so the wealth identity holds
+    exactly by construction.  Domination, cost and the supermartingale
+    precondition are checked with the relative ``SUPERMARTINGALE_SLACK``;
+    a failure names the first failing node of the earliest group, a
+    domination failure before a cost failure.  Attainable wealth is
+    replicated without bases by :func:`~fairtree.utility._replicate`.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
@@ -209,42 +217,55 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     past_duals = _supermartingale_duals(model, values, SUPERMARTINGALE_SLACK)
 
     holdings = np.zeros((model.n_assets, tree.n_nodes))
-    consumption = np.zeros(tree.n_nodes)
-    for group, past in zip(reversed(_node_groups(model)), reversed(past_duals)):
-        nodes, children = group.nodes, group.children
-        target = group.probs * values[children]
+    paid = np.zeros(tree.n_nodes)  # each child's payoff of its parent's position
+    node_gap = np.zeros(tree.n_nodes)  # each node's value above its position's cost
+    # per node: how far its position fails to dominate the children and to
+    # stay within the process, and the bounds on those misses
+    misses = np.zeros((2, tree.n_nodes))
+    bounds = np.zeros((2, tree.n_nodes))
+    for stack in _node_stacks(model):
+        nodes, children = stack.nodes, stack.children
+        target = stack.probs * values[children]
         cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[nodes]))
         slack = np.maximum(cost_slack, SUPERMARTINGALE_SLACK * np.abs(values[children]).max(axis=1))
-        theta = np.zeros(group.rhs.shape)
-        for rank, at, within in _rank_slices(group.rank, children.shape[1]):
+        theta = np.zeros(stack.rhs.shape)
+        for rank, at, within in _rank_slices(stack.rank, children.shape[1]):
             if not within:
                 # the supermartingale check solved these nodes' LPs for the cost -target
-                theta[at] = -past[at]
+                theta[at] = -past_duals[nodes[at]]
                 continue
             _, feasible, duals = _basic_solutions(
-                group.matrix[at], group.rhs[at], group.left[at], rank, target[at]
+                stack.matrix[at], stack.rhs[at], stack.left[at], rank, target[at]
             )
-            reduced = np.einsum("gmc,gbm->gbc", group.matrix[at], duals) - target[at][:, np.newaxis]
+            reduced = np.einsum("gmc,gbm->gbc", stack.matrix[at], duals) - target[at][:, np.newaxis]
             optimal = feasible & (reduced.min(axis=2) >= -slack[at][:, np.newaxis])
             # without an optimal basis, the first basis fails the checks below
             theta[at] = duals[np.arange(at.size), np.argmax(optimal, axis=1)]
-        position = theta / group.scale
+        position = theta / stack.scale
         holdings[:, nodes] = position.T
-        surplus = np.einsum("gmc,gm->gc", group.matrix, theta) - target
-        node_gap = values[nodes] - np.einsum("gd,dg->g", position, model.price[:, nodes])
-        for name, miss, bound in (
-            ("dominate the children", -surplus.min(axis=1), slack),
-            ("stay within the process", -node_gap, cost_slack),
-        ):
-            bad = np.flatnonzero(miss > bound)
-            if bad.size:
-                raise SolverError(
-                    f"decomposition position fails to {name} at node "
-                    f"{tree.ids[nodes[bad[0]]]!r} by {miss[bad[0]]:.3e}"
-                )
-        payoff = np.einsum("gd,dgn->gn", position, model.price[:, children])
+        surplus = np.einsum("gmc,gm->gc", stack.matrix, theta) - target
+        node_gap[nodes] = values[nodes] - np.einsum("gd,dg->g", position, model.price[:, nodes])
+        misses[0, nodes], bounds[0, nodes] = -surplus.min(axis=1), slack
+        misses[1, nodes], bounds[1, nodes] = -node_gap[nodes], cost_slack
+        paid[children] = np.einsum("gd,dgn->gn", position, model.price[:, children])
+
+    groups = _node_groups(model)[::-1]  # time order
+    failed = misses > bounds
+    if failed.any():
+        for nodes in (group.nodes for group in groups):
+            for check, name in enumerate(("dominate the children", "stay within the process")):
+                bad = nodes[failed[check, nodes]]
+                if bad.size:
+                    raise SolverError(
+                        f"decomposition position fails to {name} at node "
+                        f"{tree.ids[bad[0]]!r} by {misses[check, bad[0]]:.3e}"
+                    )
+    consumption = np.zeros(tree.n_nodes)
+    for group in groups:
+        nodes, children = group.nodes, group.children
         consumption[children] = (
-            consumption[nodes][:, np.newaxis] + payoff - values[children] + node_gap[:, np.newaxis]
+            consumption[nodes][:, np.newaxis] + paid[children] - values[children]
+            + node_gap[nodes][:, np.newaxis]
         )
 
     return DecompositionResult(

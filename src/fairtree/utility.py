@@ -531,10 +531,12 @@ def _replicate(
     ``y`` makes ``I(y m_T)``, priced back by ``m``, cost ``x``
     (:func:`_budget_multiplier`).  Each node's position is the
     least-squares solution of its scaled one-step rows, transposed,
-    against the children's wealth
-    (:func:`~fairtree.deflators._node_groups`).  Its misses, summed along
-    each path like consumption, vanish exactly when the wealth is
-    attainable.  Returns the candidate and why it fails the budget or the
+    against the children's wealth.  Every node's wealth is known, so the
+    positions and their misses take one pass per branching's stack
+    (:func:`~fairtree.deflators._node_stacks`); the misses, summed forward
+    along each path like consumption, one ``(time, branching)`` group at a
+    time, vanish exactly when the wealth is attainable.  Returns the
+    candidate and why it fails the budget or the
     ``CONSUMPTION_TOL * max(1, x)`` bound (``None`` if it passes)."""
     tree = model.tree
     levels = deflator.values
@@ -543,16 +545,17 @@ def _replicate(
     terminal = utility.inverse_marginal(y * levels[tree.leaves])
     wealth = tree.expect_terminal(levels[tree.leaves] * terminal) / levels
     holdings = np.zeros((model.n_assets, tree.n_nodes))
+    miss = np.zeros(tree.n_nodes)  # each child's miss of its parent's position
+    for stack in _node_stacks(model):
+        nodes, children = stack.nodes, stack.children
+        position = np.einsum("gnd,gn->gd", stack.pinv, stack.probs * wealth[children]) / stack.scale
+        holdings[:, nodes] = position.T
+        cost = np.einsum("gd,dg->g", position, model.price[:, nodes])
+        payoff = np.einsum("gd,dgn->gn", position, model.price[:, children])
+        miss[children] = payoff - wealth[children] + (wealth[nodes] - cost)[:, np.newaxis]
     consumption = np.zeros(tree.n_nodes)
-    for group in reversed(_node_groups(model)):
-        position = np.einsum(
-            "gnd,gn->gd", group.pinv, group.probs * wealth[group.children]
-        ) / group.scale
-        holdings[:, group.nodes] = position.T
-        cost = np.einsum("gd,dg->g", position, model.price[:, group.nodes])
-        payoff = np.einsum("gd,dgn->gn", position, model.price[:, group.children])
-        miss = payoff - wealth[group.children] + (wealth[group.nodes] - cost)[:, np.newaxis]
-        consumption[group.children] = consumption[group.nodes][:, np.newaxis] + miss
+    for group in reversed(_node_groups(model)):  # time order
+        consumption[group.children] = consumption[group.nodes][:, np.newaxis] + miss[group.children]
     size = max(1.0, abs(x))
     budget_residual = abs(float(wealth[0]) - x)
     max_consumption = float(np.abs(consumption).max())

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fairtree.deflators
 from fairtree import (
     Deflator,
     DeflatorError,
     MeasureWeights,
+    ScenarioTree,
     UnfairMarketError,
+    build_market,
     build_polytope,
     check_complete,
     check_deflator_values,
@@ -24,7 +27,7 @@ from fairtree import (
 from fairtree.optim import solve_lp
 from fairtree.oracle import completeness_via_claims
 
-from conftest import arb_corpus, fair_corpus
+from conftest import arb_corpus, fair_corpus, priced_market, wide_market
 
 
 class TestPolytope:
@@ -94,6 +97,42 @@ class TestFairness:
             assert cert.cost <= 1e-9
             assert cert.payoffs.min() >= -1e-9
             assert cert.payoffs.max() > 1e-10
+
+    @pytest.mark.parametrize("leaf_children", [True, False])
+    def test_certificate_screen_reuses_the_floor_past_the_guard(self, monkeypatch, leaf_children):
+        """The root, past the vertex guard, has a copy of the bond marked
+        up 25%.  Where its children are leaves, their floors are 1 and the
+        screen's unit floor is the recursion's own program, so check_fair
+        solves the root's lifted floor LP once, then the certificate LP.
+        Below children of floor under 1, the screen solves it again."""
+        if leaf_children:
+            model, _ = wide_market(30, 2)
+        else:
+            rng = np.random.default_rng(26)
+            nodes = [("r", None, 1.0)]
+            for j, p in enumerate(rng.dirichlet(np.ones(26))):
+                nodes += [(f"c{j}", "r", float(p)), (f"c{j}u", f"c{j}", 0.5), (f"c{j}d", f"c{j}", 0.5)]
+            model = priced_market(ScenarioTree.build(nodes), rng, 2)
+        price = np.vstack([model.price, model.price[:1]])
+        price[2, 0] *= 1.25
+        twin = build_market(model.tree, price)
+        original = fairtree.deflators.solve_lp
+        calls = []
+
+        def counted(program):
+            calls.append(program.objective.size)
+            return original(program)
+
+        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        report = check_fair(twin)
+        assert not report.fair
+        assert report.certificate.node_id == "r"
+        children = len(model.tree.children[0])
+        floor_lp, certificate_lp = children + 1, 3 + children + 1
+        if leaf_children:
+            assert calls == [floor_lp, certificate_lp]
+        else:
+            assert calls == [floor_lp, floor_lp, certificate_lp]
 
     def test_require_fair_raises_with_the_node(self):
         model = arb_corpus(1)[0]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 import fairtree.deflators
+import fairtree.hedging
 from fairtree import (
     Claim,
     ModelError,
@@ -16,16 +19,23 @@ from fairtree import (
     check_supermartingale,
     classify_attainability,
     default_claims,
+    generate_market,
     local_vertices,
+    log_utility,
     optional_decomposition,
     polytope_minimizer,
+    require_fair,
+    solve_dual,
+    SolverError,
     superhedge_price,
     superhedge_process,
     wealth_process,
 )
 
-from fairtree.deflators import _local_system, _node_lp
+from fairtree.deflators import _local_system, _node_lp, _node_stacks, _svd_rank
+from fairtree.hedging import SUPERMARTINGALE_SLACK
 from fairtree.oracle import lp_superhedge_process
+from fairtree.utility import _budget_multiplier, _replicate
 
 from conftest import (
     corpus_claim,
@@ -187,6 +197,139 @@ def step_markets():
         yield model, [claim]
 
 
+def kernel_and_lp_market():
+    """Two steps whose second level group holds a rank-2 node with 25
+    children, solved by the basis kernel, and a rank-12 node with 25
+    children, past the vertex guard (C(25, 12) bases)."""
+    rng = np.random.default_rng(12)
+    nodes = [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5)]
+    for parent in "ab":
+        probs = rng.dirichlet(np.ones(25))
+        nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
+    tree = ScenarioTree.build(nodes)
+    ratio = rng.uniform(0.7, 1.3, tree.n_nodes)
+    prices = np.ones((12, tree.n_nodes))
+    prices[1:, tree.leaves] = rng.uniform(0.5, 2.0, (11, tree.n_leaves))
+    a, b = tree.ids.index("a"), tree.ids.index("b")
+    b_leaves = list(tree.children[b])
+    prices[2:, b_leaves] = prices[1, b_leaves]  # rank 2 at b
+    for k in (b, a, 0):
+        ch = list(tree.children[k])
+        prices[:, k] = prices[:, ch] @ (tree.branch_prob[ch] * ratio[ch])
+    model = build_market(tree, prices)
+    return model, Claim(rng.uniform(0.0, 1.0, tree.n_leaves))
+
+
+def two_stack_market():
+    """Three steps whose time-1 nodes have 2 and 3 children and whose
+    time-2 nodes have 3 and 2, so each branching's stack spans several
+    times and each time step holds both stacks."""
+    nodes = [("r", None, 1.0), ("a", "r", 0.4), ("b", "r", 0.6)]
+    for parent, count in (("a", 2), ("b", 3), ("a0", 3), ("a1", 2), ("b0", 2), ("b1", 3), ("b2", 3)):
+        probs = np.random.default_rng(len(nodes)).dirichlet(np.ones(count))
+        nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
+    model = priced_market(ScenarioTree.build(nodes), np.random.default_rng(21), 2)
+    assert {tuple(stack.nodes.tolist()) for stack in _node_stacks(model)} == {
+        tuple(model.tree.node_index(name) for name in names)
+        for names in (("r", "a", "a1", "b0"), ("b", "a0", "b1", "b2"))
+    }
+    claims = default_claims(model, seed=21)
+    return model, list(claims.values())
+
+
+def stack_markets():
+    """:func:`step_markets`, the kernel and node-LP level group and the
+    two-stack market."""
+    yield from step_markets()
+    model, claim = kernel_and_lp_market()
+    yield model, [claim]
+    yield two_stack_market()
+
+
+def node_decomposition(model, values):
+    """:func:`optional_decomposition` one node at a time, in tree order,
+    each node's one-step system built and solved as a stack of one (the
+    stacked products round by the same kernels as the engine's): holdings
+    and consumption.  The positions are checked one ``(time, branching)``
+    group at a time in time order, so a failure names the same node."""
+    tree = model.tree
+    holdings = np.zeros((model.n_assets, tree.n_nodes))
+    consumption = np.zeros(tree.n_nodes)
+    misses = {}
+    for k in range(tree.n_nodes):  # parents before children
+        if not tree.children[k]:
+            continue
+        node = np.array([k])
+        ch, probs, matrix, rhs, scale = _local_system(model, node)
+        target = probs * values[ch]
+        cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[node]))
+        slack = np.maximum(cost_slack, SUPERMARTINGALE_SLACK * np.abs(values[ch]).max(axis=1))
+        try:
+            local_vertices(model, k)
+        except SizeGuardError:
+            theta = -_node_lp(matrix[0], rhs[0], -target[0])[1][np.newaxis]
+        else:
+            left, _, _, _, rank = _svd_rank(matrix)
+            _, feasible, duals = fairtree.deflators._basic_solutions(
+                matrix, rhs, left, int(rank[0]), target
+            )
+            reduced = np.einsum("gmc,gbm->gbc", matrix, duals) - target[:, np.newaxis]
+            optimal = feasible & (reduced.min(axis=2) >= -slack[:, np.newaxis])
+            theta = duals[:, np.argmax(optimal[0])]
+        position = theta / scale
+        holdings[:, k] = position[0]
+        surplus = np.einsum("gmc,gm->gc", matrix, theta) - target
+        node_gap = values[node] - np.einsum("gd,dg->g", position, model.price[:, node])
+        misses[k] = ((-surplus.min(), slack[0]), (-node_gap[0], cost_slack[0]))
+        payoff = np.einsum("gd,dgn->gn", position, model.price[:, ch])
+        consumption[ch] = (
+            consumption[node][:, np.newaxis] + payoff - values[ch] + node_gap[:, np.newaxis]
+        )
+    order = sorted(misses, key=lambda k: (tree.time[k], len(tree.children[k]), k))
+    for _, members in itertools.groupby(order, lambda k: (tree.time[k], len(tree.children[k]))):
+        members = list(members)
+        for check, name in enumerate(("dominate the children", "stay within the process")):
+            for k in members:
+                miss, bound = misses[k][check]
+                if miss > bound:
+                    raise SolverError(
+                        f"decomposition position fails to {name} at node "
+                        f"{tree.ids[k]!r} by {miss:.3e}"
+                    )
+    return holdings, consumption
+
+
+def node_replication(model, utility, deflator, x):
+    """:func:`~fairtree.utility._replicate` one node at a time, in tree
+    order, as a stack of one: each position is the pseudo-inverse of its
+    node's rows as its stack holds it (``tests/test_kernel.py`` holds that
+    build against one built per group) times its children's wealth.
+    Returns holdings, wealth and the largest absolute cumulative miss."""
+    tree = model.tree
+    rows = {k: (stack, i) for stack in _node_stacks(model) for i, k in enumerate(stack.nodes.tolist())}
+    levels = deflator.values
+    y = _budget_multiplier(utility, tree.path_prob[tree.leaves], levels[tree.leaves], x)
+    terminal = utility.inverse_marginal(y * levels[tree.leaves])
+    wealth = tree.expect_terminal(levels[tree.leaves] * terminal) / levels
+    holdings = np.zeros((model.n_assets, tree.n_nodes))
+    consumption = np.zeros(tree.n_nodes)
+    for k in range(tree.n_nodes):
+        if not tree.children[k]:
+            continue
+        stack, i = rows[k]
+        one = slice(i, i + 1)
+        node, ch = stack.nodes[one], stack.children[one]
+        position = np.einsum(
+            "gnd,gn->gd", stack.pinv[one], stack.probs[one] * wealth[ch]
+        ) / stack.scale[one]
+        holdings[:, k] = position[0]
+        cost = np.einsum("gd,dg->g", position, model.price[:, node])
+        payoff = np.einsum("gd,dgn->gn", position, model.price[:, ch])
+        miss = payoff - wealth[ch] + (wealth[node] - cost)[:, np.newaxis]
+        consumption[ch] = consumption[node][:, np.newaxis] + miss
+    return holdings, wealth, float(np.abs(consumption).max())
+
+
 class TestVertexStep:
     def test_group_steps_equal_the_node_loop_bit_for_bit(self):
         for model, claims in step_markets():
@@ -275,23 +418,8 @@ class TestDecomposition:
         """One level group holds a rank-2 node, solved by the kernel, and a
         rank-12 node past the guard (C(25, 12) bases), which takes the
         vertex step's duals: each gets its own node's position."""
-        rng = np.random.default_rng(12)
-        nodes = [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5)]
-        for parent in "ab":
-            probs = rng.dirichlet(np.ones(25))
-            nodes += [(f"{parent}{j}", parent, float(p)) for j, p in enumerate(probs)]
-        tree = ScenarioTree.build(nodes)
-        ratio = rng.uniform(0.7, 1.3, tree.n_nodes)
-        prices = np.ones((12, tree.n_nodes))
-        prices[1:, tree.leaves] = rng.uniform(0.5, 2.0, (11, tree.n_leaves))
-        a, b = tree.ids.index("a"), tree.ids.index("b")
-        b_leaves = list(tree.children[b])
-        prices[2:, b_leaves] = prices[1, b_leaves]  # rank 2 at b
-        for k in (b, a, 0):
-            ch = list(tree.children[k])
-            prices[:, k] = prices[:, ch] @ (tree.branch_prob[ch] * ratio[ch])
-        model = build_market(tree, prices)
-        process = superhedge_process(model, Claim(rng.uniform(0.0, 1.0, tree.n_leaves)))
+        model, claim = kernel_and_lp_market()
+        process = superhedge_process(model, claim)
         original = fairtree.deflators.solve_lp
         calls = []
 
@@ -327,6 +455,89 @@ class TestDecomposition:
         with pytest.raises(SupermartingaleError):
             check_supermartingale(t1_model, nearly_flat, slack=1e-9)
         check_supermartingale(t1_model, nearly_flat, slack=1e-6)
+
+
+class TestStackedPasses:
+    """The decomposition's positions and the replication's misses take one
+    pass per branching's stack; only their consumption sums run forward
+    one level group at a time.  Node by node they come out the same to
+    the bit."""
+
+    def test_stack_passes_equal_the_node_loop_bit_for_bit(self):
+        utility = log_utility()
+        for model, claims in stack_markets():
+            for claim in claims:
+                process = superhedge_process(model, claim)
+                result = optional_decomposition(model, process)
+                holdings, consumption = node_decomposition(model, process)
+                np.testing.assert_array_equal(result.strategy.holdings, holdings)
+                np.testing.assert_array_equal(result.consumption, consumption)
+            # the minimax deflator replicates; the fairness witness of an
+            # incomplete market misses
+            for deflator in (solve_dual(model, utility, 1.0).deflator, require_fair(model).witness):
+                primal, _ = _replicate(model, utility, deflator, 1.0)
+                holdings, wealth, max_consumption = node_replication(model, utility, deflator, 1.0)
+                np.testing.assert_array_equal(primal.strategy.holdings, holdings)
+                np.testing.assert_array_equal(primal.wealth, wealth)
+                assert primal.max_consumption == max_consumption
+
+    @pytest.mark.parametrize("scaled, named", [
+        # a level group at time 1 before a later one, whatever the check
+        ({"b": 1.1, "a1": 0.9}, ("stay within the process", "b")),
+        # within a group a domination failure first, wherever its node
+        ({"a0": 1.1, "b2": 0.9}, ("dominate the children", "b2")),
+        # at one time, the group of fewer children first
+        ({"a0": 0.9, "b0": 1.1}, ("stay within the process", "b0")),
+    ])
+    def test_a_failing_position_names_the_first_node_in_group_order(
+        self, monkeypatch, scaled, named
+    ):
+        """The kernel's multipliers at the named nodes of the two-stack
+        market are scaled down (the position no longer dominates) or up
+        (it costs more than the process).  The error names the first
+        failing node of the earliest ``(time, branching)`` group, a
+        domination failure first, as the node loop does."""
+        model, claims = two_stack_market()
+        process = superhedge_process(model, claims[-1])
+        systems = [
+            (_local_system(model, model.tree.node_index(name))[2], factor)
+            for name, factor in scaled.items()
+        ]
+        kernel = fairtree.deflators._basic_solutions
+
+        def scaled_kernel(matrix, *args, **kwargs):
+            x, feasible, duals = kernel(matrix, *args, **kwargs)
+            for system, factor in systems:
+                if duals is not None and system.shape == matrix.shape[1:]:
+                    duals[(matrix == system).all(axis=(1, 2))] *= factor
+            return x, feasible, duals
+
+        monkeypatch.setattr(fairtree.deflators, "_basic_solutions", scaled_kernel)
+        monkeypatch.setattr(fairtree.hedging, "_basic_solutions", scaled_kernel)
+        message = f"decomposition position fails to {named[0]} at node {named[1]!r}"
+        with pytest.raises(SolverError, match=message):
+            node_decomposition(model, process)
+        with pytest.raises(SolverError, match=message):
+            optional_decomposition(model, process)
+
+
+class TestLargestShape:
+    """The decomposition's invariants on the generator's largest shape,
+    5461 nodes, where the oracles refuse to run."""
+
+    @pytest.mark.parametrize("assets", [2, 5])
+    def test_wealth_identity_and_domination(self, assets):
+        model = generate_market(seed=7, depth=6, branching=4, assets=assets)
+        tree = model.tree
+        for name, claim in default_claims(model, seed=7).items():
+            process = superhedge_process(model, claim)
+            result = optional_decomposition(model, process)
+            assert result.consumption[0] == 0.0
+            drops = result.consumption[1:] - result.consumption[tree.parent[1:]]
+            assert drops.min() >= -1e-9, name
+            wealth = decomposition_wealth(model, result, process[0])
+            np.testing.assert_allclose(wealth, process, rtol=0, atol=1e-7, err_msg=name)
+            assert (wealth[tree.leaves] - claim.payoff).min() >= -1e-9, name
 
 
 class TestAttainability:

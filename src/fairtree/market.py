@@ -487,14 +487,15 @@ def martingale_defect(model: MarketModel, levels, prices=None) -> tuple[float, i
     ``lhs = sum_j p_j m_j x_j`` over the children and ``rhs = m_k x_k``.
     ``(0.0, 0)`` for a one-node tree."""
     tree = model.tree
-    inner = np.unique(tree.parent[1:])
+    parent = tree.parent[1:]
+    inner = np.flatnonzero(np.bincount(parent))
     if not inner.size:
         return 0.0, 0
     deflated = np.atleast_2d(model.price if prices is None else prices) * deflator_values(levels)
-    lhs = np.zeros_like(deflated)
-    np.add.at(lhs, (slice(None), tree.parent[1:]), deflated[:, 1:] * tree.branch_prob[1:])
+    weighted = deflated[:, 1:] * tree.branch_prob[1:]
+    lhs = np.array([np.bincount(parent, weights=row)[inner] for row in weighted])
     rhs = deflated[:, inner]
-    defect = (np.abs(lhs[:, inner] - rhs) / np.maximum(1.0, np.abs(rhs))).max(axis=0)
+    defect = (np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max(axis=0)
     worst = int(np.argmax(defect))
     return float(defect[worst]), int(inner[worst])
 
@@ -516,13 +517,21 @@ def check_deflator_values(model: MarketModel, values, tol: float = DEFLATOR_TOL)
         raise DeflatorError("deflator values must be finite and strictly positive")
     if abs(m[0] - 1.0) > tol:
         raise DeflatorError(f"deflator must equal 1 at the root, got {m[0]!r}")
-    worst, node = martingale_defect(model, m)
+    _check_martingale(model, m, tol)
+    return m
+
+
+def _check_martingale(model: MarketModel, values, tol: float = DEFLATOR_TOL) -> float:
+    """The worst :func:`martingale_defect` of ``values``, which must be at
+    most ``tol``; the martingale part of :func:`check_deflator_values`, for
+    levels already known to be positive and 1 at the root."""
+    worst, node = martingale_defect(model, values)
     if worst > tol:
         raise DeflatorError(
-            f"martingale defect {worst:.3e} at node {tree.ids[node]!r} "
+            f"martingale defect {worst:.3e} at node {model.tree.ids[node]!r} "
             f"exceeds tolerance {tol:g}"
         )
-    return m
+    return worst
 
 
 def fair_price_process(model: MarketModel, deflator, claim: Claim) -> np.ndarray:

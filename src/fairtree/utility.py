@@ -24,6 +24,7 @@ multiplier in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
@@ -36,11 +37,10 @@ from .market import (
     MarketModel,
     Strategy,
     _check_claim,
+    _check_martingale,
     build_market,
-    check_deflator_values,
     deflator_values,
     fair_price_process,
-    martingale_defect,
 )
 from .deflators import (
     Deflator,
@@ -449,7 +449,34 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
     return levels
 
 
+@dataclass(eq=False)
+class _DualEntry:
+    """One market's dual under one utility: the minimax levels, the
+    minimizing vertex of the first certificate's oracle sweep, and the
+    levels' validated deflator once they have passed a certificate."""
+
+    levels: np.ndarray
+    vertex: np.ndarray | None = None
+    deflator: Deflator | None = None
+
+
 _DUAL_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
+
+
+def _dual_entry(model: MarketModel, utility: UtilitySpec, start: np.ndarray | None = None) -> _DualEntry:
+    """The cached :class:`_DualEntry` of a fair market and a utility.  A
+    new entry's levels come from :func:`_minimax_levels`, whose Newton
+    starts from the strictly positive deflator levels ``start``, the
+    fairness witness by default."""
+    report = require_fair(model)
+    cache = _DUAL_CACHE.setdefault(model, {})
+    key = (utility.kind, utility.exponent)
+    entry = cache.get(key)
+    if entry is None:
+        if start is None:
+            start = report.witness.values
+        entry = cache[key] = _DualEntry(_minimax_levels(model, utility, start))
+    return entry
 
 
 def solve_dual(
@@ -475,31 +502,35 @@ def solve_dual(
     utilities reach ``|g . m|`` of 1e4 and more.  The reported ``gap`` is
     the absolute one.
 
-    Both utility families are scale invariant, so the minimizer does not
-    depend on ``y``; it is cached per market and utility, and the
-    certificate is recomputed at each requested scale.
+    Both utility families are scale invariant: the gradient at scale ``y``
+    is ``y**q`` times the gradient at scale 1, with ``q = p / (p - 1)``
+    (0 for log), so neither the minimizer nor the vertex ``s`` that
+    minimizes the gradient moves with ``y``.  Each market and utility
+    therefore solves the Newton, sweeps the oracle and validates the
+    deflator once (:func:`_dual_entry`); every call recomputes the
+    gradient, the gap and its bound at its own ``y`` and ``tol``.
     :func:`fairtree.oracle.fw_dual` solves the same problem as one
     whole-tree Frank-Wolfe, for cross-checks.
     """
     if not (y > 0 and math.isfinite(y)):
         raise ValueError(f"dual scale y must be positive and finite, got {y!r}")
-    start = require_fair(model).witness.values
-    cache = _DUAL_CACHE.setdefault(model, {})
-    key = (utility.kind, utility.exponent)
-    levels = cache.get(key)
-    if levels is None:
-        levels = cache[key] = _minimax_levels(model, utility, start)
+    entry = _dual_entry(model, utility)
+    levels = entry.levels
     objective, gradient, _ = _dual_objective(model, utility, y)
     grad = gradient(levels)
-    gap = float(grad @ (levels - polytope_minimizer(model)(grad)))
+    if entry.vertex is None:
+        entry.vertex = polytope_minimizer(model)(grad)
+    gap = float(grad @ (levels - entry.vertex))
     bound = tol * max(1.0, abs(float(grad @ levels)))
     if gap > bound:
         raise SolverError(
             f"minimax recursion leaves a duality gap of {gap:.3e} above {bound:.3g}"
         )
+    if entry.deflator is None:
+        entry.deflator = Deflator.for_market(model, levels)
     return DualSolution(
         y=float(y),
-        deflator=Deflator.for_market(model, levels),
+        deflator=entry.deflator,
         value=objective(levels),
         gap=max(gap, 0.0),
     )
@@ -718,20 +749,31 @@ def augment_market(
     Pricing the claim this way keeps the original minimax deflator a
     deflator of the enlarged market, so fairness, the dual value and the
     optimal investment are all unchanged; the diagnostics quantify exactly
-    that on the result.  The claim must not be identically zero (assets
-    need positive root prices).
+    that on the result.  The original levels are checked to price the
+    enlarged market's rows as martingales, and its dual's Newton starts
+    from them rather than from its fairness witness.  Newton stops node by
+    node whatever its start, and the enlarged dual is certified by its own
+    gap, so the shifts still measure how far the enlarged optimum moved.
+    The claim must not be identically zero (assets need positive root
+    prices).  A name already taken becomes ``NAME-augmented``, or
+    ``NAME-augmented-2``, ``-3`` and so on, the first that is free.
     """
+    if name in model.asset_names:
+        base = f"{name}-augmented"
+        name = next(
+            candidate
+            for candidate in itertools.chain([base], (f"{base}-{i}" for i in itertools.count(2)))
+            if candidate not in model.asset_names
+        )
     primal = solve_primal(model, utility, x)
     levels = primal.deflator.values
     prices = fair_price_process(model, primal.deflator, claim)
     stacked = np.vstack([model.price, prices[np.newaxis, :]])
-    if name in model.asset_names:
-        name = f"{name}-augmented"
     augmented = build_market(model.tree, stacked, model.asset_names + (name,))
 
     report = fairness_report(augmented)
-    check_deflator_values(augmented, levels)
-    residual, _ = martingale_defect(augmented, levels)
+    residual = _check_martingale(augmented, levels)
+    _dual_entry(augmented, utility, start=levels)
     dual_after = solve_dual(augmented, utility, primal.y)
     objective, _, _ = _dual_objective(model, utility, primal.y)
     dual_before_value = objective(levels)

@@ -19,12 +19,13 @@ from fairtree import (
     complete_strategy,
     deflate,
     fair_price_process,
+    generate_market,
     self_financing_violations,
     wealth_process,
 )
 from fairtree.market import martingale_defect
 
-from conftest import fair_corpus, shuffled_tree
+from conftest import fair_corpus, mixed_market, shuffled_tree
 
 B1_NODES = [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)]
 B1_PRICES = [[1, 1, 1], [1, 2, 0.5]]
@@ -428,3 +429,38 @@ class TestDeflatorPricing:
                 best = max(expected)
                 assert worst == pytest.approx(best[0], rel=1e-12)
                 assert dict((k, d) for d, k in expected)[node] == pytest.approx(best[0], rel=1e-12)
+
+    def test_martingale_defect_sums_like_add_at(self):
+        # the worst defect, bit for bit, and its node are those of sums
+        # taken with an unbuffered np.add.at, on trees with 1-4 children
+        # per node and at the generator's largest shape
+        def reference(model, levels, rows):
+            tree = model.tree
+            inner = np.unique(tree.parent[1:])
+            deflated = np.atleast_2d(model.price if rows is None else rows) * levels
+            lhs = np.zeros_like(deflated)
+            np.add.at(lhs, (slice(None), tree.parent[1:]), deflated[:, 1:] * tree.branch_prob[1:])
+            rhs = deflated[:, inner]
+            defect = (np.abs(lhs[:, inner] - rhs) / np.maximum(1.0, np.abs(rhs))).max(axis=0)
+            worst = int(np.argmax(defect))
+            return float(defect[worst]), int(inner[worst])
+
+        rng = np.random.default_rng(9)
+        models = [mixed_market(seed) for seed in range(4)]
+        models += [
+            generate_market(seed=seed, depth=depth, branching=branching, assets=assets)
+            for seed in range(2)
+            for depth, branching, assets in [(6, 2, 1), (4, 3, 2), (3, 4, 4), (6, 4, 5)]
+        ]
+        for model in models:
+            n = model.tree.n_nodes
+            levels = rng.uniform(0.5, 2.0, n)
+            for rows in (None, rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, (3, n))):
+                worst, node = martingale_defect(model, levels, rows)
+                expected = reference(model, levels, rows)
+                assert (worst, node) == expected
+                assert worst > 0.0
+
+    def test_martingale_defect_of_a_one_node_tree(self):
+        tree = ScenarioTree.build([("r", None, 1.0)])
+        assert martingale_defect(build_market(tree, [[1.0]]), [1.0]) == (0.0, 0)

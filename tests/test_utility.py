@@ -16,6 +16,7 @@ from fairtree import (
     augment_market,
     check_complete,
     davis_price,
+    default_claims,
     deflate,
     dual_value,
     fairness_report,
@@ -366,6 +367,55 @@ class TestAugmentation:
             t1.model, log_utility(), 1.0, t1.claims["stock-claim"], name="stock"
         )
         assert augmented.asset_names[-1] == "stock-augmented"
+        # a name taken again takes the first free numbered suffix
+        model = generate_market(seed=1, depth=2, branching=2, assets=1)
+        claim = default_claims(model, seed=1)["call"]
+        names = []
+        for _ in range(3):
+            model, _ = augment_market(model, log_utility(), 1.0, claim, name="asset0")
+            names.append(model.asset_names[-1])
+        assert names == ["asset0-augmented", "asset0-augmented-2", "asset0-augmented-3"]
+
+    def test_one_sweep_and_four_martingale_checks_per_call(self, monkeypatch):
+        # with the original market's dual certified, the enlarged market's
+        # certificate is the only sweep of the linear oracle; the defect is
+        # measured for the claim's price process, the enlarged market's
+        # witness, the original levels on the enlarged rows and the enlarged
+        # market's deflator
+        import fairtree.market
+
+        model = generate_market(seed=0, depth=3, branching=3, assets=2)
+        assert not check_complete(model).complete
+        claim = default_claims(model, seed=0)["digital"]
+        solve_primal(model, log_utility(), 1.0)
+        sweeps = _count_sweeps(monkeypatch)
+        defects = []
+        defect = fairtree.market.martingale_defect
+
+        def counted(*args, **kwargs):
+            defects.append(1)
+            return defect(*args, **kwargs)
+
+        monkeypatch.setattr(fairtree.market, "martingale_defect", counted)
+        augmented, _ = augment_market(model, log_utility(), 1.0, claim)
+        assert _newton_nodes(augmented)
+        assert len(sweeps) == 1
+        assert len(defects) == 4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_start_hides_nothing(self, seed):
+        # the new asset is priced under power:-5's minimax deflator, so the
+        # log Newton started there has to travel to the log optimum: it must
+        # land where the witness's start lands, far from where it began
+        model = generate_market(seed=seed, depth=3, branching=3, assets=2)
+        steep = power_utility(-5.0)
+        claim = default_claims(model, seed=seed)["digital"]
+        augmented, _ = augment_market(model, steep, 1.0, claim)
+        start = solve_primal(model, steep, 1.0).deflator.values
+        warm = _minimax_levels(augmented, log_utility(), start)
+        cold = _minimax_levels(augmented, log_utility(), require_fair(augmented).witness.values)
+        assert np.abs(warm - cold).max() <= 1e-12
+        assert np.abs(warm - start).max() > 1e-3
 
 
 class TestGrowthOptimal:
@@ -580,3 +630,57 @@ class TestStackedNewton:
         levels = _minimax_levels(two_period, u, start)
         assert calls == []
         np.testing.assert_allclose(levels, start, rtol=1e-12)
+
+
+def _count_sweeps(monkeypatch):
+    """Count the sweeps of every linear oracle that solve_dual builds."""
+    import fairtree.utility
+
+    calls = []
+    build = fairtree.utility.polytope_minimizer
+
+    def counting(model):
+        minimize = build(model)
+
+        def counted(cost):
+            calls.append(1)
+            return minimize(cost)
+        return counted
+
+    monkeypatch.setattr(fairtree.utility, "polytope_minimizer", counting)
+    return calls
+
+
+class TestCertifiedDual:
+    def test_one_sweep_per_market_and_utility(self, monkeypatch):
+        # the gradient at scale y is y**q times the one at scale 1, so the
+        # first call's vertex certifies every later scale and tolerance
+        model = generate_market(seed=3, depth=3, branching=3, assets=2)
+        require_fair(model)
+        sweeps = _count_sweeps(monkeypatch)
+        for i, u in enumerate(UTILITIES):
+            duals = [solve_dual(model, u, y) for y in (0.5, 1.0, 2.0)]
+            primal = solve_primal(model, u, 1.0)
+            assert len(sweeps) == i + 1
+            minimize = polytope_minimizer(model)
+            for dual in duals:
+                assert dual.deflator is primal.deflator
+                _, gradient, _ = _dual_objective(model, u, dual.y)
+                grad = gradient(dual.deflator.values)
+                fresh = float(grad @ (dual.deflator.values - minimize(grad)))
+                size = abs(float(grad @ dual.deflator.values))
+                assert abs(dual.gap - max(fresh, 0.0)) <= 1e-12 * max(1.0, size)
+
+    @pytest.mark.parametrize("u", STACKED_UTILITIES, ids=lambda u: u.label)
+    @pytest.mark.parametrize("name", sorted(STACKED_MARKETS))
+    def test_warm_start_on_the_enlarged_market(self, name, u):
+        # the Newton of augment_market's enlarged market, started from the
+        # original minimax deflator, lands where the witness's start lands
+        model = STACKED_MARKETS[name]()
+        original = solve_primal(model, u, 1.0).deflator.values
+        for claim in default_claims(model, seed=0).values():
+            augmented, diagnostics = augment_market(model, u, 1.0, claim)
+            warm = _minimax_levels(augmented, u, original)
+            cold = _minimax_levels(augmented, u, require_fair(augmented).witness.values)
+            assert np.abs(warm - cold).max() <= 1e-12
+            assert diagnostics.deflator_shift <= 1e-10

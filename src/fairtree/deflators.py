@@ -27,7 +27,15 @@ group: the floor (:func:`_floor_step`) and the best vertex under a linear
 cost (:func:`_vertex_step`).  The floor's maximizing ratios are solved
 after the recursion, one basis per node (:func:`_witness_ratios`).  The
 simplex runs only in :func:`_node_lp`, the one node LP of a node with too
-many bases to list, and in :func:`_extract_certificate`.
+many bases to list, and in :func:`_extract_certificate`.  Samples of the
+deflator set mix the witness with vertices of the vertex sweep
+(:func:`sample_deflators`, :func:`polytope_minimizer`), so the engine
+builds no whole-tree object: :func:`build_polytope` serves the oracles.
+
+Every per-model table -- the node systems, the vertex tables and their
+per-node lists, the fairness report, the utility dual's entries -- is
+built once per model into one store (:func:`_per_model`), whose entry
+dies with its model.
 
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
@@ -51,7 +59,6 @@ from .optim import (
     _VERTEX_COMBO_GUARD,
     _VERTEX_VARIABLE_GUARD,
     LinearProgram,
-    enumerate_vertices,
     solve_lp,
 )
 
@@ -178,17 +185,6 @@ def build_polytope(model: MarketModel) -> DeflatorPolytope:
     return DeflatorPolytope(matrix=matrix, rhs=rhs, row_labels=tuple(labels))
 
 
-def _scaled_rows(matrix: np.ndarray, rhs: np.ndarray):
-    """``matrix @ m = rhs`` with each row, right-hand side included,
-    divided by the row's largest magnitude (a zero row stays zero): raw
-    prices far apart make the simplex fail verification and the rank test
-    of vertex enumeration drop a row, so a fair market's polytope comes out
-    empty."""
-    scale = np.abs(matrix).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    return matrix / scale[:, np.newaxis], rhs / scale
-
-
 def _local_system(model: MarketModel, node: int):
     """One-step system ``matrix @ r = rhs`` in the ratios ``r`` (child
     level over node level) at ``node``: row ``i`` is asset ``i``'s
@@ -260,7 +256,28 @@ class _NodeGroup:
             value.flags.writeable = False
 
 
-_NODE_GROUP_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
+_STORE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
+
+
+def _per_model(build):
+    """``build(model)``, computed once per model: every per-model table of
+    the package lives in one store, an entry per model keyed by builder.
+    Models are immutable, and an entry dies with its model, so no stored
+    value may refer back to its model."""
+
+    @functools.wraps(build)
+    def memoized(model):
+        try:
+            return _STORE[model][build]
+        except KeyError:  # built outside the handler, so its errors chain no KeyError
+            pass
+        entry = _STORE.get(model)
+        if entry is None:
+            entry = _STORE[model] = {}
+        value = entry[build] = build(model)
+        return value
+
+    return memoized
 
 
 def _node_groups(model: MarketModel) -> tuple[_NodeGroup, ...]:
@@ -278,16 +295,16 @@ def _node_stacks(model: MarketModel) -> tuple[_NodeGroup, ...]:
     return _node_systems(model)[0]
 
 
+@_per_model
 def _node_systems(model: MarketModel):
-    """``(stacks, groups)`` of :func:`_node_stacks` and
-    :func:`_node_groups`, built once per model."""
-    systems = _NODE_GROUP_CACHE.get(model)
-    if systems is not None:
-        return systems
+    """``(stacks, groups, levels)``: the stacks of :func:`_node_stacks`,
+    the groups of :func:`_node_groups` and, for each stack, its groups in
+    time order as ``(group index, slice of the stack)`` pairs, so a table
+    built per stack is cut into its groups without a search.  Built once
+    per model."""
     tree = model.tree
     branchings = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
-    stacks = []
-    built = {}
+    stacks, spans, built = [], [], {}
     for branching in np.unique(branchings[branchings > 0]).tolist():
         nodes = np.flatnonzero(branchings == branching)
         nodes = nodes[np.argsort(tree.time[nodes], kind="stable")]
@@ -312,16 +329,18 @@ def _node_systems(model: MarketModel):
             fixed=_single_points(matrix, rhs, left, rank),
         )
         stacks.append(stack)
+        spans.append([])
         times = tree.time[nodes]
         starts = np.flatnonzero(np.diff(times, prepend=-1))
         for lo, hi in zip(starts.tolist(), np.append(starts[1:], nodes.size).tolist()):
             at = slice(lo, hi)
-            built[int(times[lo]), branching] = _NodeGroup(
-                **{name: value[at] for name, value in vars(stack).items()}
-            )
-    groups = tuple(built[key] for key in sorted(built, reverse=True))
-    systems = _NODE_GROUP_CACHE[model] = (tuple(stacks), groups)
-    return systems
+            key = int(times[lo]), branching
+            spans[-1].append((key, at))
+            built[key] = _NodeGroup(**{name: value[at] for name, value in vars(stack).items()})
+    order = {key: i for i, key in enumerate(sorted(built, reverse=True))}
+    groups = tuple(built[key] for key in order)
+    levels = tuple(tuple((order[key], at) for key, at in each) for each in spans)
+    return tuple(stacks), groups, levels
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +500,19 @@ class _VertexTable:
     past: np.ndarray
 
 
-_VERTEX_TABLE_CACHE: "WeakKeyDictionary[MarketModel, tuple]" = WeakKeyDictionary()
-
-
+@_per_model
 def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
     """One :class:`_VertexTable` per group of :func:`_node_groups`, in its
-    order, cached per model.  The vertices are read off the feasible bases
-    (:func:`_distinct_vertices`), from one :func:`_basic_solutions` call
-    per stack of :func:`_node_stacks` and rank; a node of full column rank
-    has one basis, whose solution is its single point ``fixed``, so it
-    takes that point through the kernel's feasibility test
-    (:func:`_feasible_points`) without a solve."""
-    tables = _VERTEX_TABLE_CACHE.get(model)
-    if tables is not None:
-        return tables
-    groups = _node_groups(model)
-    times = model.tree.time
+    order, built once per model.  The vertices are read off the feasible
+    bases (:func:`_distinct_vertices`), from one :func:`_basic_solutions`
+    call per stack of :func:`_node_stacks` and rank, and cut into the
+    stack's groups by the slices of :func:`_node_systems`; a node of full
+    column rank has one basis, whose solution is its single point
+    ``fixed``, so it takes that point through the kernel's feasibility
+    test (:func:`_feasible_points`) without a solve."""
+    stacks, groups, levels = _node_systems(model)
     tables = [None] * len(groups)
-    for stack in _node_stacks(model):
+    for stack, spans in zip(stacks, levels):
         matrix, rhs, left, rank = stack.matrix, stack.rhs, stack.left, stack.rank
         branching = stack.children.shape[1]
         counts = np.zeros(rank.size, dtype=int)
@@ -518,56 +532,50 @@ def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
         vertices = np.zeros((rank.size, counts.max(), branching))
         for at, x in found:
             vertices[at, : x.shape[1]] = x
-        stack_times = times[stack.nodes]
-        for i, group in enumerate(groups):
-            if group.children.shape[1] != branching:
-                continue
-            time = times[group.nodes[0]]
-            span = slice(*np.searchsorted(stack_times, [time, time + 1]).tolist())
+        for i, span in spans:
             own, shut = counts[span], past[span]
-            stacks = []
+            parts = []
             for count in np.unique(own[~shut]).tolist():
                 at = np.flatnonzero((own == count) & ~shut)
                 table = _frozen(vertices[span][at, :count])
-                stacks.append((slice(None) if at.size == own.size else at, table))
-            tables[i] = _VertexTable(group, tuple(stacks), np.flatnonzero(shut))
-    tables = _VERTEX_TABLE_CACHE[model] = tuple(tables)
-    return tables
+                parts.append((slice(None) if at.size == own.size else at, table))
+            tables[i] = _VertexTable(groups[i], tuple(parts), np.flatnonzero(shut))
+    return tuple(tables)
 
 
-_LOCAL_VERTEX_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
+@_per_model
+def _local_vertex_lists(model: MarketModel) -> dict:
+    """Each non-leaf node's rows of :func:`_vertex_tables` as a list, and
+    ``None`` for a node past the vertex-enumeration guard."""
+    lists = {}
+    for table in _vertex_tables(model):
+        nodes = table.group.nodes
+        lists.update(dict.fromkeys(nodes[table.past].tolist()))
+        for at, vertices in table.stacks:
+            lists.update(zip(nodes[at].tolist(), map(list, vertices)))
+    return lists
 
 
 def local_vertices(model: MarketModel, node: int) -> list[np.ndarray]:
     """Vertices of the one-step deflator-ratio polytope at a node.
 
-    A per-node view of the model's vertex tables, cached per model, for
-    callers that inspect one node; the engine's recursions read the
-    stacked tables through :func:`_vertex_step`.  Raises
-    :class:`SizeGuardError` for a node past the vertex-enumeration guard
-    and ``ValueError`` for a leaf.
+    A per-node view of the model's vertex tables, listed once per model
+    for callers that inspect single nodes (a repeat call returns the same
+    list); the engine's recursions read the stacked tables through
+    :func:`_vertex_step`.  Raises :class:`SizeGuardError` for a node past
+    the vertex-enumeration guard and ``ValueError`` for a leaf.
     """
-    cache = _LOCAL_VERTEX_CACHE.setdefault(model, {})
     try:
-        return cache[node]
+        vertices = _local_vertex_lists(model)[node]
     except KeyError:
-        pass
-    for table in _vertex_tables(model):
-        position = np.flatnonzero(table.group.nodes == node)
-        if not position.size:
-            continue
-        if position[0] in table.past:
-            raise SizeGuardError(
-                f"the one-step polytope at node {model.tree.ids[node]!r} is past the "
-                f"vertex enumeration guard ({_VERTEX_VARIABLE_GUARD} variables, "
-                f"{_VERTEX_COMBO_GUARD} bases)"
-            )
-        for at, vertices in table.stacks:
-            held = np.flatnonzero(np.arange(table.group.nodes.size)[at] == position[0])
-            if held.size:
-                vertices = cache[node] = list(vertices[held[0]])
-                return vertices
-    raise ValueError(f"node {node!r} is not a non-leaf node of the market")
+        raise ValueError(f"node {node!r} is not a non-leaf node of the market") from None
+    if vertices is None:
+        raise SizeGuardError(
+            f"the one-step polytope at node {model.tree.ids[node]!r} is past the "
+            f"vertex enumeration guard ({_VERTEX_VARIABLE_GUARD} variables, "
+            f"{_VERTEX_COMBO_GUARD} bases)"
+        )
+    return vertices
 
 
 def _node_lp(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray):
@@ -746,8 +754,10 @@ def _ray_tables(model: MarketModel):
     per chunk of :func:`_rank_slices`; a stack of full-rank nodes builds
     none.  Rays do not depend on the children's floors, so one table
     serves the floor recursion and the certificate screen."""
-    rays, slices = {}, []
-    for stack in _node_stacks(model):
+    stacks, groups, levels = _node_systems(model)
+    tables = [None] * len(groups)
+    slices = []
+    for stack, spans in zip(stacks, levels):
         branching = stack.children.shape[1]
         single = stack.rank == branching
         past = np.zeros(single.size, dtype=bool)
@@ -778,29 +788,24 @@ def _ray_tables(model: MarketModel):
             tight = _combinations(branching, value - 1, False)[order]
             slices.append(_RaySlice(stack, at, value, tight, rows, target))
             found.append((at, payoffs[each, order], cost[each, order], count))
-        rays[branching] = (single, past if past.any() else None, found, [0])
-    tables = []
-    for group in reversed(_node_groups(model)):  # each stack's groups in time order
-        single, past, found, offset = rays[group.children.shape[1]]
-        lo = offset[0]
-        hi = offset[0] = lo + group.nodes.size
-        stacks = []
-        for at, payoffs, cost, count in found:
-            first, last = np.searchsorted(at, [lo, hi]).tolist()
-            if first == last:
-                continue
-            width = count[first:last].max()
-            own = slice(None) if last - first == hi - lo else at[first:last] - lo
-            stacks.append((own, payoffs[first:last, :width], cost[first:last, :width]))
-        own = single[lo:hi]
-        tables.append(_RayTable(
-            group,
-            slice(None) if own.all() else np.flatnonzero(own) if own.any() else None,
-            tuple(stacks),
-            np.flatnonzero(past[lo:hi]) if past is not None else np.zeros(0, dtype=np.intp),
-        ))
-    tables = tuple(reversed(tables))
-    return tables, tuple(slices)
+        for i, span in spans:
+            lo, hi = span.start, span.stop
+            parts = []
+            for at, payoffs, cost, count in found:
+                first, last = np.searchsorted(at, [lo, hi]).tolist()
+                if first == last:
+                    continue
+                width = count[first:last].max()
+                own = slice(None) if last - first == hi - lo else at[first:last] - lo
+                parts.append((own, payoffs[first:last, :width], cost[first:last, :width]))
+            own = single[span]
+            tables[i] = _RayTable(
+                groups[i],
+                slice(None) if own.all() else np.flatnonzero(own) if own.any() else None,
+                tuple(parts),
+                np.flatnonzero(past[span]),
+            )
+    return tuple(tables), tuple(slices)
 
 
 def _floor_step(table: _RayTable, floors):
@@ -1069,17 +1074,11 @@ def check_fair(model: MarketModel) -> FairnessReport:
     )
 
 
-_FAIRNESS_CACHE: "WeakKeyDictionary[MarketModel, FairnessReport]" = WeakKeyDictionary()
-
-
+@_per_model
 def fairness_report(model: MarketModel) -> FairnessReport:
-    """Cached :func:`check_fair`; models are immutable so this is safe."""
-    try:
-        return _FAIRNESS_CACHE[model]
-    except KeyError:
-        report = check_fair(model)
-        _FAIRNESS_CACHE[model] = report
-        return report
+    """:func:`check_fair`, once per model; models are immutable so this is
+    safe."""
+    return check_fair(model)
 
 
 def require_fair(model: MarketModel) -> FairnessReport:
@@ -1187,35 +1186,19 @@ def sample_deflators(model: MarketModel, count: int, seed: int) -> list[Deflator
     """Draw strictly positive deflators, deterministically under ``seed``.
 
     Each sample is an even mix of the fairness witness with a random convex
-    combination of polytope vertices, so positivity is inherited from the
-    witness.  Small polytopes use the full vertex list, enumerated over
-    the polytope's rows each divided by its largest magnitude
-    (:func:`_scaled_rows`); past the enumeration guard, vertices are found by minimizing random objectives
-    with :func:`polytope_minimizer` (a generic linear cost has a unique
-    minimizer, which is a vertex).  Randomness flows
-    through ``numpy.random.default_rng`` (PCG64) only.
+    combination of three polytope vertices, so positivity is inherited from
+    the witness.  The vertices minimize random costs by the vertex sweep of
+    :func:`polytope_minimizer` (a generic linear cost has a unique
+    minimizer, which is a vertex), node by node, so no whole-tree polytope
+    is built.  Randomness flows through ``numpy.random.default_rng``
+    (PCG64) only.
     """
-    report = require_fair(model)
-    witness = report.witness.values
-    polytope = build_polytope(model)
+    witness = require_fair(model).witness.values
+    minimize = polytope_minimizer(model)
     rng = np.random.default_rng(seed)
-
-    vertices: list[np.ndarray] | None
-    try:
-        matrix, rhs = _scaled_rows(polytope.matrix, polytope.rhs)
-        vertices = enumerate_vertices(LinearProgram(np.zeros(polytope.n_variables), matrix, rhs))
-    except SizeGuardError:
-        vertices = None
-        minimize = polytope_minimizer(model)
-
     samples: list[Deflator] = []
     for _ in range(count):
-        if vertices is not None:
-            weights = rng.dirichlet(np.ones(len(vertices)))
-            mix = weights @ np.asarray(vertices)
-        else:
-            found = [minimize(rng.normal(size=polytope.n_variables)) for _ in range(3)]
-            weights = rng.dirichlet(np.ones(len(found)))
-            mix = weights @ np.asarray(found)
+        found = [minimize(rng.normal(size=model.tree.n_nodes)) for _ in range(3)]
+        mix = rng.dirichlet(np.ones(3)) @ np.asarray(found)
         samples.append(Deflator.for_market(model, 0.5 * witness + 0.5 * mix))
     return samples

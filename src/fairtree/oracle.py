@@ -47,7 +47,6 @@ from .deflators import (
     Deflator,
     _local_system,
     _node_lp,
-    _scaled_rows,
     build_polytope,
     polytope_minimizer,
     require_fair,
@@ -123,16 +122,21 @@ def oracle_price_interval(model: MarketModel, claim: Claim) -> tuple[float, floa
 
 
 def _scaled_polytope(model: MarketModel, face=None):
-    """The whole-tree polytope ``matrix @ m = rhs``, with the row
-    ``face[0] @ m = face[1]`` appended when given, each row divided by its
-    largest magnitude (:func:`~fairtree.deflators._scaled_rows`), as the
-    engine divides its one-step rows."""
+    """The whole-tree polytope ``matrix @ m = rhs`` of
+    :func:`~fairtree.deflators.build_polytope`, with the row ``face[0] @ m
+    = face[1]`` appended when given, each row, right-hand side included,
+    divided by its largest magnitude (a zero row stays zero), as the engine
+    divides its one-step rows: raw prices far apart make the simplex fail
+    verification and the rank test of vertex enumeration drop a row, so a
+    fair market's polytope comes out empty."""
     polytope = build_polytope(model)
     matrix, rhs = polytope.matrix, polytope.rhs
     if face is not None:
         matrix = np.vstack([matrix, face[0]])
         rhs = np.append(rhs, face[1])
-    return _scaled_rows(matrix, rhs)
+    scale = np.abs(matrix).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return matrix / scale[:, np.newaxis], rhs / scale
 
 
 def lp_interior_radius(model: MarketModel, face=None):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .deflators import (
     Deflator,
     _node_groups,
     _node_stacks,
+    _per_model,
     fairness_report,
     polytope_minimizer,
     require_fair,
@@ -460,22 +460,26 @@ class _DualEntry:
     deflator: Deflator | None = None
 
 
-_DUAL_CACHE: "WeakKeyDictionary[MarketModel, dict]" = WeakKeyDictionary()
+@_per_model
+def _dual_entries(model: MarketModel) -> dict:
+    """A market's :class:`_DualEntry` per utility ``(kind, exponent)``,
+    filled by :func:`_dual_entry`."""
+    return {}
 
 
 def _dual_entry(model: MarketModel, utility: UtilitySpec, start: np.ndarray | None = None) -> _DualEntry:
-    """The cached :class:`_DualEntry` of a fair market and a utility.  A
-    new entry's levels come from :func:`_minimax_levels`, whose Newton
+    """The :class:`_DualEntry` of a fair market and a utility, built once.
+    A new entry's levels come from :func:`_minimax_levels`, whose Newton
     starts from the strictly positive deflator levels ``start``, the
     fairness witness by default."""
     report = require_fair(model)
-    cache = _DUAL_CACHE.setdefault(model, {})
+    entries = _dual_entries(model)
     key = (utility.kind, utility.exponent)
-    entry = cache.get(key)
+    entry = entries.get(key)
     if entry is None:
         if start is None:
             start = report.witness.values
-        entry = cache[key] = _DualEntry(_minimax_levels(model, utility, start))
+        entry = entries[key] = _DualEntry(_minimax_levels(model, utility, start))
     return entry
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,24 +13,34 @@ from fairtree import (
     Deflator,
     DeflatorError,
     MeasureWeights,
+    SizeGuardError,
     ScenarioTree,
     UnfairMarketError,
+    augment_market,
     build_market,
     build_polytope,
     check_complete,
     check_deflator_values,
     check_fair,
+    default_claims,
     deflator_to_measure,
+    fairness_report,
+    generate_market,
     local_vertices,
+    log_utility,
     measure_to_deflator,
+    optional_decomposition,
     polytope_minimizer,
     require_fair,
     sample_deflators,
+    solve_primal,
+    superhedge_process,
 )
+from fairtree.deflators import _STORE, _vertex_tables
 from fairtree.optim import solve_lp
 from fairtree.oracle import completeness_via_claims
 
-from conftest import arb_corpus, fair_corpus, priced_market, wide_market
+from conftest import arb_corpus, fair_corpus, priced_market, wide_market, wide_two_step_market
 
 
 class TestPolytope:
@@ -231,6 +244,40 @@ class TestLocalGeometry:
         second = local_vertices(t1_model, 0)
         assert first is second
 
+    def test_leaf_is_refused(self, t1_model):
+        for leaf in t1_model.tree.leaves.tolist():
+            with pytest.raises(ValueError, match=f"node {leaf} is not a non-leaf node"):
+                local_vertices(t1_model, leaf)
+
+    def test_node_past_the_guard_is_refused(self):
+        model, _ = wide_market()
+        assert len(model.tree.children[0]) == 30
+        for _ in range(2):  # a refusal is not stored as an answer
+            with pytest.raises(SizeGuardError, match="node 'r' is past the vertex enumeration guard"):
+                local_vertices(model, 0)
+        with pytest.raises(ValueError):
+            local_vertices(model, 1)
+
+    def test_lists_are_the_rows_of_the_vertex_tables(self):
+        for model in [*fair_corpus(12)[::3], wide_two_step_market()[0]]:
+            listed = 0
+            for table in _vertex_tables(model):
+                nodes = table.group.nodes
+                for at, vertices in table.stacks:
+                    for node, rows in zip(nodes[at], vertices):
+                        found = local_vertices(model, node)
+                        assert len(found) == len(rows)
+                        for vertex, row in zip(found, rows):
+                            np.testing.assert_array_equal(vertex, row)
+                        assert local_vertices(model, int(node)) is found
+                        listed += 1
+                for node in nodes[table.past].tolist():
+                    with pytest.raises(SizeGuardError):
+                        local_vertices(model, node)
+                    listed += 1
+            tree = model.tree
+            assert listed == tree.n_nodes - tree.n_leaves
+
     def test_t1_root_vertices_span_the_segment(self, t1_model):
         vertices = np.array(local_vertices(t1_model, 0))
         # the ratio polytope of the trinomial step is a segment: 2 vertices
@@ -258,3 +305,22 @@ class TestLocalGeometry:
                 assert float(cost @ levels) == pytest.approx(
                     lp.value, abs=1e-8 * max(1.0, abs(lp.value))
                 )
+
+
+class TestPerModelStore:
+    def test_state_dies_with_its_model(self):
+        gc.collect()
+        before = len(_STORE)
+        model = generate_market(seed=5, depth=3, branching=3, assets=2)
+        claim = default_claims(model, seed=5)["call"]
+        fairness_report(model)
+        process = superhedge_process(model, claim)
+        optional_decomposition(model, process)
+        solve_primal(model, log_utility(), 1.0)
+        augment_market(model, log_utility(), 1.0, claim)
+        assert len(_STORE) > before
+        alive = weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None
+        assert len(_STORE) == before

@@ -5,7 +5,10 @@ Each market gets its first asset multiplied by ``s`` and its last by
 ``1/s``, for ``s`` of 1e5 and 1e6, which puts the two assets' prices up to
 twelve orders of magnitude apart; arbitrage certificates are asked for
 at 1e8 and 1e9 as well.  Scaling a claim's payoff scales its price
-bounds and changes no attainability verdict.
+bounds and changes no attainability verdict.  A change of numeraire,
+every price divided by a node process, changes no answer either once the
+claims are moved with it; that is checked at the generator's largest
+shape, where the brute-force oracles refuse to run.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from fairtree import (
     Deflator,
     build_market,
     check_complete,
+    check_deflator_values,
     check_fair,
     classify_attainability,
     default_claims,
+    deflate,
     generate_market,
     log_utility,
     optional_decomposition,
@@ -226,3 +231,33 @@ class TestClaimScaling:
                 if scale * base.interval.width <= INTERVAL_TOL:
                     expected = STRONGLY_REGULAR
                 assert verdict.classification == expected, (seed, claim)
+
+
+class TestLargeTreeNumeraire:
+    """Criterion 9's numeraire change at d6b4a2 and d6b4a5 (5461 nodes): a
+    log-normal numeraire (sigma 0.4, 1 at the root) moves no verdict and no
+    price bound of a claim moved with it."""
+
+    @pytest.mark.parametrize("assets", (2, 5))
+    def test_answers_match_the_unscaled_market(self, assets):
+        model = generate_market(seed=7, depth=6, branching=4, assets=assets)
+        tree = model.tree
+        scaling = np.exp(np.random.default_rng(assets).normal(0.0, 0.4, tree.n_nodes))
+        scaling[0] = 1.0
+        scaled = deflate(model, scaling)
+        assert check_fair(model).fair and check_fair(scaled).fair
+        assert check_complete(scaled).complete == check_complete(model).complete
+        for claim in default_claims(model, seed=7).values():
+            moved = Claim(scaling[tree.leaves] * claim.payoff)
+            base, interval = superhedge_price(model, claim), superhedge_price(scaled, moved)
+            assert_same([interval.lower, interval.upper], [base.lower, base.upper])
+            assert (
+                classify_attainability(scaled, moved).classification
+                == classify_attainability(model, claim).classification
+            )
+        for market in (model, scaled):
+            samples = sample_deflators(market, 3, seed=1)
+            assert len(samples) == 3
+            for m, again in zip(samples, sample_deflators(market, 3, seed=1)):
+                check_deflator_values(market, m)
+                np.testing.assert_array_equal(m.values, again.values)

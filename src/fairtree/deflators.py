@@ -19,16 +19,17 @@ positions come from it.  The fairness floor comes from the dual side: by
 LP duality a node's floor is the least cost per unit of floor-weighted
 payoff over the extreme rays of its cone of portfolios with nonnegative
 payoffs, and those rays do not depend on the children's floors, so they
-are listed once per model (:func:`_ray_tables`); the arbitrage screen
-reads the same rays.  A node whose one-step matrix has full column rank
-has a single point (:func:`_single_points`), from which its floor and its
-vertex table are read directly.  Every recursion takes one array step per
-group: the floor (:func:`_floor_step`) and the best vertex under a linear
-cost (:func:`_vertex_step`).  The floor's maximizing ratios are solved
-after the recursion, one basis per node (:func:`_witness_ratios`).  The
-simplex runs only in :func:`_node_lp`, the one node LP of a node with too
-many bases to list, and in :func:`_extract_certificate`.  Samples of the
-deflator set mix the witness with vertices of the vertex sweep
+are listed once per model (:func:`_ray_tables`).  A node whose one-step
+matrix has full column rank has a single point (:func:`_single_points`),
+from which its floor and its vertex table are read directly.  Every
+recursion takes one array step per group: the floor (:func:`_floor_step`)
+and the best vertex under a linear cost (:func:`_vertex_step`).  The
+floor's maximizing ratios are solved after the recursion, one basis per
+node (:func:`_witness_ratios`).  The simplex runs only in
+:func:`_node_lp`: the one node LP of a node with too many bases to list,
+and the certificate search, whose arbitrage position is the row duals of
+a node LP (:func:`_extract_certificate`).  Samples of the deflator set
+mix the witness with vertices of the vertex sweep
 (:func:`sample_deflators`, :func:`polytope_minimizer`), so the engine
 builds no whole-tree object: :func:`build_polytope` serves the oracles.
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -118,15 +119,13 @@ class DeflatorPolytope:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    def linear_program(self, objective=None, sense: str = "min") -> LinearProgram:
+    def linear_program(self, objective=None) -> LinearProgram:
         if objective is None:
             objective = np.zeros(self.n_variables)
         return LinearProgram(
             objective=np.asarray(objective, dtype=float),
             eq_matrix=self.matrix,
             eq_rhs=self.rhs,
-            lower=0.0,
-            sense=sense,
         )
 
 
@@ -584,7 +583,7 @@ def _node_lp(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray):
     Returns the solution and its row duals (``duals @ rhs`` is the optimum
     and ``cost - matrix.T @ duals >= 0``), or ``None`` when the program
     has no optimum."""
-    sol = solve_lp(LinearProgram(cost, matrix, rhs, 0.0, "min"))
+    sol = solve_lp(LinearProgram(cost, matrix, rhs))
     if sol.status != "optimal":
         return None
     return sol.x, sol.duals
@@ -752,8 +751,8 @@ def _ray_tables(model: MarketModel):
     every ``(branching, rank)`` slice of :func:`_node_stacks` with ray
     nodes.  The rays of a slice come from one :func:`_payoff_rays` call
     per chunk of :func:`_rank_slices`; a stack of full-rank nodes builds
-    none.  Rays do not depend on the children's floors, so one table
-    serves the floor recursion and the certificate screen."""
+    none.  Rays do not depend on the children's floors, so the tables are
+    listed before the floor recursion runs."""
     stacks, groups, levels = _node_systems(model)
     tables = [None] * len(groups)
     slices = []
@@ -948,7 +947,7 @@ def _max_floor(model: MarketModel, rays):
     the maximizing ratios when it exceeds ``FAIRNESS_THRESHOLD`` (``None``
     otherwise), which the ray nodes take in one pass per slice
     (:func:`_witness_ratios`), and each node's floor before the cap (1 at
-    the leaves), which the certificate screen reuses
+    the leaves), which picks the nodes the certificate search tries
     (:func:`_find_certificate`).
     """
     tables, slices = rays
@@ -978,37 +977,31 @@ def _max_floor(model: MarketModel, rays):
 
 
 def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate | None:
-    """Search for a one-step arbitrage position at ``node`` by LP.
+    """Search for a one-step arbitrage position at ``node`` by LP duality.
 
-    Works on the node's scaled rows ``A`` and ``b`` (:func:`_local_system`)
-    with a scaled position ``theta``: it minimizes the cost ``b @ theta``
-    subject to nonnegative probability-weighted child payoffs ``A^T theta``
-    normalized to sum to one (plus a harmless cost floor that keeps the
-    program bounded).  A nonpositive minimum is an arbitrage; the holdings
-    are ``theta / scale``, priced back at the raw prices.
+    On the node's scaled rows ``A`` and ``b`` (:func:`_local_system`) the
+    cheapest scaled position ``theta`` whose probability-weighted child
+    payoffs ``A^T theta`` are nonnegative and sum to one, with a harmless
+    cost floor ``b @ theta >= -1`` that keeps the program bounded, is the
+    dual of ``max lambda - mu`` subject to ``A u + lambda (A 1) + mu b =
+    b`` with ``u, mu >= 0``.  That program is solved as a :func:`_node_lp`
+    with ``lambda`` split in two (``u = 0, lambda = 0, mu = 1`` is always
+    feasible), and ``theta`` is minus its row duals.  A cost ``b @ theta``
+    at most the fairness threshold is an arbitrage; the holdings are
+    ``theta / scale``, priced back at the raw prices.
     """
     tree = model.tree
     ch, _, matrix, rhs, scale = _local_system(model, node)
-    d, k = matrix.shape
-    # variables: scaled position (d, free), payoff slacks (k), cost-floor slack
-    n_vars = d + k + 1
-    rows = np.zeros((k + 2, n_vars))
-    rows[:k, :d] = matrix.T
-    rows[:k, d : d + k] = -np.eye(k)
-    rows[k, :d] = matrix.sum(axis=1)
-    rows[k + 1, :d] = rhs
-    rows[k + 1, d + k] = -1.0
-    constants = np.zeros(k + 2)
-    constants[k] = 1.0
-    constants[k + 1] = -1.0
-    objective = np.zeros(n_vars)
-    objective[:d] = rhs
-    lower = np.zeros(n_vars)
-    lower[:d] = -np.inf
-    sol = solve_lp(LinearProgram(objective, rows, constants, lower, "min"))
-    if sol.status != "optimal" or sol.value > FAIRNESS_THRESHOLD:
+    k = matrix.shape[1]
+    total = matrix.sum(axis=1)
+    cost = np.concatenate([np.zeros(k), [-1.0, 1.0, 1.0]])
+    solved = _node_lp(np.column_stack([matrix, total, -total, rhs]), rhs, cost)
+    if solved is None:
         return None
-    holdings = sol.x[:d] / scale
+    theta = -solved[1]
+    if rhs @ theta > FAIRNESS_THRESHOLD:
+        return None
+    holdings = theta / scale
     return ArbitrageCertificate(
         node=node,
         node_id=tree.ids[node],
@@ -1018,22 +1011,14 @@ def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate 
     )
 
 
-def _find_certificate(model: MarketModel, rays, best) -> ArbitrageCertificate | None:
-    """A one-step arbitrage at the first node, in tree order, whose own
-    one-step polytope has no unit floor above the fairness threshold
-    (:func:`_floor_step` with unit child floors over the ray tables
-    ``rays``, so the rays' own costs and payoffs decide).  A node past the
-    vertex-enumeration guard whose children all had floor 1 in the
-    recursion (``best``, from :func:`_max_floor`) solved this very program
-    there, so it takes that floor instead of its lifted node LP again."""
-    suspects = []
-    for table in rays[0]:
-        group, past = table.group, table.past
-        reused = (best[group.children[past]] >= 1.0).all(axis=1)
-        unit, _, _ = _floor_step(replace(table, past=past[~reused]), np.ones(group.children.shape))
-        unit[past[reused]] = best[group.nodes[past[reused]]]
-        suspects.extend(group.nodes[unit <= FAIRNESS_THRESHOLD].tolist())
-    for node in sorted(suspects):
+def _find_certificate(model: MarketModel, best) -> ArbitrageCertificate | None:
+    """A one-step arbitrage at the first node that admits one, trying in
+    tree order the nodes whose floor in the recursion (``best``, from
+    :func:`_max_floor`) is at most the fairness threshold.  A node with a
+    one-step arbitrage has no strictly positive ratio vector, so its floor
+    is 0 and it is always tried; so is each of its ancestors, whose floors
+    it pulls down to 0."""
+    for node in np.flatnonzero(best <= FAIRNESS_THRESHOLD).tolist():
         certificate = _extract_certificate(model, node)
         if certificate is not None:
             return certificate
@@ -1046,25 +1031,24 @@ def check_fair(model: MarketModel) -> FairnessReport:
     The floor, ``max eps`` subject to the martingale constraints and
     ``m[node] >= eps`` for every node, comes from the backward recursion of
     :func:`_max_floor` over the nodes' extreme payoff rays
-    (:func:`_ray_tables`, built here once and passed on), one stacked
-    product per ``(time, branching)`` group and rank.  The market is fair
-    exactly when it exceeds 1e-10; the levels rebuilt from the maximizing
-    ratios are returned as a strictly positive witness whose smallest
-    level is the floor.  When unfair, a one-step arbitrage certificate is
-    assembled by LP at the first node whose own polytope has no positive
-    unit floor, read from the same rays (``None`` in the near-degenerate
-    case where every node passes locally but the floor is still tiny).
+    (:func:`_ray_tables`), one stacked product per ``(time, branching)``
+    group and rank.  The market is fair exactly when it exceeds 1e-10; the
+    levels rebuilt from the maximizing ratios are returned as a strictly
+    positive witness whose smallest level is the floor.  When unfair, a
+    one-step arbitrage certificate is read off the dual of a node LP at
+    the first node of floor at most 1e-10 that admits one
+    (:func:`_find_certificate`; ``None`` in the near-degenerate case where
+    no node admits one but the floor is still tiny).
     :func:`fairtree.oracle.lp_interior_radius` solves the same problem as
     one whole-tree LP, for cross-checks.
     """
-    rays = _ray_tables(model)
-    radius, levels, best = _max_floor(model, rays)
+    radius, levels, best = _max_floor(model, _ray_tables(model))
     if radius <= FAIRNESS_THRESHOLD:
         return FairnessReport(
             fair=False,
             witness=None,
             interior_radius=radius,
-            certificate=_find_certificate(model, rays, best),
+            certificate=_find_certificate(model, best),
         )
     return FairnessReport(
         fair=True,

@@ -1,15 +1,18 @@
 """Self-contained linear and convex solvers used by every other module.
 
+Every linear program here has one form, ``min c @ x`` subject to
+``A x = b`` and ``x >= 0`` (:class:`LinearProgram`); a caller that wants a
+maximum negates its objective, and a free variable is split in two.
+
 Three pieces live here:
 
-* :func:`solve_lp` -- a dense two-phase primal simplex over equality
-  constraints with variable lower bounds.  Pivoting follows Bland's rule
-  (smallest eligible index enters; ratio ties break toward the smallest
-  basic index), which rules out cycling, so the pivot budget below is a
-  pure safety net.  Dual multipliers come from a fresh factorization of
-  the final basis, not from the drifting tableau.
+* :func:`solve_lp` -- a dense two-phase primal simplex.  Pivoting follows
+  Bland's rule (smallest eligible index enters; ratio ties break toward
+  the smallest basic index), which rules out cycling, so the pivot budget
+  below is a pure safety net.  Dual multipliers come from a fresh
+  factorization of the final basis, not from the drifting tableau.
 * :func:`enumerate_vertices` -- brute-force basic feasible solutions of
-  ``{A x = b, x >= lower}``, guarded against combinatorial blow-up.
+  ``{A x = b, x >= 0}``, guarded against combinatorial blow-up.
 * :func:`minimize_convex` -- Frank-Wolfe (conditional gradient) with an
   exact line search, using :func:`solve_lp` as the linear-minimization
   oracle.  The duality gap ``g . (x - s)`` certifies optimality on exit.
@@ -36,24 +39,21 @@ _VERTEX_COMBO_GUARD = 400_000
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """``min/max objective . x`` subject to ``eq_matrix @ x = eq_rhs`` and
-    ``x >= lower``.  ``lower`` may be a scalar or a per-variable vector and
-    may contain ``-inf`` for free variables."""
+    """``min objective . x`` subject to ``eq_matrix @ x = eq_rhs`` and
+    ``x >= 0``."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    lower: np.ndarray | float = 0.0
-    sense: str = "min"
 
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:
     """Solver outcome.  ``x`` and ``duals`` are ``None`` unless optimal.
 
-    ``duals`` holds one multiplier per equality row, signed so that for a
-    problem with zero lower bounds ``duals @ eq_rhs`` equals the optimal
-    value; :func:`kkt_residuals` audits the general case.
+    ``duals`` holds one multiplier per equality row: ``duals @ eq_rhs``
+    equals the optimal value and ``objective - eq_matrix.T @ duals >= 0``;
+    :func:`kkt_residuals` audits both.
     """
 
     status: str
@@ -69,14 +69,9 @@ def _lp_arrays(lp: LinearProgram):
     m, n = a.shape
     b = np.asarray(lp.eq_rhs, dtype=float).reshape(m)
     c = np.asarray(lp.objective, dtype=float).reshape(n)
-    lower = np.broadcast_to(np.asarray(lp.lower, dtype=float), (n,)).copy()
-    if lp.sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {lp.sense!r}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise ValueError("LP data must be finite")
-    if np.any(np.isnan(lower)) or np.any(lower == np.inf):
-        raise ValueError("lower bounds must be finite or -inf")
-    return a, b, c, lower
+    return a, b, c
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -167,40 +162,20 @@ def _run_phase(a_aug, rhs, basis, cost, allowed, budget):
 
 def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
     """Two-phase primal simplex.  See the module docstring for conventions."""
-    a, b, c, lower = _lp_arrays(lp)
+    a, b, c = _lp_arrays(lp)
     m, n = a.shape
-    sign = 1.0 if lp.sense == "min" else -1.0
-    c_int = sign * c
-
-    # Shift finite lower bounds to zero and split free variables x = u - w.
-    shift = np.where(np.isfinite(lower), lower, 0.0)
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    for j in range(n):
-        col_var.append(j)
-        col_sign.append(1.0)
-        if not np.isfinite(lower[j]):
-            col_var.append(j)
-            col_sign.append(-1.0)
-    col_var_arr = np.asarray(col_var, dtype=int)
-    col_sign_arr = np.asarray(col_sign, dtype=float)
-    a_ext = a[:, col_var_arr] * col_sign_arr[np.newaxis, :]
-    c_ext = c_int[col_var_arr] * col_sign_arr
-    n_ext = a_ext.shape[1]
-
-    rhs = b - a @ shift
-    row_sign = np.where(rhs < 0, -1.0, 1.0)
-    a_ext = a_ext * row_sign[:, np.newaxis]
-    rhs = rhs * row_sign
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    a_signed = a * row_sign[:, np.newaxis]
+    rhs = b * row_sign
 
     if pivot_limit is None:
-        pivot_limit = max(5_000, 60 * (m + n_ext))
+        pivot_limit = max(5_000, 60 * (m + n))
 
     # Phase 1: artificial basis, minimize the sum of artificials.
-    a_aug = np.hstack([a_ext, np.eye(m)])
-    basis = np.arange(n_ext, n_ext + m)
-    cost1 = np.concatenate([np.zeros(n_ext), np.ones(m)])
-    allowed = np.concatenate([np.ones(n_ext, dtype=bool), np.zeros(m, dtype=bool)])
+    a_aug = np.hstack([a_signed, np.eye(m)])
+    basis = np.arange(n, n + m)
+    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+    allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
     status, _ = _run_phase(a_aug, rhs, basis, cost1, allowed, pivot_limit)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise SolverError("phase-1 simplex reported an unbounded problem")
@@ -212,9 +187,9 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep_rows = np.ones(m, dtype=bool)
     for i in range(m):
-        if basis[i] < n_ext:
+        if basis[i] < n:
             continue
-        candidates = np.flatnonzero(np.abs(tableau[i, :n_ext]) > 1e-9)
+        candidates = np.flatnonzero(np.abs(tableau[i, :n]) > 1e-9)
         if candidates.size:
             _pivot(tableau, i, int(candidates[0]))
             basis[i] = int(candidates[0])
@@ -222,16 +197,16 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
             keep_rows[i] = False
     kept = np.flatnonzero(keep_rows)
     a_aug = a_aug[kept]
-    a_kept = a_ext[kept]
+    a_kept = a_signed[kept]
     rhs_kept = rhs[kept]
     basis = basis[kept]
 
     # Phase 2 on the original objective, artificial columns barred.  The
-    # recovered solution is verified against the original data; on residual
-    # trouble the phase is re-entered from a refreshed tableau.
-    cost2 = np.concatenate([c_ext, np.zeros(m)])
+    # solution is verified against the original data; on residual trouble
+    # the phase is re-entered from a refreshed tableau.
+    cost2 = np.concatenate([c, np.zeros(m)])
     feas_scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    cost_scale = 1.0 + float(np.abs(c_ext).max(initial=0.0))
+    cost_scale = 1.0 + float(np.abs(c).max(initial=0.0))
     for _attempt in range(8):
         status, _ = _run_phase(a_aug, rhs_kept, basis, cost2, allowed, pivot_limit)
         if status == "unbounded":
@@ -240,18 +215,15 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
         basis_cols = a_kept[:, basis]
         try:
             x_basis = np.linalg.solve(basis_cols, rhs_kept)
-            lam = np.linalg.solve(basis_cols.T, c_ext[basis])
+            lam = np.linalg.solve(basis_cols.T, c[basis])
         except np.linalg.LinAlgError:
             raise SolverError("simplex basis became singular") from None
 
-        x_ext = np.zeros(n_ext)
-        x_ext[basis] = x_basis
-        x = shift.copy()
-        np.add.at(x, col_var_arr, col_sign_arr * x_ext)
-
+        x = np.zeros(n)
+        x[basis] = x_basis + 0.0  # no negative zeros in a solution
         primal = float(np.abs(a @ x - b).max(initial=0.0))
-        bound = float(np.maximum(shift - np.where(np.isfinite(lower), x, 0.0), 0.0).max(initial=0.0))
-        reduced = c_ext - a_kept.T @ lam
+        bound = float(np.maximum(-x, 0.0).max(initial=0.0))
+        reduced = c - a_kept.T @ lam
         dual = float(np.maximum(-reduced, 0.0).max(initial=0.0))
         if (
             primal <= _FEAS_TOL * feas_scale
@@ -260,8 +232,6 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
         ):
             duals = np.zeros(m)
             duals[kept] = lam * row_sign[kept]
-            if lp.sense == "max":
-                duals = -duals
             return LPSolution(status="optimal", x=x, duals=duals, value=float(c @ x))
     raise SolverError(
         "simplex result failed verification after repeated refactorization"
@@ -271,50 +241,39 @@ def solve_lp(lp: LinearProgram, pivot_limit: int | None = None) -> LPSolution:
 def kkt_residuals(lp: LinearProgram, solution: LPSolution) -> dict[str, float]:
     """Primal/dual optimality residuals of an optimal solve, for audits.
 
-    Keys: ``primal`` (equality and bound violation), ``dual`` (sign-adjusted
-    reduced-cost violation), ``slackness`` (complementary slackness) and
-    ``gap`` (relative primal-dual objective gap).
+    Keys: ``primal`` (equality and sign violation), ``dual`` (reduced-cost
+    violation), ``slackness`` (complementary slackness) and ``gap``
+    (relative primal-dual objective gap).
     """
     if solution.status != "optimal":
         raise ValueError("KKT residuals are only defined for optimal solves")
-    a, b, c, lower = _lp_arrays(lp)
+    a, b, c = _lp_arrays(lp)
     x, duals = solution.x, solution.duals
     primal = float(np.abs(a @ x - b).max(initial=0.0))
-    finite = np.isfinite(lower)
-    if np.any(finite):
-        primal = max(primal, float(np.maximum(lower[finite] - x[finite], 0.0).max(initial=0.0)))
+    primal = max(primal, float(np.maximum(-x, 0.0).max(initial=0.0)))
     reduced = c - a.T @ duals
-    if lp.sense == "max":
-        reduced = -reduced
     dual = float(np.maximum(-reduced, 0.0).max(initial=0.0))
-    slack = x - np.where(finite, lower, 0.0)
-    slack = np.where(finite, slack, 0.0)
-    slackness = float(np.abs(slack * reduced).max(initial=0.0))
-    sign = 1.0 if lp.sense == "min" else -1.0
-    dual_value = float(duals @ b) + sign * float(reduced @ np.where(finite, lower, 0.0))
-    gap = abs(solution.value - dual_value) / max(1.0, abs(solution.value))
+    slackness = float(np.abs(x * reduced).max(initial=0.0))
+    gap = abs(solution.value - float(duals @ b)) / max(1.0, abs(solution.value))
     return {"primal": primal, "dual": dual, "slackness": slackness, "gap": gap}
 
 
 def enumerate_vertices(lp: LinearProgram, tol: float = 1e-9) -> list[np.ndarray]:
-    """All vertices of ``{A x = b, x >= lower}`` with finite lower bounds.
+    """All vertices of ``{A x = b, x >= 0}``.
 
     Works by enumerating column subsets of size ``rank(A)``; duplicate
     solutions within ``tol`` (sup-norm) are merged.  Guarded to at most
     25 variables and a bounded number of subsets, since the count grows
     combinatorially.
     """
-    a, b, _, lower = _lp_arrays(lp)
-    if not np.all(np.isfinite(lower)):
-        raise ValueError("vertex enumeration requires finite lower bounds")
+    a, b, _ = _lp_arrays(lp)
     m, n = a.shape
     if n > _VERTEX_VARIABLE_GUARD:
         raise SizeGuardError(
             f"vertex enumeration is limited to {_VERTEX_VARIABLE_GUARD} "
             f"variables, got {n}"
         )
-    shifted = b - a @ lower
-    scale = 1.0 + float(np.abs(shifted).max(initial=0.0))
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
     rank = int(np.linalg.matrix_rank(a, tol=1e-12 * max(1.0, float(np.abs(a).max(initial=0.0)))))
     n_combos = math.comb(n, rank)
     if n_combos > _VERTEX_COMBO_GUARD:
@@ -326,16 +285,15 @@ def enumerate_vertices(lp: LinearProgram, tol: float = 1e-9) -> list[np.ndarray]
     vertices: list[np.ndarray] = []
     for combo in itertools.combinations(range(n), rank):
         cols = a[:, combo]
-        w, _, rank_cols, _ = np.linalg.lstsq(cols, shifted, rcond=None)
+        w, _, rank_cols, _ = np.linalg.lstsq(cols, b, rcond=None)
         if rank_cols < len(combo):
             continue
-        if float(np.abs(cols @ w - shifted).max(initial=0.0)) > tol * scale:
+        if float(np.abs(cols @ w - b).max(initial=0.0)) > tol * scale:
             continue
         if np.any(w < -tol):
             continue
         x = np.zeros(n)
         x[list(combo)] = np.where(np.abs(w) <= 1e-11, 0.0, w)
-        x = x + lower
         if any(float(np.abs(x - v).max()) <= tol for v in vertices):
             continue
         vertices.append(x)
@@ -483,10 +441,7 @@ def minimize_convex(
     def oracle(grad: np.ndarray) -> np.ndarray:
         if problem.oracle is not None:
             return np.asarray(problem.oracle(grad), dtype=float)
-        sol = solve_lp(
-            LinearProgram(objective=grad, eq_matrix=a, eq_rhs=b,
-                          lower=constraints.lower, sense="min")
-        )
+        sol = solve_lp(LinearProgram(objective=grad, eq_matrix=a, eq_rhs=b))
         if sol.status != "optimal":
             raise SolverError(
                 f"linear-minimization oracle returned {sol.status!r}"

@@ -154,13 +154,11 @@ def lp_interior_radius(model: MarketModel, face=None):
     rows[base.shape[0]:, n] = -1.0
     rows[base.shape[0]:, n + 1:] = -np.eye(n)
     objective = np.zeros(2 * n + 1)
-    objective[n] = 1.0
-    sol = solve_lp(
-        LinearProgram(objective, rows, np.concatenate([rhs, np.zeros(n)]), 0.0, "max")
-    )
+    objective[n] = -1.0  # maximize eps
+    sol = solve_lp(LinearProgram(objective, rows, np.concatenate([rhs, np.zeros(n)])))
     if sol.status != "optimal":
         return 0.0, None
-    return float(sol.value), sol.x[:n]
+    return float(sol.x[n]), sol.x[:n]
 
 
 def lp_price_interval(model: MarketModel, claim: Claim):
@@ -170,13 +168,13 @@ def lp_price_interval(model: MarketModel, claim: Claim):
     matrix, rhs = _scaled_polytope(model)
     objective = _claim_objective(model, payoff)
     solutions = []
-    for sense in ("min", "max"):
-        sol = solve_lp(LinearProgram(objective, matrix, rhs, 0.0, sense))
+    for sign in (1.0, -1.0):  # the upper bound minimizes the negated claim
+        sol = solve_lp(LinearProgram(sign * objective, matrix, rhs))
         if sol.status != "optimal":
             raise UnfairMarketError(f"the deflator polytope LP is {sol.status}")
         solutions.append(sol)
     low, high = solutions
-    return float(low.value), float(high.value), low.x, high.x
+    return float(low.value), float(objective @ high.x), low.x, high.x
 
 
 def lp_face_radius(model: MarketModel, claim: Claim, upper: float):

@@ -39,7 +39,6 @@ from .market import (
     _check_martingale,
     build_market,
     deflator_values,
-    fair_price_process,
 )
 from .deflators import (
     Deflator,
@@ -771,7 +770,9 @@ def augment_market(
         )
     primal = solve_primal(model, utility, x)
     levels = primal.deflator.values
-    prices = fair_price_process(model, primal.deflator, claim)
+    # fair_price_process's formula; solve_dual has validated the levels
+    payoff = _check_claim(model, claim)
+    prices = model.tree.expect_terminal(levels[model.tree.leaves] * payoff) / levels
     stacked = np.vstack([model.price, prices[np.newaxis, :]])
     augmented = build_market(model.tree, stacked, model.asset_names + (name,))
 

@@ -38,7 +38,7 @@ from fairtree import (
 )
 from fairtree.deflators import _STORE, _vertex_tables
 from fairtree.optim import solve_lp
-from fairtree.oracle import completeness_via_claims
+from fairtree.oracle import completeness_via_claims, lp_interior_radius
 
 from conftest import arb_corpus, fair_corpus, priced_market, wide_market, wide_two_step_market
 
@@ -66,6 +66,23 @@ class TestPolytope:
             assert mu == pytest.approx(md / 2, abs=1e-10)
             assert mm == pytest.approx(3 - 1.5 * md, abs=1e-10)
             assert 0 < md < 2
+
+
+def _assert_one_step_arbitrage(model, cert):
+    """The certificate checks of ``fairtree fair --verify``, plus its
+    reported cost and payoffs against the raw prices."""
+    price = model.price
+    ch = list(model.tree.children[cert.node])
+    assert ch, "certificate must sit at a non-leaf node"
+    assert cert.cost == pytest.approx(
+        float(cert.holdings @ price[:, cert.node]), abs=1e-12
+    )
+    np.testing.assert_allclose(
+        cert.payoffs, cert.holdings @ price[:, ch], atol=1e-12
+    )
+    assert cert.cost <= 1e-9
+    assert cert.payoffs.min() >= -1e-9
+    assert cert.payoffs.max() > 1e-10
 
 
 class TestFairness:
@@ -96,28 +113,17 @@ class TestFairness:
             report = check_fair(model)
             assert not report.fair
             assert report.witness is None
-            cert = report.certificate
-            assert cert is not None
-            price = model.price
-            ch = list(model.tree.children[cert.node])
-            assert ch, "certificate must sit at a non-leaf node"
-            assert cert.cost == pytest.approx(
-                float(cert.holdings @ price[:, cert.node]), abs=1e-12
-            )
-            np.testing.assert_allclose(
-                cert.payoffs, cert.holdings @ price[:, ch], atol=1e-12
-            )
-            assert cert.cost <= 1e-9
-            assert cert.payoffs.min() >= -1e-9
-            assert cert.payoffs.max() > 1e-10
+            assert report.certificate is not None
+            _assert_one_step_arbitrage(model, report.certificate)
 
     @pytest.mark.parametrize("leaf_children", [True, False])
     def test_certificate_screen_reuses_the_floor_past_the_guard(self, monkeypatch, leaf_children):
         """The root, past the vertex guard, has a copy of the bond marked
-        up 25%.  Where its children are leaves, their floors are 1 and the
-        screen's unit floor is the recursion's own program, so check_fair
-        solves the root's lifted floor LP once, then the certificate LP.
-        Below children of floor under 1, the screen solves it again."""
+        up 25%.  Whether its children are leaves (floor 1) or not (floor
+        under 1), the certificate search reads the root's floor from the
+        recursion, so check_fair solves the root's lifted floor LP once,
+        then the certificate LP, whose variables are one per child and
+        three more."""
         if leaf_children:
             model, _ = wide_market(30, 2)
         else:
@@ -141,11 +147,34 @@ class TestFairness:
         assert not report.fair
         assert report.certificate.node_id == "r"
         children = len(model.tree.children[0])
-        floor_lp, certificate_lp = children + 1, 3 + children + 1
-        if leaf_children:
-            assert calls == [floor_lp, certificate_lp]
-        else:
-            assert calls == [floor_lp, floor_lp, certificate_lp]
+        assert calls == [children + 1, children + 3]
+
+    def test_arbitrage_below_the_root(self, monkeypatch):
+        """A copy of the first asset marked up 25% at ``r12`` only: buying
+        the original against it at ``r1`` is a one-step arbitrage, and the
+        first in tree order.  Its zero floor pulls the root's floor to 0
+        through the recursion's zero-child-floor branch, so the search
+        tries the root first, finds no arbitrage there, then solves
+        ``r1``'s certificate LP."""
+        model = generate_market(3, 4, 3, 2)
+        price = np.vstack([model.price, model.price[:1]])
+        price[2, model.tree.ids.index("r12")] *= 1.25
+        twin = build_market(model.tree, price)
+        original = fairtree.deflators.solve_lp
+        calls = []
+
+        def counted(program):
+            calls.append(program.objective.size)
+            return original(program)
+
+        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        report = check_fair(twin)
+        assert not report.fair
+        assert report.interior_radius == 0.0
+        assert lp_interior_radius(twin)[0] == 0.0
+        assert report.certificate.node_id == "r1"
+        _assert_one_step_arbitrage(twin, report.certificate)
+        assert calls == [3 + 3, 3 + 3]  # the root's certificate LP, then r1's
 
     def test_require_fair_raises_with_the_node(self):
         model = arb_corpus(1)[0]

@@ -415,11 +415,14 @@ class TestCli:
         assert report["verify"] == {"certificate": "valid one-step arbitrage"}
 
     def test_fair_custom_threshold_tightens(self, capsys, t1_path):
-        report = run_json(
-            capsys, ["fair", t1_path, "--tolerance", "0.9"], expect=1
-        )
+        argv = ["fair", t1_path, "--tolerance", "0.9"]
+        report = run_json(capsys, argv, expect=1)
         assert report["fair"] is False
         assert report["certificate"] is None
+        # fair at the default threshold: there is no arbitrage to certify
+        report = run_json(capsys, [*argv, "--verify"], expect=1)
+        assert report["certificate"] is None
+        assert report["verify"] == {"certificate": "none at this threshold"}
 
     def test_complete(self, capsys, t1_path, b1_path):
         report = run_json(capsys, ["complete", t1_path, "--verify"])

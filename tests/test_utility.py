@@ -376,12 +376,12 @@ class TestAugmentation:
             names.append(model.asset_names[-1])
         assert names == ["asset0-augmented", "asset0-augmented-2", "asset0-augmented-3"]
 
-    def test_one_sweep_and_four_martingale_checks_per_call(self, monkeypatch):
+    def test_one_sweep_and_three_martingale_checks_per_call(self, monkeypatch):
         # with the original market's dual certified, the enlarged market's
         # certificate is the only sweep of the linear oracle; the defect is
-        # measured for the claim's price process, the enlarged market's
-        # witness, the original levels on the enlarged rows and the enlarged
-        # market's deflator
+        # measured for the enlarged market's witness, the original levels on
+        # the enlarged rows and the enlarged market's deflator, not for the
+        # already validated levels that price the claim
         import fairtree.market
 
         model = generate_market(seed=0, depth=3, branching=3, assets=2)
@@ -400,7 +400,7 @@ class TestAugmentation:
         augmented, _ = augment_market(model, log_utility(), 1.0, claim)
         assert _newton_nodes(augmented)
         assert len(sweeps) == 1
-        assert len(defects) == 4
+        assert len(defects) == 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_start_hides_nothing(self, seed):

@@ -12,8 +12,10 @@ minimax deflator is made of one-step problems: each node's ratios solve
 the one-step dual problem of its children, weighted by their subtrees'
 values.  One damped Newton solves every node's problem at once, from the
 fairness witness, with the subtree weights refreshed from the current
-ratios at each iteration.  One sweep of the polytope's linear oracle then
-certifies the whole-tree duality gap.
+ratios at each iteration; a node stops once a full step moves none of its
+ratios by more than 1e-9 of itself, a test that reads the same on any
+numeraire.  One sweep of the polytope's linear oracle then certifies the
+whole-tree duality gap.
 
 Both supported utility families -- logarithmic and power -- have scale-
 invariant conjugates: rescaling the dual variable rescales the objective
@@ -250,6 +252,7 @@ def dual_value(model: MarketModel, utility: UtilitySpec, deflator, y: float) -> 
 
 _NEWTON_ITERS = 100
 _FULL_STEP_DECREMENT = 1e-10
+_STEP_TOL = 1e-9
 _ARMIJO = 0.25
 _BACKTRACKS = 60
 
@@ -276,17 +279,20 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
     ``_FULL_STEP_DECREMENT``, until the objective falls enough (Armijo).
     Below that decrement the full step is taken with only the domain
     checked: the remaining gain is below what the function values resolve,
-    so a sufficient-decrease test would stall there.  A node stops once a
-    full step leaves the decrement, below that threshold, above a quarter
-    of its previous value (the rounding floor) -- for power utility only
-    once its whole subtree has stopped too, since until then its heights
-    still move.  A full-rank node counts as stopped once its children
-    have, and the stops are settled level by level, latest first, so a
-    whole subtree can stop in one iteration.  The weights are normalized
-    per node, so the thresholds do not depend on the heights.  A working
-    set drops its stopped nodes once at most half of it is live.  Raises
-    :class:`SolverError` naming the node with the largest decrement left
-    above that threshold after ``_NEWTON_ITERS`` iterations.
+    so a sufficient-decrease test would stall there.  A node is done once
+    it takes a full step that moves no ratio by more than ``_STEP_TOL`` of
+    that ratio.  The test is relative to each ratio, so it reads the same
+    on any numeraire, where the decrement's size does not: under steep
+    power utilities a full step from a decrement of 1e-24 can still move a
+    ratio near 1e-22 by a fifth.  For log utility a done node stops at
+    once; for power utility it stops only with its whole subtree, since
+    until then its heights still move.  A full-rank node counts as done,
+    and the stops are settled level by level, latest first, so a whole
+    subtree can stop in one iteration.  The weights are normalized per
+    node, so the decrement does not depend on the heights.  A working set
+    drops its stopped nodes once at most half of it is live.  Raises :class:`SolverError`
+    naming the node with the largest decrement above
+    ``_FULL_STEP_DECREMENT`` left live after ``_NEWTON_ITERS`` iterations.
     """
     tree = model.tree
     # V(r) = (1 - p) / p * r**(p * a), or -ln r for log; V'(r) = -r**a and
@@ -296,8 +302,7 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
     groups = _node_groups(model)
     heights = np.ones(tree.n_nodes)
     # nodes whose subtree has stopped, and nodes that may stop: the
-    # full-rank ones, and the Newton nodes whose last step left them at
-    # the rounding floor
+    # full-rank ones, and the Newton nodes whose last step was done
     settled = np.zeros(tree.n_nodes, dtype=bool)
     settled[tree.leaves] = True
     floored = np.ones(tree.n_nodes, dtype=bool)
@@ -318,8 +323,7 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
             "probs": stack.probs[newton],
             "r": start[children] / start[nodes][:, np.newaxis],
             "active": np.ones(nodes.size, dtype=bool),
-            "previous": np.full(nodes.size, np.inf),
-            "full": np.zeros(nodes.size, dtype=bool),
+            "decrement": np.full(nodes.size, np.inf),
         })
         ratio[children] = works[-1]["r"]
 
@@ -328,6 +332,8 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
         return (weights * v).sum(axis=1)
 
     for _ in range(_NEWTON_ITERS):
+        if not any(w["active"].any() for w in works):
+            break
         if p != 0.0:
             powered = _pow(ratio, q)
             # latest level first; the root's height (the last group) weighs nothing
@@ -335,10 +341,11 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
                 heights[group.nodes] = (
                     group.probs * heights[group.children] * powered[group.children]
                 ).sum(axis=1)
-        steps = []
-        floor_seen = False
+        done_seen = False
         for w in works:
-            r, null = w["r"], w["null"]
+            r, null, active = w["r"], w["null"], w["active"]
+            if not active.any():
+                continue
             weights = w["probs"] * heights[w["children"]]
             weights = weights / weights.sum(axis=1, keepdims=True)
             residual = np.einsum("gdn,gn->gd", w["matrix"], r) - w["rhs"]
@@ -348,29 +355,9 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
             hess = np.einsum("gnk,gn,gnl->gkl", null, curvature, null) + w["padding"]
             grad = np.einsum("gnk,gn->gk", null, slope + curvature * move)
             newton = np.linalg.solve(hess, grad[:, :, np.newaxis])[:, :, 0]
-            decrement = np.einsum("gk,gk->g", grad, newton)
+            w["decrement"] = np.einsum("gk,gk->g", grad, newton)
             step = move - np.einsum("gnk,gk->gn", null, newton)
-            previous = w["previous"]
-            floor = w["full"] & (previous <= _FULL_STEP_DECREMENT) & (decrement >= 0.25 * previous)
-            if p == 0.0:
-                w["active"] &= ~floor
-            else:
-                floored[w["nodes"]] = floor
-                floor_seen = floor_seen or floor.any()
-            w["previous"] = decrement
-            steps.append((weights, slope, step))
-        if floor_seen:
-            for group in groups:
-                settled[group.nodes] |= floored[group.nodes] & settled[group.children].all(axis=1)
-            for w in works:
-                w["active"] &= ~settled[w["nodes"]]
-        if not any(w["active"].any() for w in works):
-            break
-        for i, (w, (weights, slope, step)) in enumerate(zip(works, steps)):
-            r, active = w["r"], w["active"]
-            if not active.any():
-                continue
-            damped = w["previous"] > _FULL_STEP_DECREMENT
+            damped = w["decrement"] > _FULL_STEP_DECREMENT
             if damped.any():
                 current = value(weights, r)
                 descent = (slope * step).sum(axis=1)
@@ -388,13 +375,25 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
                 length = np.where(accepted, length, 0.5 * length)
             else:
                 length = np.where(accepted, length, 0.0)
-            w["full"] = length == 1.0
+            done = (length == 1.0) & ((np.abs(step) / r).max(axis=1) <= _STEP_TOL)
             w["r"] = r + length[:, np.newaxis] * step
             ratio[w["children"]] = w["r"]
-            if 2 * active.sum() <= active.size:
+            if p == 0.0:
+                w["active"] &= ~done
+            else:
+                floored[w["nodes"]] = done
+                done_seen = done_seen or done.any()
+        if done_seen:
+            for group in groups:
+                settled[group.nodes] |= floored[group.nodes] & settled[group.children].all(axis=1)
+            for w in works:
+                w["active"] &= ~settled[w["nodes"]]
+        for i, w in enumerate(works):
+            active = w["active"]
+            if 0 < 2 * active.sum() <= active.size:
                 works[i] = {name: rows[active] for name, rows in w.items()}
     left = np.concatenate([
-        np.where(w["active"] & (w["previous"] > _FULL_STEP_DECREMENT), w["previous"], 0.0)
+        np.where(w["active"] & (w["decrement"] > _FULL_STEP_DECREMENT), w["decrement"], 0.0)
         for w in works
     ])
     if left.any():

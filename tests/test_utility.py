@@ -508,20 +508,51 @@ class TestReplication:
             assert named and named.group(1) in model.tree.ids
 
 
+def wild_market(seed: int, scale: float):
+    """``generate_market(seed, 3, 3, 2)`` deflated by a log-normal numeraire
+    of the given scale, drawn per node, with 1 at the root."""
+    model = generate_market(seed=seed, depth=3, branching=3, assets=2)
+    s = np.random.default_rng(3).lognormal(0.0, scale, model.tree.n_nodes)
+    s[0] = 1.0
+    return deflate(model, s)
+
+
 class TestWildNumeraire:
     # one-step node weights span 14 orders of magnitude on this market
     # (power:0.9), and the optimal ratios lie near 1e-15 (power:-20): the
     # Newton recursion fails there, and the error names the node
     @pytest.mark.parametrize("p", [0.9, -20.0])
     def test_newton_failure_names_the_node(self, p):
-        model = generate_market(seed=11, depth=3, branching=3, assets=2)
-        s = np.random.default_rng(3).lognormal(0.0, 1.5, model.tree.n_nodes)
-        s[0] = 1.0
-        wild = deflate(model, s)
+        wild = wild_market(11, 1.5)
         with pytest.raises(SolverError, match=r"decrement of .* at node '[^']+'") as info:
             solve_dual(wild, power_utility(p), 1.0)
         named = re.search(r"at node '([^']+)'", str(info.value)).group(1)
         assert named in wild.tree.ids
+
+    # Newton stops a node on its relative step, which reads the same on any
+    # numeraire.  The decrement-stall stop leaves the first three short of
+    # the gap's bound, and a decrement threshold of 1e-20 loses the last
+    # three: under power:-20 a full step from a decrement of 1e-24 can still
+    # move a ratio near 1e-22 by a fifth.
+    @pytest.mark.parametrize(
+        "seed, scale, p",
+        [
+            (2, 0.5, -20.0),
+            (4, 1.0, 0.9),
+            (3, 2.0, -5.0),
+            (1, 0.5, -20.0),
+            (6, 1.0, -20.0),
+            (3, 1.5, 0.9),
+        ],
+    )
+    def test_certified_on_a_wild_numeraire(self, seed, scale, p):
+        # solve_dual's certificate, recomputed from a fresh oracle sweep
+        wild = wild_market(seed, scale)
+        levels = solve_dual(wild, power_utility(p), 1.0).deflator.values
+        _, gradient, _ = _dual_objective(wild, power_utility(p), 1.0)
+        grad = gradient(levels)
+        gap = float(grad @ (levels - polytope_minimizer(wild)(grad)))
+        assert gap <= 1e-9 * max(1.0, abs(float(grad @ levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +652,20 @@ class TestStackedNewton:
         calls = _count_solves(monkeypatch)
         _minimax_levels(model, u, start)
         assert 0 < len(calls) <= 20
+
+    def test_a_start_at_the_optimum_makes_one_solve(self, monkeypatch):
+        # the enlarged market's Newton, started from the original minimax
+        # levels: its first step is full and moves no ratio by more than
+        # 1e-9 of itself, so it stops there
+        model = generate_market(seed=1, depth=6, branching=2, assets=1)
+        u = log_utility()
+        original = solve_primal(model, u, 1.0).deflator.values
+        claim = default_claims(model, seed=0)["call"]
+        augmented, _ = augment_market(model, u, 1.0, claim)
+        calls = _count_solves(monkeypatch)
+        warm = _minimax_levels(augmented, u, original)
+        assert len(calls) == 1
+        np.testing.assert_allclose(warm, original, rtol=1e-12)
 
     @pytest.mark.parametrize("u", UTILITIES, ids=lambda u: u.label)
     def test_a_complete_tree_iterates_nothing(self, u, two_period, monkeypatch):

@@ -25,10 +25,10 @@ from which its floor and its vertex table are read directly.  Every
 recursion takes one array step per group: the floor (:func:`_floor_step`)
 and the best vertex under a linear cost (:func:`_vertex_step`).  The
 floor's maximizing ratios are solved after the recursion, one basis per
-node (:func:`_witness_ratios`).  The simplex runs only in
-:func:`_node_lp`: the one node LP of a node with too many bases to list,
-and the certificate search, whose arbitrage position is the row duals of
-a node LP (:func:`_extract_certificate`).  Samples of the deflator set
+node (:func:`_witness_ratios`), and an unfair market's arbitrage is read
+off the node program whose zero floor is its own (:func:`_certificate`).
+The simplex runs only in :func:`_node_lp`, at a node with too many bases
+to list.  Samples of the deflator set
 mix the witness with vertices of the vertex sweep
 (:func:`sample_deflators`, :func:`polytope_minimizer`), so the engine
 builds no whole-tree object: :func:`build_polytope` serves the oracles.
@@ -149,7 +149,10 @@ class FairnessReport:
     ``interior_radius`` is the largest uniform floor under all node levels
     achievable inside the polytope (0 when it is empty).  Markets whose
     radius is positive but at most 1e-10 are reported unfair with the tiny
-    radius preserved, never silently rounded either way.
+    radius preserved, never silently rounded either way.  An unfair
+    market's ``certificate`` sits at the first node in tree order whose
+    own floor is at most 1e-10; it is ``None`` in the near-degenerate case
+    where that node's cheapest position costs more.
     """
 
     fair: bool
@@ -581,15 +584,15 @@ def _node_lp(matrix: np.ndarray, rhs: np.ndarray, cost: np.ndarray):
     """``min cost @ r`` subject to ``matrix @ r = rhs``, ``r >= 0``, by the
     simplex: the one node LP of a node past the vertex-enumeration guard.
     Returns the solution and its row duals (``duals @ rhs`` is the optimum
-    and ``cost - matrix.T @ duals >= 0``), or ``None`` when the program
-    has no optimum."""
+    and ``cost - matrix.T @ duals >= 0``); raises :class:`SolverError`
+    when the program has no optimum."""
     sol = solve_lp(LinearProgram(cost, matrix, rhs))
     if sol.status != "optimal":
-        return None
+        raise SolverError(f"node LP is {sol.status}")
     return sol.x, sol.duals
 
 
-def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
+def _vertex_step(table: _VertexTable, cost: np.ndarray):
     """Ratio vectors minimizing ``cost[g] @ r`` over each one-step polytope
     of a group, and those minima: the best row of each node's vertices
     (the first on ties), one stacked product and ``argmin`` per stack of
@@ -608,12 +611,8 @@ def _vertex_step(model: MarketModel, table: _VertexTable, cost: np.ndarray):
         chosen[at] = vertices[rows, pick]
         best[at] = totals[rows, pick]
     for i in table.past.tolist():
-        solved = _node_lp(group.matrix[i], group.rhs[i], cost[i])
-        if solved is None:  # pragma: no cover - fair market
-            raise SolverError(f"local LP has no optimum at node "
-                              f"{model.tree.ids[group.nodes[i]]!r}")
-        chosen[i], duals[i] = solved
-        best[i] = solved[0] @ cost[i]
+        chosen[i], duals[i] = _node_lp(group.matrix[i], group.rhs[i], cost[i])
+        best[i] = chosen[i] @ cost[i]
     return chosen, best, duals
 
 
@@ -637,7 +636,7 @@ def polytope_minimizer(model: MarketModel):
         per_unit = np.asarray(cost, dtype=float).copy()
         chosen = []
         for table in tables:
-            ratios, best, _ = _vertex_step(model, table, per_unit[table.group.children])
+            ratios, best, _ = _vertex_step(table, per_unit[table.group.children])
             per_unit[table.group.nodes] += best
             chosen.append(ratios)
         levels = np.zeros(tree.n_nodes)
@@ -675,12 +674,12 @@ def _payoff_rays(matrix, rhs, left, rank: int):
     rounding outside the cone, which can only lower a floor
     (:func:`_floor_step`), never raise it.
 
-    Returns ``(payoffs, cost, ray, inside, rows, target)``: ``payoffs``
-    ``(g, subsets, columns)`` are ``w`` on the unprojected rows, ``cost =
-    rhs @ y`` and ``ray`` are ``(g, subsets)``, ``inside`` says whether the
-    right-hand side lies in the column space (its projection meets the
-    unprojected rows within ``_FEAS_TOL``), and ``rows @ x = target`` is the
-    projected system, columns at their own length.
+    Returns ``(payoffs, cost, ray, inside, rows, target, vectors)``: the
+    ``w`` on the unprojected rows, ``(g, subsets, columns)``; ``cost = rhs
+    @ y`` and ``ray``, ``(g, subsets)``; whether the right-hand side lies in
+    the column space (its projection meets the unprojected rows within
+    ``_FEAS_TOL``); the projected system ``rows @ x = target``, columns at
+    their own length; and the ``y`` as positions on the unprojected rows.
     """
     count, _, columns = matrix.shape
     span, rows, norms, target = _projection(matrix, rhs, left, rank)
@@ -701,8 +700,9 @@ def _payoff_rays(matrix, rhs, left, rank: int):
     ray = regular & (payoffs.min(axis=2) >= -_FEAS_TOL * payoffs.max(axis=2))
     np.maximum(payoffs, 0.0, out=payoffs)
     cost = sign * (null @ target[..., np.newaxis])[..., 0]
+    vectors = sign[..., np.newaxis] * (null @ span.transpose(0, 2, 1))
     scale = norms[:, np.newaxis, :]
-    return payoffs * scale, cost, ray, inside, rows * scale, target
+    return payoffs * scale, cost, ray, inside, rows * scale, target, vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -711,9 +711,9 @@ class _RayTable:
 
     ``single`` holds the positions of the nodes of full column rank (a
     full slice where they make up the group, ``None`` where there are
-    none), and ``past`` those of the nodes past the vertex-enumeration
-    guard of the lifted floor program (:func:`_rank_slices` over
-    ``children + 1`` columns).  ``stacks`` holds one ``(at, payoffs,
+    none), and ``past`` those of the other nodes past the
+    vertex-enumeration guard of the floor program (:func:`_rank_slices`
+    over ``children + 1`` columns).  ``stacks`` holds one ``(at, payoffs,
     cost)`` triple per rank for the other nodes (``at`` a full slice where
     one rank holds the whole group): ``payoffs[i, e]`` and ``cost[i, e]``
     are the child payoffs and the cost of extreme ray ``e`` of node
@@ -771,7 +771,7 @@ def _ray_tables(model: MarketModel):
             chunks.setdefault(value, []).append((at, *chunk))
         found = []
         for value, parts in chunks.items():
-            at, payoffs, cost, ray, inside, rows, target = map(np.concatenate, zip(*parts))
+            at, payoffs, cost, ray, inside, rows, target, _ = map(np.concatenate, zip(*parts))
             at, payoffs, cost, ray, rows, target = (
                 part[inside] for part in (at, payoffs, cost, ray, rows, target)
             )
@@ -823,13 +823,12 @@ def _floor_step(table: _RayTable, floors):
     ``argmin`` per rank, measured in units of the smallest floor so that
     floors far below 1 stay in range.  The minimizing ray is returned for
     the witness pass (:func:`_witness_ratios`), which finds those nodes'
-    ratios.  A node past the vertex-enumeration guard solves the lifted
-    program as its :func:`_node_lp`: columns ``s >= 0`` (one per child)
-    and ``tau = t / min(floors)``, with ``r = tau * min(floors) / floors +
-    s``, so the system is ``[A | A @ spread]`` and the cost ``-tau``.
-    Returns ``(t, r, pick)``: ``t`` is zero where a floor is zero or no
-    ratio vector is feasible, ``r`` is zero at the ray nodes, and ``pick``
-    holds the ray nodes' minimizing rays.
+    ratios.  A node past the vertex-enumeration guard solves its
+    :func:`_spread_lp` at ``spread = min(floors) / floors``, whose positive
+    optimum is ``t / min(floors)``.  Returns ``(t, r, pick)``: ``t`` is
+    zero where a floor is zero or no ratio vector is feasible, ``r`` is
+    zero at the ray nodes, and ``pick`` holds the ray nodes' minimizing
+    rays.
     """
     group = table.group
     matrix, rhs = group.matrix, group.rhs
@@ -858,33 +857,44 @@ def _floor_step(table: _RayTable, floors):
         chosen = bounds.argmin(axis=1)
         pick[at] = chosen
         best[at] = unit[at] * np.maximum(bounds[np.arange(chosen.size), chosen], 0.0)
-    for i in table.past.tolist():
-        if not positive[i]:
-            continue
-        spread = unit[i] / floors[i]
-        lifted = np.column_stack([matrix[i], matrix[i] @ spread])
-        solved = _node_lp(lifted, rhs[i], -np.eye(columns + 1)[columns])  # maximize tau
-        if solved is not None:
-            tau = solved[0][columns]
-            best[i] = unit[i] * tau
-            ratios[i] = tau * spread + solved[0][:columns]
+    for i in table.past[positive[table.past]].tolist():
+        tau, r, _ = _spread_lp(matrix[i], rhs[i], unit[i] / floors[i])
+        if tau > 0.0:
+            best[i], ratios[i] = unit[i] * tau, r
     if not everywhere:
         best[~positive] = 0.0
         ratios[~positive] = 0.0
     return best, ratios, pick
 
 
+def _spread_lp(matrix, rhs, spread):
+    """A node's floor program at child weights ``spread``, one
+    :func:`_node_lp`: ``max lambda - mu`` subject to ``A u + lambda (A @
+    spread) + mu b = b``, ``u, mu >= 0``, feasible at ``mu = 1`` and bounded
+    by the aggregate's positive payoffs.  A positive optimum is the largest
+    ``tau`` with ratios ``r >= tau * spread`` meeting the rows, at ``r = u +
+    lambda * spread``; the negated row duals ``theta`` pay ``A^T theta >=
+    0`` at the cost ``b @ theta``, the optimum: ``(optimum, r, theta)``."""
+    columns = matrix.shape[1]
+    lifted = matrix @ spread
+    cost = np.zeros(columns + 3)
+    cost[columns:] = -1.0, 1.0, 1.0
+    x, duals = _node_lp(np.column_stack([matrix, lifted, -lifted, rhs]), rhs, cost)
+    lam = x[columns] - x[columns + 1]
+    return lam - x[columns + 2], x[:columns] + lam * spread, -duals
+
+
 def _witness_ratios(model: MarketModel, ray_slice: _RaySlice, floors, best, pick):
     """The maximizing ratio vectors of the floor programs of a
     :class:`_RaySlice`'s nodes, from the final floors.
 
-    By complementary slackness, ``s`` is zero wherever the node's
-    minimizing ray pays, so its basis of the lifted system ``[A | A @
-    spread]`` (:func:`_floor_step`) is the ray's tight columns plus
-    ``tau``.  All of a slice's bases are solved by one stacked solve on the
+    By complementary slackness, ``u`` is zero wherever the node's
+    minimizing ray pays, so its basis of the floor program's columns ``[A
+    | A @ spread]`` (:func:`_spread_lp`) is the ray's tight columns plus
+    ``lambda``.  All of a slice's bases are solved by one stacked solve on the
     projected rows.  Where several rays tie, the chosen basis may have a
     negative entry (below ``-_FEAS_TOL * (1 + max|x|)``); only those nodes
-    solve every basis that holds ``tau`` (:func:`_basic_solutions`) and
+    solve every basis that holds ``lambda`` (:func:`_basic_solutions`) and
     take the best feasible one.  Each node's ``min_j r_j floors_j`` must
     meet its ray floor ``best`` within ``_FEAS_TOL`` relative; otherwise
     :class:`SolverError` names the node."""
@@ -936,19 +946,17 @@ def _max_floor(model: MarketModel, rays):
     the leaves is the largest floor of the subtree at ``k`` relative to its
     own level, so ``F(root)`` is the interior radius of the whole polytope.
     Each ``(time, branching)`` group runs as one :func:`_floor_step` once
-    its children's floors are known: a node of full column rank reads its
-    floor off its single point ``fixed``, the others take the best bound
-    of their extreme payoff rays, one product per rank, or their
-    :func:`_node_lp` past the vertex-enumeration guard.  A node with a
-    child floor of 0 gets 0.  The cap at 1 (the node's own level) is
-    applied after the node's program, not inside it, so each node's ratios
-    stay as balanced as its children's floors allow even where the cap
-    binds.  Returns ``F(root)``, the witness levels rebuilt forward from
-    the maximizing ratios when it exceeds ``FAIRNESS_THRESHOLD`` (``None``
-    otherwise), which the ray nodes take in one pass per slice
-    (:func:`_witness_ratios`), and each node's floor before the cap (1 at
-    the leaves), which picks the nodes the certificate search tries
-    (:func:`_find_certificate`).
+    its children's floors are known; a node with a child floor of 0 gets 0.
+    The cap at 1 (the node's own level) is applied after the node's
+    program, not inside it, so each node's ratios stay as balanced as its
+    children's floors allow even where the cap binds.  Returns ``(F(root),
+    levels, owner)``.  Where ``F(root)`` exceeds ``FAIRNESS_THRESHOLD``,
+    ``levels`` is the witness rebuilt forward from the maximizing ratios
+    (the ray nodes' in one pass per slice, :func:`_witness_ratios`) and
+    ``owner`` is ``None``.  Otherwise ``levels`` is ``None`` and ``owner``
+    is the certificate node as ``(table, position)``: the first node in
+    tree order of floor at most the threshold whose children's floors are
+    all positive, so that a zero inherited from a child is skipped.
     """
     tables, slices = rays
     tree = model.tree
@@ -965,7 +973,10 @@ def _max_floor(model: MarketModel, rays):
         floors[group.nodes] = np.minimum(1.0, found)
     radius = float(floors[0])
     if radius <= FAIRNESS_THRESHOLD:
-        return radius, None, best
+        inherited = np.isin(np.arange(tree.n_nodes), tree.parent[1:][floors[1:] <= 0.0])
+        node = np.flatnonzero((best <= FAIRNESS_THRESHOLD) & ~inherited)[0]
+        table = next(table for table in tables if node in table.group.nodes)
+        return radius, None, (table, int(np.flatnonzero(table.group.nodes == node)[0]))
     for ray_slice in slices:
         children = ray_slice.stack.children[ray_slice.at]
         ratios[children] = _witness_ratios(model, ray_slice, floors, best, pick)
@@ -973,56 +984,46 @@ def _max_floor(model: MarketModel, rays):
     for table in reversed(tables):
         group = table.group
         levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios[group.children]
-    return radius, levels, best
+    return radius, levels, None
 
 
-def _extract_certificate(model: MarketModel, node: int) -> ArbitrageCertificate | None:
-    """Search for a one-step arbitrage position at ``node`` by LP duality.
-
-    On the node's scaled rows ``A`` and ``b`` (:func:`_local_system`) the
-    cheapest scaled position ``theta`` whose probability-weighted child
-    payoffs ``A^T theta`` are nonnegative and sum to one, with a harmless
-    cost floor ``b @ theta >= -1`` that keeps the program bounded, is the
-    dual of ``max lambda - mu`` subject to ``A u + lambda (A 1) + mu b =
-    b`` with ``u, mu >= 0``.  That program is solved as a :func:`_node_lp`
-    with ``lambda`` split in two (``u = 0, lambda = 0, mu = 1`` is always
-    feasible), and ``theta`` is minus its row duals.  A cost ``b @ theta``
-    at most the fairness threshold is an arbitrage; the holdings are
-    ``theta / scale``, priced back at the raw prices.
-    """
-    tree = model.tree
-    ch, _, matrix, rhs, scale = _local_system(model, node)
-    k = matrix.shape[1]
-    total = matrix.sum(axis=1)
-    cost = np.concatenate([np.zeros(k), [-1.0, 1.0, 1.0]])
-    solved = _node_lp(np.column_stack([matrix, total, -total, rhs]), rhs, cost)
-    if solved is None:
+def _certificate(model: MarketModel, table: _RayTable, i: int) -> ArbitrageCertificate | None:
+    """The one-step arbitrage at node ``table.group.nodes[i]``, read off
+    its floor program's objects.  On its scaled rows ``A``, ``b``
+    (:func:`_local_system`) the position ``theta``, of unit length with
+    ``A^T theta >= 0``, is ``-N N^T b / |N^T b|`` at the cost ``-|N^T b|``
+    where ``b`` is off the column space (``|N N^T b| > _FEAS_TOL``, ``N``
+    the left singular vectors past the rank); past the vertex guard, that
+    of its :func:`_spread_lp` at unit spread; otherwise its extreme payoff
+    ray (:func:`_payoff_rays`, at any rank) of least cost per unit of
+    payoff.  ``None`` where the cost ``b @ theta`` exceeds the threshold.
+    Half a negative cost buys equal units of every asset, whose aggregate
+    is strictly positive, so that every payoff is.  The holdings are
+    ``theta / scale``, priced back at the raw prices."""
+    group = table.group
+    node = int(group.nodes[i])
+    matrix, rhs, rank = group.matrix[i], group.rhs[i], int(group.rank[i])
+    beyond = group.left[i, :, rank:]
+    off = beyond.T @ rhs
+    if np.abs(beyond @ off).max() > _FEAS_TOL:
+        theta = beyond @ off / -np.linalg.norm(off)
+    elif i in table.past:
+        theta = _spread_lp(matrix, rhs, np.ones(matrix.shape[1]))[2]
+        theta /= np.linalg.norm(theta)
+    else:
+        payoffs, cost, ray, *_, vectors = _payoff_rays(
+            matrix[np.newaxis], rhs[np.newaxis], group.left[i : i + 1], rank
+        )
+        theta = vectors[ray][np.argmin(cost[ray] / payoffs[ray].sum(axis=1))]
+    cost = rhs @ theta
+    if cost > FAIRNESS_THRESHOLD:
         return None
-    theta = -solved[1]
-    if rhs @ theta > FAIRNESS_THRESHOLD:
-        return None
-    holdings = theta / scale
-    return ArbitrageCertificate(
-        node=node,
-        node_id=tree.ids[node],
-        holdings=holdings,
-        cost=float(holdings @ model.price[:, node]),
-        payoffs=holdings @ model.price[:, ch],
-    )
-
-
-def _find_certificate(model: MarketModel, best) -> ArbitrageCertificate | None:
-    """A one-step arbitrage at the first node that admits one, trying in
-    tree order the nodes whose floor in the recursion (``best``, from
-    :func:`_max_floor`) is at most the fairness threshold.  A node with a
-    one-step arbitrage has no strictly positive ratio vector, so its floor
-    is 0 and it is always tried; so is each of its ancestors, whose floors
-    it pulls down to 0."""
-    for node in np.flatnonzero(best <= FAIRNESS_THRESHOLD).tolist():
-        certificate = _extract_certificate(model, node)
-        if certificate is not None:
-            return certificate
-    return None
+    tree, price = model.tree, model.price[:, node]
+    holdings = theta / group.scale[i]
+    if cost < 0.0:
+        holdings += -0.5 * cost / price.sum()
+    payoffs = holdings @ model.price[:, list(tree.children[node])]
+    return ArbitrageCertificate(node, tree.ids[node], holdings, float(holdings @ price), payoffs)
 
 
 def check_fair(model: MarketModel) -> FairnessReport:
@@ -1035,20 +1036,18 @@ def check_fair(model: MarketModel) -> FairnessReport:
     group and rank.  The market is fair exactly when it exceeds 1e-10; the
     levels rebuilt from the maximizing ratios are returned as a strictly
     positive witness whose smallest level is the floor.  When unfair, a
-    one-step arbitrage certificate is read off the dual of a node LP at
-    the first node of floor at most 1e-10 that admits one
-    (:func:`_find_certificate`; ``None`` in the near-degenerate case where
-    no node admits one but the floor is still tiny).
+    one-step arbitrage certificate is read off the floor program of the
+    node the recursion names (:func:`_certificate`), with no search.
     :func:`fairtree.oracle.lp_interior_radius` solves the same problem as
     one whole-tree LP, for cross-checks.
     """
-    radius, levels, best = _max_floor(model, _ray_tables(model))
+    radius, levels, owner = _max_floor(model, _ray_tables(model))
     if radius <= FAIRNESS_THRESHOLD:
         return FairnessReport(
             fair=False,
             witness=None,
             interior_radius=radius,
-            certificate=_find_certificate(model, best),
+            certificate=_certificate(model, *owner),
         )
     return FairnessReport(
         fair=True,

@@ -134,7 +134,7 @@ def superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     values[model.tree.leaves] = payoff
     for table in _vertex_tables(model):
         group = table.group
-        _, best, _ = _vertex_step(model, table, -group.probs * values[group.children])
+        _, best, _ = _vertex_step(table, -group.probs * values[group.children])
         values[group.nodes] = -best
     return values
 
@@ -169,7 +169,7 @@ def _supermartingale_duals(model: MarketModel, values: np.ndarray, slack: float)
     duals = np.zeros((tree.n_nodes, model.n_assets))
     for table in _vertex_tables(model):
         group = table.group
-        vertices, best, past = _vertex_step(model, table, -group.probs * values[group.children])
+        vertices, best, past = _vertex_step(table, -group.probs * values[group.children])
         upper[group.nodes] = -best
         found.append((group.nodes, vertices))
         if past is not None:

@@ -36,7 +36,7 @@ from fairtree import (
     solve_primal,
     superhedge_process,
 )
-from fairtree.deflators import _STORE, _vertex_tables
+from fairtree.deflators import _STORE, _local_system, _svd_rank, _vertex_tables
 from fairtree.optim import solve_lp
 from fairtree.oracle import completeness_via_claims, lp_interior_radius
 
@@ -85,6 +85,55 @@ def _assert_one_step_arbitrage(model, cert):
     assert cert.payoffs.max() > 1e-10
 
 
+def counted_lps(monkeypatch) -> list:
+    """The variable count of every ``solve_lp`` call the engine makes from
+    now on, in order."""
+    original = fairtree.deflators.solve_lp
+    calls = []
+
+    def counted(program):
+        calls.append(program.objective.size)
+        return original(program)
+
+    monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+    return calls
+
+
+def root_markup_twin(seed: int, shape, eps: float):
+    """``generate_market(seed, *shape)`` plus a copy of its first asset
+    whose root price is marked up by ``eps``: a free lunch of relative size
+    ``eps`` at the root."""
+    model = generate_market(seed, *shape)
+    copy = model.price[0].copy()
+    copy[0] *= 1.0 + eps
+    return build_market(model.tree, np.vstack([model.price, copy]))
+
+
+def raised_copy(seed: int, shape, delta: float):
+    """``generate_market(seed, *shape)`` plus a copy of its first asset
+    whose price at every node but the root is raised by ``delta * S * u``,
+    with ``S`` the first asset's price there and ``u`` drawn uniformly from
+    [0.5, 1.5) per node: the copy pays more than the original everywhere,
+    so the market is unfair at the root and, for some draws, below it."""
+    model = generate_market(seed, *shape)
+    u = np.random.default_rng(seed).uniform(0.5, 1.5, size=model.tree.n_nodes - 1)
+    copy = model.price[0].copy()
+    copy[1:] += delta * model.price[0, 1:] * u
+    return build_market(model.tree, np.vstack([model.price, copy]))
+
+
+def certificate_kind(model, node: int) -> str:
+    """Which case of the certificate read applies at ``node``: its
+    right-hand side off the column space, or else the payoff rays of a
+    node of full or deficient column rank."""
+    _, _, matrix, rhs, _ = _local_system(model, node)
+    left, _, _, _, rank = _svd_rank(matrix[np.newaxis])
+    beyond = left[0][:, rank[0]:]
+    if np.abs(beyond @ (beyond.T @ rhs)).max() > 1e-9:
+        return "off-span"
+    return "full rank" if rank[0] == matrix.shape[1] else "rank deficient"
+
+
 class TestFairness:
     def test_b1_unique_deflator(self, b1_model):
         report = check_fair(b1_model)
@@ -120,10 +169,10 @@ class TestFairness:
     def test_certificate_screen_reuses_the_floor_past_the_guard(self, monkeypatch, leaf_children):
         """The root, past the vertex guard, has a copy of the bond marked
         up 25%.  Whether its children are leaves (floor 1) or not (floor
-        under 1), the certificate search reads the root's floor from the
-        recursion, so check_fair solves the root's lifted floor LP once,
-        then the certificate LP, whose variables are one per child and
-        three more."""
+        under 1), check_fair solves the root's floor LP once, whose
+        variables are one per child and three more, and reads the
+        certificate off the root's right-hand side, which the twin puts
+        off the column space, with no LP."""
         if leaf_children:
             model, _ = wide_market(30, 2)
         else:
@@ -135,46 +184,97 @@ class TestFairness:
         price = np.vstack([model.price, model.price[:1]])
         price[2, 0] *= 1.25
         twin = build_market(model.tree, price)
-        original = fairtree.deflators.solve_lp
-        calls = []
-
-        def counted(program):
-            calls.append(program.objective.size)
-            return original(program)
-
-        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        calls = counted_lps(monkeypatch)
         report = check_fair(twin)
         assert not report.fair
         assert report.certificate.node_id == "r"
         children = len(model.tree.children[0])
-        assert calls == [children + 1, children + 3]
+        assert calls == [children + 3]
+
+    @pytest.mark.parametrize("bump", [1e-2, 1e-6])
+    def test_certificate_past_the_guard_from_the_node_program(self, monkeypatch, bump):
+        """A copy of the stock paying ``bump`` more at one of the root's 30
+        leaves, at the stock's root price.  The root is past the vertex
+        guard and its right-hand side lies in the column space, so its
+        certificate is the position of its floor program at unit spread,
+        scaled to unit length: a payoff of 1e-6 costs no precision and
+        takes no holding near 1e6."""
+        model, _ = wide_market(30, 2)
+        copy = model.price[1].copy()
+        copy[16] *= 1.0 + bump
+        twin = build_market(model.tree, np.vstack([model.price, copy]))
+        calls = counted_lps(monkeypatch)
+        report = check_fair(twin)
+        assert not report.fair
+        assert report.certificate.node_id == "r"
+        _assert_one_step_arbitrage(twin, report.certificate)
+        assert np.abs(report.certificate.holdings).max() <= 2.0
+        assert calls == [33, 33]  # the floor program, then the certificate's
 
     def test_arbitrage_below_the_root(self, monkeypatch):
-        """A copy of the first asset marked up 25% at ``r12`` only: buying
-        the original against it at ``r1`` is a one-step arbitrage, and the
-        first in tree order.  Its zero floor pulls the root's floor to 0
-        through the recursion's zero-child-floor branch, so the search
-        tries the root first, finds no arbitrage there, then solves
-        ``r1``'s certificate LP."""
+        """A copy of the first asset marked up 25% at ``r12`` only: selling
+        the copy against the original at ``r12`` is a one-step arbitrage.
+        Its zero floor pulls the floors of ``r1`` and the root to 0 through
+        the recursion's zero-child-floor branch, so the certificate sits at
+        ``r12``, the first node whose zero floor is its own, and takes no
+        LP."""
         model = generate_market(3, 4, 3, 2)
         price = np.vstack([model.price, model.price[:1]])
         price[2, model.tree.ids.index("r12")] *= 1.25
         twin = build_market(model.tree, price)
-        original = fairtree.deflators.solve_lp
-        calls = []
-
-        def counted(program):
-            calls.append(program.objective.size)
-            return original(program)
-
-        monkeypatch.setattr(fairtree.deflators, "solve_lp", counted)
+        calls = counted_lps(monkeypatch)
         report = check_fair(twin)
         assert not report.fair
         assert report.interior_radius == 0.0
         assert lp_interior_radius(twin)[0] == 0.0
-        assert report.certificate.node_id == "r1"
+        assert report.certificate.node_id == "r12"
         _assert_one_step_arbitrage(twin, report.certificate)
-        assert calls == [3 + 3, 3 + 3]  # the root's certificate LP, then r1's
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [1e-8, -1e-8])
+    @pytest.mark.parametrize(
+        "seed, shape", [(0, (2, 3, 2)), (3, (3, 2, 1)), (7, (3, 4, 2)), (10, (2, 4, 3))]
+    )
+    def test_near_arbitrage_certificates(self, monkeypatch, seed, shape, eps):
+        """A free lunch of 1e-8 at the root leaves its right-hand side 1e-8
+        off the column space.  The certificate is read off that residual,
+        normalized to unit length, so it holds units near 1 rather than
+        near 1e8, and it takes no LP."""
+        twin = root_markup_twin(seed, shape, eps)
+        calls = counted_lps(monkeypatch)
+        report = check_fair(twin)
+        assert not report.fair
+        _assert_one_step_arbitrage(twin, report.certificate)
+        assert np.abs(report.certificate.holdings).max() <= 2.0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "seed, shape, delta, kind",
+        [
+            (0, (2, 3, 2), 1e-8, "off-span"),
+            (1, (2, 4, 3), 1e-6, "full rank"),
+            (9, (3, 4, 2), 1e-6, "rank deficient"),
+        ],
+    )
+    def test_raised_copy_certificates(self, monkeypatch, seed, shape, delta, kind):
+        """One raised copy for each case of the certificate read: the
+        right-hand side off the column space, and the least-cost payoff
+        ray of a node of full and of deficient column rank."""
+        twin = raised_copy(seed, shape, delta)
+        calls = counted_lps(monkeypatch)
+        report = check_fair(twin)
+        assert not report.fair
+        cert = report.certificate
+        _assert_one_step_arbitrage(twin, cert)
+        assert certificate_kind(twin, cert.node) == kind
+        assert np.abs(cert.holdings).max() <= 2.0
+        assert calls == []
+
+    def test_unfair_markets_below_the_guard_solve_no_lp(self, monkeypatch):
+        calls = counted_lps(monkeypatch)
+        for model in arb_corpus(20):
+            assert check_fair(model).certificate is not None
+        assert calls == []
 
     def test_require_fair_raises_with_the_node(self):
         model = arb_corpus(1)[0]

@@ -470,11 +470,11 @@ class TestRayFloors:
         payoff_rays = fairtree.deflators._payoff_rays
 
         def one_ray(*args):
-            payoffs, cost, ray, inside, rows, target = payoff_rays(*args)
+            payoffs, cost, ray, inside, rows, target, vectors = payoff_rays(*args)
             last = ray.shape[1] - 1 - np.argmax(ray[:, ::-1], axis=1)
             kept = np.zeros_like(ray)
             kept[np.arange(ray.shape[0]), last] = True
-            return payoffs, cost, kept, inside, rows, target
+            return payoffs, cost, kept, inside, rows, target, vectors
 
         monkeypatch.setattr(fairtree.deflators, "_payoff_rays", one_ray)
         with pytest.raises(SolverError, match="floor witness at node"):

@@ -26,6 +26,7 @@ from .errors import (
     UnfairMarketError,
 )
 from .market import Claim, MarketModel, check_deflator_values, fair_price_process, martingale_defect
+from .market import _column_dots
 from .deflators import FAIRNESS_THRESHOLD, check_complete, check_fair, require_fair
 from .hedging import (
     classify_attainability,
@@ -76,9 +77,9 @@ def _strategy_map(model: MarketModel, holdings) -> dict:
     tree, names = model.tree, model.asset_names
     rows = np.asarray(holdings, dtype=float).T.tolist()
     return {
-        tree.ids[k]: dict(zip(names, rows[k]))
-        for k in range(tree.n_nodes)
-        if tree.children[k]
+        node_id: dict(zip(names, row))
+        for node_id, row, children in zip(tree.ids, rows, tree.children)
+        if children
     }
 
 
@@ -105,8 +106,8 @@ def _node_rows(model: MarketModel, *columns, holdings=None) -> list:
     rows = [[node_id] + row for node_id, row in zip(tree.ids, values)]
     if holdings is not None:
         blank = [""] * model.n_assets
-        for k, held in enumerate(np.asarray(holdings, dtype=float).T.tolist()):
-            rows[k] += held if tree.children[k] else blank
+        held = np.asarray(holdings, dtype=float).T.tolist()
+        rows = [row + (own if ch else blank) for row, own, ch in zip(rows, held, tree.children)]
     return rows
 
 
@@ -377,19 +378,20 @@ def _cmd_decompose(args) -> int:
         consumption=_node_map(model, result.consumption),
     )
     if args.verify:
-        tree = model.tree
-        holdings = result.strategy.holdings
-        for k in range(1, tree.n_nodes):
-            p = tree.parent[k]
-            gain = float(holdings[:, p] @ (model.price[:, k] - model.price[:, p]))
-            drop = float(result.consumption[k] - result.consumption[p])
-            identity = result.process[k] - result.process[p] - gain + drop
+        tree, price = model.tree, model.price
+        parent = tree.parent[1:]
+        gain = _column_dots(result.strategy.holdings[:, parent], price[:, 1:] - price[:, parent])
+        drop = result.consumption[1:] - result.consumption[parent]
+        identity = result.process[1:] - result.process[parent] - gain + drop
+        failed = ~(np.abs(identity) <= 1e-7) | ~(drop >= -1e-9)
+        if failed.any():  # the first failing node, its identity checked first
+            i = int(np.argmax(failed))
+            node = tree.ids[i + 1]
             _check(
-                abs(identity) <= 1e-7,
-                f"decomposition identity fails at node {tree.ids[k]!r} "
-                f"by {identity:.3e}",
+                abs(identity[i]) <= 1e-7,
+                f"decomposition identity fails at node {node!r} by {identity[i]:.3e}",
             )
-            _check(drop >= -1e-9, f"consumption decreases at node {tree.ids[k]!r}")
+            _check(drop[i] >= -1e-9, f"consumption decreases at node {node!r}")
         payoff = claim.payoff
         slack = result.process[tree.leaves] - payoff
         _check(float(slack.min()) >= -1e-9, "terminal value fails to dominate claim")
@@ -607,23 +609,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fairtree",
         description="Fairness, superhedging and optimal investment on scenario trees.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override the command's decision/verification tolerance",
-    )
-    common.add_argument(
-        "--verify", action="store_true",
-        help="re-derive the result with the brute-force oracles; exit 3 on disagreement",
-    )
-    common.add_argument(
-        "--format", choices=("report", "csv"), default="report",
-        help="output format (default: JSON report)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, help_text, market=True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        if name in ("fair", "superhedge", "optimize", "davis", "augment"):  # those that read it
+            p.add_argument(
+                "--tolerance", type=float, default=None,
+                help="override the command's decision/verification tolerance",
+            )
+        p.add_argument(
+            "--verify", action="store_true",
+            help="re-derive the result with the brute-force oracles; exit 3 on disagreement",
+        )
+        p.add_argument(
+            "--format", choices=("report", "csv"), default="report",
+            help="output format (default: JSON report)",
+        )
         if market:
             p.add_argument("market", help="path to a market document")
         p.set_defaults(handler=handler)

@@ -23,7 +23,8 @@ are listed once per model (:func:`_ray_tables`).  A node whose one-step
 matrix has full column rank has a single point (:func:`_single_points`),
 from which its floor and its vertex table are read directly.  Every
 recursion takes one array step per group: the floor (:func:`_floor_step`)
-and the best vertex under a linear cost (:func:`_vertex_step`).  The
+and the best vertex under a linear cost (:func:`_vertex_step`), and the
+tree's forward walk rebuilds the levels from the chosen ratios.  The
 floor's maximizing ratios are solved after the recursion, one basis per
 node (:func:`_witness_ratios`), and an unfair market's arbitrage is read
 off the node program whose zero floor is its own (:func:`_certificate`).
@@ -163,28 +164,20 @@ class FairnessReport:
 
 def build_polytope(model: MarketModel) -> DeflatorPolytope:
     """Assemble the martingale-constraint polytope of a market."""
-    tree = model.tree
-    n = tree.n_nodes
-    rows: list[np.ndarray] = []
-    labels: list[tuple[str, str]] = []
-    for k in range(n):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        for i in range(model.n_assets):
-            row = np.zeros(n)
-            row[ch] = tree.branch_prob[ch] * model.price[i, ch]
-            row[k] -= model.price[i, k]
-            rows.append(row)
-            labels.append((tree.ids[k], model.asset_names[i]))
-    normalization = np.zeros(n)
-    normalization[0] = 1.0
-    rows.append(normalization)
-    labels.append(("root", "normalization"))
-    matrix = np.vstack(rows)
-    rhs = np.zeros(len(rows))
+    tree, assets = model.tree, model.n_assets
+    inner = np.flatnonzero(np.bincount(tree.parent[1:], minlength=tree.n_nodes))
+    first = np.zeros(tree.n_nodes, dtype=int)  # each non-leaf node's first row
+    first[inner] = assets * np.arange(inner.size)
+    rows = np.arange(assets)[:, np.newaxis]
+    matrix = np.zeros((assets * inner.size + 1, tree.n_nodes))
+    weighted = tree.branch_prob[1:] * model.price[:, 1:]
+    matrix[first[tree.parent[1:]] + rows, np.arange(1, tree.n_nodes)] = weighted
+    matrix[first[inner] + rows, inner] -= model.price[:, inner]
+    matrix[-1, 0] = 1.0
+    rhs = np.zeros(len(matrix))
     rhs[-1] = 1.0
-    return DeflatorPolytope(matrix=matrix, rhs=rhs, row_labels=tuple(labels))
+    labels = [(tree.ids[k], name) for k in inner.tolist() for name in model.asset_names]
+    return DeflatorPolytope(matrix, rhs, tuple(labels) + (("root", "normalization"),))
 
 
 def _local_system(model: MarketModel, node: int):
@@ -622,29 +615,24 @@ def polytope_minimizer(model: MarketModel):
     Fixing a node's level, the admissible child levels form an independent
     one-step polytope, so the whole constraint set factorizes over the
     tree.  Minimizing a linear cost then takes one backward sweep of
-    :func:`_vertex_step` per ``(time, branching)`` group and one forward
-    sweep rebuilding the levels (nodes at level zero propagate zero).  The
-    result matches the LP optimum to solver precision at a fraction of the
-    cost, which is what makes it suitable for the utility dual's gap
-    certificate and for price bounds.  A node past the vertex-enumeration
-    guard answers its step with its one-step LP.
+    :func:`_vertex_step` per ``(time, branching)`` group and the tree's
+    forward walk rebuilding the levels (nodes at level zero propagate
+    zero).  The result matches the LP optimum to solver precision at a
+    fraction of the cost, which is what makes it suitable for the utility
+    dual's gap certificate and for price bounds.  A node past the
+    vertex-enumeration guard answers its step with its one-step LP.
     """
     tree = model.tree
     tables = _vertex_tables(model)
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()
-        chosen = []
+        ratios = np.empty(tree.n_nodes)  # each node's level over its parent's
         for table in tables:
-            ratios, best, _ = _vertex_step(table, per_unit[table.group.children])
-            per_unit[table.group.nodes] += best
-            chosen.append(ratios)
-        levels = np.zeros(tree.n_nodes)
-        levels[0] = 1.0
-        for table, ratios in zip(reversed(tables), reversed(chosen)):
             group = table.group
-            levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios
-        return levels
+            ratios[group.children], best, _ = _vertex_step(table, per_unit[group.children])
+            per_unit[group.nodes] += best
+        return tree.forward(1.0, np.multiply, ratios)
 
     return minimize
 
@@ -815,7 +803,7 @@ def _floor_step(table: _RayTable, floors):
     A node whose one-step matrix has full column rank has the single point
     ``r = group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]`` where
     that point passes the basis kernel's feasibility test
-    (:func:`_basic_solutions`) on the system's rows, and no ratio vector
+    (:func:`_feasible_points`) on the system's rows, and no ratio vector
     is feasible where it does not.  For the other nodes LP duality gives
     ``t = min_e cost_e / sum_j payoffs_ej / floors[g, j]`` over the node's
     extreme payoff rays (:class:`_RayTable`), clipped at 0 (a ray of
@@ -825,10 +813,11 @@ def _floor_step(table: _RayTable, floors):
     the witness pass (:func:`_witness_ratios`), which finds those nodes'
     ratios.  A node past the vertex-enumeration guard solves its
     :func:`_spread_lp` at ``spread = min(floors) / floors``, whose positive
-    optimum is ``t / min(floors)``.  Returns ``(t, r, pick)``: ``t`` is
-    zero where a floor is zero or no ratio vector is feasible, ``r`` is
-    zero at the ray nodes, and ``pick`` holds the ray nodes' minimizing
-    rays.
+    optimum is ``t / min(floors)``.  Returns ``(t, r, pick, theta)``: ``t``
+    is zero where a floor is zero or no ratio vector is feasible, ``r`` is
+    zero at the ray nodes, ``pick`` holds the ray nodes' minimizing rays
+    and ``theta`` the positions of those node programs (zero elsewhere;
+    ``None`` without such nodes), for :func:`_certificate`.
     """
     group = table.group
     matrix, rhs = group.matrix, group.rhs
@@ -836,6 +825,7 @@ def _floor_step(table: _RayTable, floors):
     best = np.zeros(count)
     ratios = np.zeros((count, columns))
     pick = np.zeros(count, dtype=np.intp)
+    theta = np.zeros(rhs.shape) if table.past.size else None
     unit = floors.min(axis=1)
     positive = unit > 0.0
     everywhere = positive.all()
@@ -844,11 +834,9 @@ def _floor_step(table: _RayTable, floors):
         unit = floors.min(axis=1)
     single = table.single
     if single is not None:
-        point = group.fixed[single]
-        bound = _FEAS_TOL * (1.0 + np.abs(point).max(axis=1))
-        residual = np.abs(np.einsum("gmc,gc->gm", matrix[single], point) - rhs[single])
-        met = (point.min(axis=1) >= -bound) & (residual.max(axis=1) <= bound)
-        point = np.where(met[:, np.newaxis], np.maximum(point, 0.0), 0.0)
+        point = group.fixed[single][:, np.newaxis].copy()
+        met = _feasible_points(matrix[single], rhs[single], point)
+        point = np.where(met, point[:, 0], 0.0)
         best[single] = (point * floors[single]).min(axis=1)
         ratios[single] = point
     for at, payoffs, cost in table.stacks:
@@ -858,13 +846,13 @@ def _floor_step(table: _RayTable, floors):
         pick[at] = chosen
         best[at] = unit[at] * np.maximum(bounds[np.arange(chosen.size), chosen], 0.0)
     for i in table.past[positive[table.past]].tolist():
-        tau, r, _ = _spread_lp(matrix[i], rhs[i], unit[i] / floors[i])
+        tau, r, theta[i] = _spread_lp(matrix[i], rhs[i], unit[i] / floors[i])
         if tau > 0.0:
             best[i], ratios[i] = unit[i] * tau, r
     if not everywhere:
         best[~positive] = 0.0
         ratios[~positive] = 0.0
-    return best, ratios, pick
+    return best, ratios, pick, theta
 
 
 def _spread_lp(matrix, rhs, spread):
@@ -951,12 +939,13 @@ def _max_floor(model: MarketModel, rays):
     program, not inside it, so each node's ratios stay as balanced as its
     children's floors allow even where the cap binds.  Returns ``(F(root),
     levels, owner)``.  Where ``F(root)`` exceeds ``FAIRNESS_THRESHOLD``,
-    ``levels`` is the witness rebuilt forward from the maximizing ratios
+    ``levels`` is the witness walked forward from the maximizing ratios
     (the ray nodes' in one pass per slice, :func:`_witness_ratios`) and
     ``owner`` is ``None``.  Otherwise ``levels`` is ``None`` and ``owner``
-    is the certificate node as ``(table, position)``: the first node in
-    tree order of floor at most the threshold whose children's floors are
-    all positive, so that a zero inherited from a child is skipped.
+    is the certificate node as ``(table, position, theta)``: the first node
+    in tree order of floor at most the threshold whose children's floors
+    are all positive, so that a zero inherited from a child is skipped,
+    with its node program's ``theta`` from :func:`_floor_step`.
     """
     tables, slices = rays
     tree = model.tree
@@ -964,11 +953,14 @@ def _max_floor(model: MarketModel, rays):
     best = np.ones(tree.n_nodes)
     pick = np.zeros(tree.n_nodes, dtype=np.intp)
     ratios = np.zeros(tree.n_nodes)  # each node's level over its parent's
+    positions = np.zeros((tree.n_nodes, model.n_assets))
     for table in tables:
         group = table.group
-        found, ratios[group.children], pick[group.nodes] = _floor_step(
+        found, ratios[group.children], pick[group.nodes], theta = _floor_step(
             table, floors[group.children]
         )
+        if theta is not None:
+            positions[group.nodes] = theta
         best[group.nodes] = found
         floors[group.nodes] = np.minimum(1.0, found)
     radius = float(floors[0])
@@ -976,27 +968,28 @@ def _max_floor(model: MarketModel, rays):
         inherited = np.isin(np.arange(tree.n_nodes), tree.parent[1:][floors[1:] <= 0.0])
         node = np.flatnonzero((best <= FAIRNESS_THRESHOLD) & ~inherited)[0]
         table = next(table for table in tables if node in table.group.nodes)
-        return radius, None, (table, int(np.flatnonzero(table.group.nodes == node)[0]))
+        i = int(np.flatnonzero(table.group.nodes == node)[0])
+        return radius, None, (table, i, positions[node])
     for ray_slice in slices:
         children = ray_slice.stack.children[ray_slice.at]
         ratios[children] = _witness_ratios(model, ray_slice, floors, best, pick)
-    levels = np.ones(tree.n_nodes)
-    for table in reversed(tables):
-        group = table.group
-        levels[group.children] = levels[group.nodes][:, np.newaxis] * ratios[group.children]
-    return radius, levels, None
+    return radius, tree.forward(1.0, np.multiply, ratios), None
 
 
-def _certificate(model: MarketModel, table: _RayTable, i: int) -> ArbitrageCertificate | None:
+def _certificate(
+    model: MarketModel, table: _RayTable, i: int, program: np.ndarray
+) -> ArbitrageCertificate | None:
     """The one-step arbitrage at node ``table.group.nodes[i]``, read off
     its floor program's objects.  On its scaled rows ``A``, ``b``
     (:func:`_local_system`) the position ``theta``, of unit length with
     ``A^T theta >= 0``, is ``-N N^T b / |N^T b|`` at the cost ``-|N^T b|``
     where ``b`` is off the column space (``|N N^T b| > _FEAS_TOL``, ``N``
-    the left singular vectors past the rank); past the vertex guard, that
-    of its :func:`_spread_lp` at unit spread; otherwise its extreme payoff
-    ray (:func:`_payoff_rays`, at any rank) of least cost per unit of
-    payoff.  ``None`` where the cost ``b @ theta`` exceeds the threshold.
+    the left singular vectors past the rank); past the vertex guard, the
+    position ``program`` of the :func:`_spread_lp` that :func:`_floor_step`
+    solved, whose payoffs are nonnegative with ``spread @ A^T theta = 1``
+    at any positive spread; otherwise its extreme payoff ray
+    (:func:`_payoff_rays`, at any rank) of least cost per unit of payoff.
+    ``None`` where the cost ``b @ theta`` exceeds the threshold.
     Half a negative cost buys equal units of every asset, whose aggregate
     is strictly positive, so that every payoff is.  The holdings are
     ``theta / scale``, priced back at the raw prices."""
@@ -1008,8 +1001,7 @@ def _certificate(model: MarketModel, table: _RayTable, i: int) -> ArbitrageCerti
     if np.abs(beyond @ off).max() > _FEAS_TOL:
         theta = beyond @ off / -np.linalg.norm(off)
     elif i in table.past:
-        theta = _spread_lp(matrix, rhs, np.ones(matrix.shape[1]))[2]
-        theta /= np.linalg.norm(theta)
+        theta = program / np.linalg.norm(program)
     else:
         payoffs, cost, ray, *_, vectors = _payoff_rays(
             matrix[np.newaxis], rhs[np.newaxis], group.left[i : i + 1], rank
@@ -1092,11 +1084,11 @@ def check_complete(model: MarketModel) -> CompletenessReport:
     every non-leaf node the one-step matrix (the node's
     :func:`_local_system` rows) has rank equal to the number of children.
     The reported dimension sums the local defects, which is the dimension
-    of the deflator family.  The ranks are those of :func:`_node_groups`.
+    of the deflator family.  The ranks are those of :func:`_node_stacks`.
     Requires a fair market."""
     require_fair(model)
     tree = model.tree
-    ranks = {k: r for g in _node_groups(model) for k, r in zip(g.nodes.tolist(), g.rank.tolist())}
+    ranks = {k: r for g in _node_stacks(model) for k, r in zip(g.nodes.tolist(), g.rank.tolist())}
     local_ranks = tuple(
         (tree.ids[k], len(tree.children[k]), ranks[k]) for k in sorted(ranks)
     )

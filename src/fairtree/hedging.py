@@ -16,7 +16,8 @@ vertex-enumeration guard takes its vertex step and its position from one
 node LP (:func:`~fairtree.deflators._node_lp`).  The decomposed process is
 known at every node, so the positions are not a recursion: they come from
 one pass per branching's stack (:func:`~fairtree.deflators._node_stacks`),
-and only the consumption sum runs forward, group by group.  Attainability
+and only the consumption sum runs forward, one level of the tree at a
+time (:meth:`~fairtree.market.ScenarioTree.forward`).  Attainability
 is read off the price interval alone.  Independent cross-checks live in
 :mod:`fairtree.oracle`: the node-local LP recursion
 (:func:`~fairtree.oracle.lp_superhedge_process`) and the whole-tree linear
@@ -204,8 +205,8 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     solved: their dual feasibility is the domination, and ``duals @ b`` is
     the optimum.  The per-edge consumption increment is the domination
     surplus at the child plus the node-level cost gap, summed forward one
-    ``(time, branching)`` group at a time, so the wealth identity holds
-    exactly by construction.  Domination, cost and the supermartingale
+    level of the tree at a time, so the wealth identity holds exactly by
+    construction.  Domination, cost and the supermartingale
     precondition are checked with the relative ``SUPERMARTINGALE_SLACK``;
     a failure names the first failing node of the earliest group, a
     domination failure before a cost failure.  Attainable wealth is
@@ -249,24 +250,20 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
         misses[1, nodes], bounds[1, nodes] = -node_gap[nodes], cost_slack
         paid[children] = np.einsum("gd,dgn->gn", position, model.price[:, children])
 
-    groups = _node_groups(model)[::-1]  # time order
     failed = misses > bounds
     if failed.any():
-        for nodes in (group.nodes for group in groups):
+        for group in _node_groups(model)[::-1]:  # time order
             for check, name in enumerate(("dominate the children", "stay within the process")):
-                bad = nodes[failed[check, nodes]]
+                bad = group.nodes[failed[check, group.nodes]]
                 if bad.size:
                     raise SolverError(
                         f"decomposition position fails to {name} at node "
                         f"{tree.ids[bad[0]]!r} by {misses[check, bad[0]]:.3e}"
                     )
-    consumption = np.zeros(tree.n_nodes)
-    for group in groups:
-        nodes, children = group.nodes, group.children
-        consumption[children] = (
-            consumption[nodes][:, np.newaxis] + paid[children] - values[children]
-            + node_gap[nodes][:, np.newaxis]
-        )
+    consumption = tree.forward(
+        0.0, lambda up, pay, value, gap: up + pay - value + gap,
+        paid, values, node_gap[tree.parent],
+    )
 
     return DecompositionResult(
         process=values.copy(),

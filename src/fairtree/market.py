@@ -100,14 +100,18 @@ class ScenarioTree:
     Nodes are indexed in document order with the root at index 0 and every
     parent preceding its children.  ``branch_prob[k]`` is the conditional
     probability of reaching node ``k`` from its parent (1.0 at the root),
-    and ``path_prob`` the product along the path from the root.  All arrays
-    are frozen after construction; instances are safe to share.
+    and ``path_prob`` the product along the path from the root.
+    ``levels[t]`` lists the nodes at time ``t`` in index order, which need
+    not be time order; :meth:`forward` walks the levels from the root, one
+    array step each, and :meth:`expect_terminal` walks them back.  All
+    arrays are frozen after construction; instances are safe to share.
     """
 
     ids: tuple[str, ...]
     parent: np.ndarray
     branch_prob: np.ndarray
     time: np.ndarray
+    levels: tuple[np.ndarray, ...]
     children: tuple[tuple[int, ...], ...]
     leaves: np.ndarray
     horizon: int
@@ -151,15 +155,15 @@ class ScenarioTree:
                 f"{total!r}, expected 1"
             )
 
-        # a pass over all nodes settles one more level: a node's time and
-        # path probability are final one pass after its parent's
+        # a pass over all nodes settles one more level: a node's time is
+        # final one pass after its parent's
         time = np.zeros(n, dtype=int)
         while not np.array_equal(time[1:], time[below] + 1):
             time[1:] = time[below] + 1
         horizon = int(time.max())
-        path_prob = np.ones(n, dtype=float)
-        for _ in range(horizon):
-            path_prob[1:] = path_prob[below] * branch_prob[1:]
+        by_time = _frozen(np.argsort(time, kind="stable"), dtype=int)
+        ends = np.cumsum(np.bincount(time)).tolist()
+        levels = tuple(by_time[start:end] for start, end in zip([0] + ends, ends))
 
         leaves = np.flatnonzero(counts == 0)
         off_horizon = [ids[k] for k in leaves[time[leaves] != horizon]]
@@ -169,16 +173,20 @@ class ScenarioTree:
                 f"offenders: {off_horizon}"
             )
 
-        return cls(
+        tree = cls(
             ids=tuple(ids),
             parent=_frozen(parent, dtype=int),
             branch_prob=_frozen(branch_prob),
             time=_frozen(time, dtype=int),
+            levels=levels,
             children=tuple(map(tuple, kids)),
             leaves=_frozen(leaves, dtype=int),
             horizon=horizon,
-            path_prob=_frozen(path_prob),
+            path_prob=None,
         )
+        path_prob = tree.forward(1.0, np.multiply, tree.branch_prob)
+        object.__setattr__(tree, "path_prob", _frozen(path_prob))
+        return tree
 
     @property
     def n_nodes(self) -> int:
@@ -197,6 +205,19 @@ class ScenarioTree:
         except ValueError:
             raise ModelError(f"unknown node id {node_id!r}") from None
 
+    def forward(self, root, combine, *steps) -> np.ndarray:
+        """A node process walked forward from the root, one level at a
+        time: ``x[0] = root`` and ``x[k] = combine(x[parent[k]], *(s[k]
+        for s in steps))``, each ``combine`` call taking a whole level.
+        The steps are node-indexed arrays whose root entries are never
+        read; the process has ``root``'s dtype.  With an elementwise
+        ``combine``, each node's value is the one a node-by-node pass in
+        index order computes, bit for bit."""
+        out = np.full(self.n_nodes, root)
+        for level in self.levels[1:]:
+            out[level] = combine(out[self.parent[level]], *[step[level] for step in steps])
+        return out
+
     def expect_terminal(self, leaf_values) -> np.ndarray:
         """Conditional expectation process of a terminal random variable.
 
@@ -212,8 +233,7 @@ class ScenarioTree:
             )
         out = np.zeros(self.n_nodes, dtype=float)
         out[self.leaves] = leaf_values
-        for t in range(self.horizon, 0, -1):
-            level = np.flatnonzero(self.time == t)
+        for level in self.levels[:0:-1]:
             out += np.bincount(
                 self.parent[level], self.branch_prob[level] * out[level], self.n_nodes
             )
@@ -221,17 +241,8 @@ class ScenarioTree:
 
     def descendant_leaves(self, node: int) -> np.ndarray:
         """Indices (into ``self.leaves``) of the leaves below ``node``."""
-        stack = [node]
-        found: set[int] = set()
-        while stack:
-            k = stack.pop()
-            if self.is_leaf(k):
-                found.add(k)
-            else:
-                stack.extend(self.children[k])
-        return np.asarray(
-            [i for i, leaf in enumerate(self.leaves) if leaf in found], dtype=int
-        )
+        below = self.forward(node == 0, np.logical_or, np.arange(self.n_nodes) == node)
+        return np.flatnonzero(below[self.leaves])
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +392,14 @@ def _check_strategy(model: MarketModel, strategy: Strategy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, k] @ b[:, k]`` for every column ``k``: one stacked ``matmul``
+    over a row-major copy, whose columns BLAS reads with a stride, as it
+    does a price column, so that each dot rounds as that product does."""
+    rows, columns = np.split(np.ascontiguousarray(np.hstack([a, b])).T, 2)
+    return np.matmul(rows[:, np.newaxis], columns[..., np.newaxis])[:, 0, 0]
+
+
 def wealth_process(model: MarketModel, strategy: Strategy, initial: float) -> np.ndarray:
     """Mark a strategy to market along the tree.
 
@@ -390,11 +409,9 @@ def wealth_process(model: MarketModel, strategy: Strategy, initial: float) -> np
     :func:`self_financing_violations` to flag rebalancing gaps.
     """
     holdings = _check_strategy(model, strategy)
-    tree = model.tree
-    wealth = np.empty(tree.n_nodes, dtype=float)
+    wealth = np.empty(model.tree.n_nodes, dtype=float)
     wealth[0] = float(initial)
-    for k in range(1, tree.n_nodes):
-        wealth[k] = float(holdings[:, tree.parent[k]] @ model.price[:, k])
+    wealth[1:] = _column_dots(holdings[:, model.tree.parent[1:]], model.price[:, 1:])
     return wealth
 
 
@@ -411,20 +428,17 @@ def self_financing_violations(
     budget gap when ``initial`` is given.
     """
     holdings = _check_strategy(model, strategy)
-    tree = model.tree
     out = []
     if initial is not None:
         gap = abs(float(holdings[:, 0] @ model.price[:, 0]) - float(initial))
         if gap > tol:
             out.append((0, gap))
-    for k in range(1, tree.n_nodes):
-        if tree.is_leaf(k):
-            continue
-        diff = holdings[:, k] - holdings[:, tree.parent[k]]
-        gap = abs(float(diff @ model.price[:, k]))
-        if gap > tol:
-            out.append((k, gap))
-    return out
+    tree = model.tree
+    inner = np.setdiff1d(np.arange(1, tree.n_nodes), tree.leaves)
+    diff = holdings[:, inner] - holdings[:, tree.parent[inner]]
+    gaps = np.abs(_column_dots(diff, model.price[:, inner]))
+    over = gaps > tol
+    return out + list(zip(inner[over].tolist(), gaps[over].tolist()))
 
 
 def complete_strategy(model: MarketModel, partial: Strategy, initial: float) -> Strategy:
@@ -439,16 +453,13 @@ def complete_strategy(model: MarketModel, partial: Strategy, initial: float) -> 
     partial_holdings = _check_strategy(model, partial)
     tree = model.tree
     aggregate = model.price.sum(axis=0)
-    uniform = np.zeros(tree.n_nodes, dtype=float)
-    uniform[0] = (float(initial) - float(partial_holdings[:, 0] @ model.price[:, 0])) / aggregate[0]
-    for k in range(1, tree.n_nodes):
-        if tree.is_leaf(k):
-            continue
-        p = tree.parent[k]
-        inherited = uniform[p] * aggregate[k] + float(
-            (partial_holdings[:, p] - partial_holdings[:, k]) @ model.price[:, k]
-        )
-        uniform[k] = inherited / aggregate[k]
+    start = (float(initial) - float(partial_holdings[:, 0] @ model.price[:, 0])) / aggregate[0]
+    # the partial position's change from the parent's, priced (the root's is never read)
+    rebalance = _column_dots(partial_holdings[:, tree.parent] - partial_holdings, model.price)
+    uniform = tree.forward(
+        start, lambda up, total, paid: (up * total + paid) / total, aggregate, rebalance
+    )
+    uniform[tree.leaves] = 0.0
     return Strategy(partial_holdings + uniform[np.newaxis, :])
 
 

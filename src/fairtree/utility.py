@@ -44,7 +44,6 @@ from .market import (
 )
 from .deflators import (
     Deflator,
-    _node_groups,
     _node_stacks,
     _per_model,
     fairness_report,
@@ -299,7 +298,6 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
     # V''(r) = r**(a - 1) / (1 - p)
     a = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
-    groups = _node_groups(model)
     heights = np.ones(tree.n_nodes)
     # nodes whose subtree has stopped, and nodes that may stop: the
     # full-rank ones, and the Newton nodes whose last step was done
@@ -336,11 +334,11 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
             break
         if p != 0.0:
             powered = _pow(ratio, q)
-            # latest level first; the root's height (the last group) weighs nothing
-            for group in groups[:-1]:
-                heights[group.nodes] = (
-                    group.probs * heights[group.children] * powered[group.children]
-                ).sum(axis=1)
+            # latest level first; the root's height weighs nothing
+            for level in tree.levels[:1:-1]:
+                up = tree.parent[level]
+                weighted = tree.branch_prob[level] * heights[level] * powered[level]
+                heights[up] = np.bincount(up, weighted, tree.n_nodes)[up]
         done_seen = False
         for w in works:
             r, null, active = w["r"], w["null"], w["active"]
@@ -384,8 +382,10 @@ def _newton_ratios(model: MarketModel, ratio: np.ndarray, start: np.ndarray, p: 
                 floored[w["nodes"]] = done
                 done_seen = done_seen or done.any()
         if done_seen:
-            for group in groups:
-                settled[group.nodes] |= floored[group.nodes] & settled[group.children].all(axis=1)
+            for level in tree.levels[:0:-1]:
+                up = tree.parent[level]
+                open_children = np.bincount(up, ~settled[level], tree.n_nodes)[up]
+                settled[up] |= floored[up] & (open_children == 0)
             for w in works:
                 w["active"] &= ~settled[w["nodes"]]
         for i, w in enumerate(works):
@@ -425,7 +425,8 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
     single admissible ratio vector, taken as it is; the others are solved
     together by :func:`_newton_ratios`, from the ratios of the strictly
     positive deflator levels ``start``, and a tree without such nodes
-    iterates nothing.  The levels are rebuilt forward from the ratios.
+    iterates nothing.  The levels are walked forward from the ratios
+    (:meth:`~fairtree.market.ScenarioTree.forward`).
     """
     p = 0.0 if utility.kind == "log" else float(utility.exponent)
     tree = model.tree
@@ -441,10 +442,7 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
         _newton_ratios(model, ratio, start, p)
         for stack in stacks:
             _check_positive(model, stack.nodes, ratio[stack.children])
-    levels = np.ones(tree.n_nodes)
-    for group in reversed(_node_groups(model)):
-        levels[group.children] = levels[group.nodes][:, np.newaxis] * ratio[group.children]
-    return levels
+    return tree.forward(1.0, np.multiply, ratio)
 
 
 @dataclass(eq=False)
@@ -567,8 +565,8 @@ def _replicate(
     against the children's wealth.  Every node's wealth is known, so the
     positions and their misses take one pass per branching's stack
     (:func:`~fairtree.deflators._node_stacks`); the misses, summed forward
-    along each path like consumption, one ``(time, branching)`` group at a
-    time, vanish exactly when the wealth is attainable.  Returns the
+    along each path like consumption, one level of the tree at a time,
+    vanish exactly when the wealth is attainable.  Returns the
     candidate and why it fails the budget or the
     ``CONSUMPTION_TOL * max(1, x)`` bound (``None`` if it passes)."""
     tree = model.tree
@@ -586,9 +584,7 @@ def _replicate(
         cost = np.einsum("gd,dg->g", position, model.price[:, nodes])
         payoff = np.einsum("gd,dgn->gn", position, model.price[:, children])
         miss[children] = payoff - wealth[children] + (wealth[nodes] - cost)[:, np.newaxis]
-    consumption = np.zeros(tree.n_nodes)
-    for group in reversed(_node_groups(model)):  # time order
-        consumption[group.children] = consumption[group.nodes][:, np.newaxis] + miss[group.children]
+    consumption = tree.forward(0.0, np.add, miss)
     size = max(1.0, abs(x))
     budget_residual = abs(float(wealth[0]) - x)
     max_consumption = float(np.abs(consumption).max())

@@ -198,7 +198,8 @@ class TestFairness:
         guard and its right-hand side lies in the column space, so its
         certificate is the position of its floor program at unit spread,
         scaled to unit length: a payoff of 1e-6 costs no precision and
-        takes no holding near 1e6."""
+        takes no holding near 1e6.  The position is the one the floor
+        recursion's program returned, so that program is solved once."""
         model, _ = wide_market(30, 2)
         copy = model.price[1].copy()
         copy[16] *= 1.0 + bump
@@ -209,7 +210,39 @@ class TestFairness:
         assert report.certificate.node_id == "r"
         _assert_one_step_arbitrage(twin, report.certificate)
         assert np.abs(report.certificate.holdings).max() <= 2.0
-        assert calls == [33, 33]  # the floor program, then the certificate's
+        assert calls == [33]
+
+    def test_certificate_past_the_guard_above_inner_children(self, monkeypatch):
+        """The root, past the vertex guard, has 26 children of two leaves
+        each, whose floors are below 1, so its floor program runs at a
+        spread other than all ones.  A copy of the stock worth 1% more on
+        one child's subtree is fair below the root and an arbitrage at it;
+        the certificate is that program's position, solved once."""
+        rng = np.random.default_rng(26)
+        nodes = [("r", None, 1.0)]
+        for j, p in enumerate(rng.dirichlet(np.ones(26))):
+            nodes += [(f"c{j}", "r", float(p)), (f"c{j}u", f"c{j}", 0.5), (f"c{j}d", f"c{j}", 0.5)]
+        model = priced_market(ScenarioTree.build(nodes), rng, 2)
+        tree = model.tree
+        copy = model.price[1].copy()
+        raised = [tree.node_index(name) for name in ("c16", "c16u", "c16d")]
+        copy[raised] *= 1.01
+        twin = build_market(tree, np.vstack([model.price, copy]))
+        spreads = []
+        spread_lp = fairtree.deflators._spread_lp
+
+        def recorded(matrix, rhs, spread):
+            spreads.append(spread)
+            return spread_lp(matrix, rhs, spread)
+
+        monkeypatch.setattr(fairtree.deflators, "_spread_lp", recorded)
+        calls = counted_lps(monkeypatch)
+        report = check_fair(twin)
+        assert not report.fair
+        assert report.certificate.node_id == "r"
+        _assert_one_step_arbitrage(twin, report.certificate)
+        assert calls == [26 + 3]
+        assert len(spreads) == 1 and spreads[0].min() < 1.0
 
     def test_arbitrage_below_the_root(self, monkeypatch):
         """A copy of the first asset marked up 25% at ``r12`` only: selling

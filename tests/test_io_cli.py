@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairtree
 import fairtree.cli
 from fairtree import MarketFileError, default_claims, generate_market
 from fairtree.cli import run_command
@@ -672,19 +677,20 @@ CONTRACT_COMMANDS = {
 }
 
 #: the exit code of each command on a fair market, its arbitrage twin, a
-#: malformed document, a missing claim, a bad utility or wealth, and an
-#: unexpected exception inside the command (0 success, 1 verdict, 2 usage
-#: or input error, 3 internal error)
+#: malformed document, a missing claim, a bad utility or wealth, the fair
+#: market with ``--tolerance 1e-6`` (taken only by the commands that read
+#: it), and an unexpected exception inside the command (0 success, 1
+#: verdict, 2 usage or input error, 3 internal error)
 CONTRACT = {
-    "validate": (0, 0, 2, None, None, 3),
-    "fair": (0, 1, 2, None, None, 3),
-    "complete": (0, 1, 2, None, None, 3),
-    "superhedge": (0, 1, 2, 2, None, 3),
-    "decompose": (0, 1, 2, 2, None, 3),
-    "optimize": (0, 1, 2, None, 2, 3),
-    "davis": (0, 1, 2, 2, 2, 3),
-    "augment": (0, 1, 2, 2, 2, 3),
-    "price-process": (0, 1, 2, 2, 2, 3),
+    "validate": (0, 0, 2, None, None, 2, 3),
+    "fair": (0, 1, 2, None, None, 0, 3),
+    "complete": (0, 1, 2, None, None, 2, 3),
+    "superhedge": (0, 1, 2, 2, None, 0, 3),
+    "decompose": (0, 1, 2, 2, None, 2, 3),
+    "optimize": (0, 1, 2, None, 2, 0, 3),
+    "davis": (0, 1, 2, 2, 2, 0, 3),
+    "augment": (0, 1, 2, 2, 2, 0, 3),
+    "price-process": (0, 1, 2, 2, 2, 2, 3),
 }
 
 
@@ -703,27 +709,54 @@ def contract_paths(tmp_path_factory):
     return {name: str(path) for name, path in paths.items()}
 
 
+def contract_cases(paths, command):
+    """The argument lists of ``command``'s row of :data:`CONTRACT`, but for
+    the injected exception (``None`` where the command has no such case)."""
+    good, missing_claim, bad_utility = CONTRACT_COMMANDS[command]
+    return [
+        [command, paths["fair"], *good],
+        [command, paths["twin"], *good],
+        [command, paths["malformed"], *good],
+        None if missing_claim is None else [command, paths["fair"], *missing_claim],
+        None if bad_utility is None else [command, paths["fair"], *bad_utility],
+        [command, paths["fair"], *good, "--tolerance", "1e-6"],
+    ]
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("command", list(CONTRACT))
     def test_exit_codes(self, capsys, monkeypatch, contract_paths, command):
-        good, missing_claim, bad_utility = CONTRACT_COMMANDS[command]
-        cases = [
-            [contract_paths["fair"], *good],
-            [contract_paths["twin"], *good],
-            [contract_paths["malformed"], *good],
-            None if missing_claim is None else [contract_paths["fair"], *missing_claim],
-            None if bad_utility is None else [contract_paths["fair"], *bad_utility],
-        ]
-        codes = [None if argv is None else run_command([command, *argv]) for argv in cases]
+        cases = contract_cases(contract_paths, command)
+        codes = [None if argv is None else run_command(argv) for argv in cases]
         capsys.readouterr()
 
         def broken(*args, **kwargs):
             raise RuntimeError("unexpected")
 
         monkeypatch.setattr(fairtree.cli, "parse_market", broken)
-        codes.append(run_command([command, contract_paths["fair"], *good]))
+        codes.append(run_command(cases[0]))
         assert "RuntimeError: unexpected" in capsys.readouterr().err
         assert tuple(codes) == CONTRACT[command]
+
+    @pytest.mark.parametrize("command", list(CONTRACT))
+    def test_exit_codes_in_fresh_processes(self, contract_paths, command):
+        """The table as ``python -m fairtree.cli`` processes, importing the
+        package under test, with no parser or store shared between runs."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(Path(fairtree.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+            ),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        codes = [
+            None if argv is None else subprocess.run(
+                [sys.executable, "-m", "fairtree.cli", *argv],
+                env=env, capture_output=True, timeout=120,
+            ).returncode
+            for argv in contract_cases(contract_paths, command)
+        ]
+        assert tuple(codes) == CONTRACT[command][:-1]
 
     def test_every_market_command_is_in_the_table(self, capsys):
         assert run_command(["--help"]) == 0

@@ -167,7 +167,7 @@ def ray_floor(model, node, floors):
         if group.children.shape[1] != len(floors):
             continue
         child_floors[group.children] = floors
-        best[group.nodes], ratios, pick[group.nodes] = _floor_step(
+        best[group.nodes], ratios, pick[group.nodes], _ = _floor_step(
             table, group_floors(group, floors)
         )
         if node in group.nodes:
@@ -487,7 +487,7 @@ class TestRayFloors:
         floors, best, pick = np.ones(n), np.zeros(n), np.zeros(n, dtype=np.intp)
         for table in tables:
             group = table.group
-            found, _, pick[group.nodes] = _floor_step(table, floors[group.children])
+            found, _, pick[group.nodes], _ = _floor_step(table, floors[group.children])
             best[group.nodes] = found
             floors[group.nodes] = np.minimum(1.0, found)
         checked = 0

@@ -25,7 +25,7 @@ from fairtree import (
 )
 from fairtree.market import martingale_defect
 
-from conftest import fair_corpus, mixed_market, shuffled_tree
+from conftest import fair_corpus, mixed_market, priced_market, shuffled_tree
 
 B1_NODES = [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)]
 B1_PRICES = [[1, 1, 1], [1, 2, 0.5]]
@@ -78,6 +78,45 @@ class TestScenarioTree:
         values = tree.expect_terminal(leaf_values)
         np.testing.assert_array_equal(values[tree.leaves], leaf_values)
         assert np.abs(values - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_levels_and_the_forward_walk_match_the_node_loop(self, seed):
+        """On a tree listed out of time order, each level holds its time's
+        nodes in index order, and the walk equals a node-by-node pass in
+        index order bit for bit, with one step array or several."""
+        rng = np.random.default_rng(seed)
+        tree = shuffled_tree(rng)
+        n = tree.n_nodes
+        times = [0] * n
+        for k in range(1, n):
+            times[k] = times[tree.parent[k]] + 1
+        assert [level.tolist() for level in tree.levels] == [
+            [k for k in range(n) if times[k] == t] for t in range(tree.horizon + 1)
+        ]
+        assert times != sorted(times)
+        ratio, gain, cost = rng.uniform(0.5, 2.0, (3, n))
+        for root, combine, steps in (
+            (1.0, np.multiply, (ratio,)),
+            (0.0, lambda up, g, c: up + g - c, (gain, cost)),
+        ):
+            expected = [root] * n
+            for k in range(1, n):
+                expected[k] = combine(expected[tree.parent[k]], *(step[k] for step in steps))
+            assert tree.forward(root, combine, *steps).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_descendant_leaves_match_a_depth_first_search(self, seed):
+        tree = shuffled_tree(np.random.default_rng(seed))
+        for node in range(tree.n_nodes):
+            stack, found = [node], set()
+            while stack:
+                k = stack.pop()
+                if tree.children[k]:
+                    stack.extend(tree.children[k])
+                else:
+                    found.add(k)
+            expected = [i for i, leaf in enumerate(tree.leaves.tolist()) if leaf in found]
+            assert tree.descendant_leaves(node).tolist() == expected
 
     def test_descendant_leaves(self):
         tree = ScenarioTree.build(
@@ -235,7 +274,78 @@ class TestBuildMarket:
 # ---------------------------------------------------------------------------
 
 
+def node_wealth(model, holdings, initial):
+    """:func:`wealth_process` as a node-by-node loop."""
+    tree = model.tree
+    wealth = np.empty(tree.n_nodes)
+    wealth[0] = float(initial)
+    for k in range(1, tree.n_nodes):
+        wealth[k] = float(holdings[:, tree.parent[k]] @ model.price[:, k])
+    return wealth
+
+
+def node_violations(model, holdings, initial, tol):
+    """:func:`self_financing_violations` as a node-by-node loop."""
+    tree = model.tree
+    out = []
+    gap = abs(float(holdings[:, 0] @ model.price[:, 0]) - float(initial))
+    if gap > tol:
+        out.append((0, gap))
+    for k in range(1, tree.n_nodes):
+        if tree.is_leaf(k):
+            continue
+        diff = holdings[:, k] - holdings[:, tree.parent[k]]
+        gap = abs(float(diff @ model.price[:, k]))
+        if gap > tol:
+            out.append((k, gap))
+    return out
+
+
+def node_completion(model, partial, initial):
+    """:func:`complete_strategy`'s holdings as a node-by-node loop."""
+    tree = model.tree
+    aggregate = model.price.sum(axis=0)
+    uniform = np.zeros(tree.n_nodes)
+    uniform[0] = (float(initial) - float(partial[:, 0] @ model.price[:, 0])) / aggregate[0]
+    for k in range(1, tree.n_nodes):
+        if tree.is_leaf(k):
+            continue
+        p = tree.parent[k]
+        inherited = uniform[p] * aggregate[k] + float((partial[:, p] - partial[:, k]) @ model.price[:, k])
+        uniform[k] = inherited / aggregate[k]
+    return partial + uniform[np.newaxis, :]
+
+
+def wealth_markets():
+    """Markets on trees listed out of time order with 1-6 assets, and on
+    chains of two and three nodes, whose passes have a single column."""
+    rng = np.random.default_rng(11)
+    for assets in range(1, 7):
+        yield priced_market(shuffled_tree(rng), rng, assets)
+    for ids in (["r", "a"], ["r", "a", "b"]):
+        tree = ScenarioTree.build([(ids[0], None, 1.0)] + [(c, p, 1.0) for p, c in zip(ids, ids[1:])])
+        yield build_market(tree, rng.uniform(0.5, 2.0, (5, len(ids))))
+
+
 class TestWealth:
+    def test_passes_equal_the_node_loops_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for model in wealth_markets():
+            for _ in range(3):
+                holdings = rng.normal(size=model.price.shape)
+                strategy = Strategy(holdings)
+                np.testing.assert_array_equal(
+                    wealth_process(model, strategy, 0.7), node_wealth(model, holdings, 0.7)
+                )
+                for tol in (0.0, 1.0):
+                    assert self_financing_violations(
+                        model, strategy, initial=0.7, tol=tol
+                    ) == node_violations(model, holdings, 0.7, tol)
+                np.testing.assert_array_equal(
+                    complete_strategy(model, strategy, 1.3).holdings,
+                    node_completion(model, holdings, 1.3),
+                )
+
     def test_b1_replication_of_call(self):
         _, model = b1_pair()
         theta = Strategy([[-1 / 3] * 3, [2 / 3] * 3])

@@ -5,6 +5,11 @@ to standard output (JSON by default, flat CSV with ``--format csv``) and
 exits 0 on success, 1 on a domain verdict (unfair market, infeasible
 process), 2 on usage or input errors, and 3 on internal errors --
 including any ``--verify`` cross-check that disagrees with the engine.
+
+:func:`run_command` is the one runner: it parses the arguments and the
+document, starts the report, lets the command's handler fill it in and
+return its CSV header, rows and exit code, prints it, and maps errors to
+exit codes.  ``generate`` reads no document and fills an empty report.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from .generate import default_claims, generate_market
 from .marketio import (
     REPORT_FORMAT,
     ParsedMarket,
-    digest_text,
     emit_csv,
     emit_json,
     market_document,
+    markets_identical,
     parse_market,
+    parse_market_text,
     serialize_market,
 )
 
@@ -120,18 +126,15 @@ def _base_report(command: str, parsed: ParsedMarket, tolerances: dict) -> dict:
     }
 
 
-def _print_report(args, report: dict, header=None, rows=None) -> None:
-    if args.format == "csv" and header is not None:
-        sys.stdout.write(emit_csv(header, rows))
-    else:
-        sys.stdout.write(emit_json(report))
+def _print_report(args, report: dict, header, rows) -> None:
+    sys.stdout.write(emit_csv(header, rows) if args.format == "csv" else emit_json(report))
 
 
 def _verdict(args, command: str, parsed: ParsedMarket, kind: str, message: str) -> int:
     report = _base_report(command, parsed, {})
     report["verdict"] = kind
     report["message"] = message
-    _print_report(args, report, header=["verdict", "message"], rows=[[kind, message]])
+    _print_report(args, report, ["verdict", "message"], [[kind, message]])
     print(f"fairtree {command}: {message}", file=sys.stderr)
     return EXIT_VERDICT
 
@@ -141,26 +144,17 @@ def _check(condition: bool, message: str) -> None:
         raise VerifyError(message)
 
 
-def _oracle_entry(report: oracle.OracleReport, bound: float) -> dict:
+def _oracle_entry(quantity: str, oracle_value, engine_value, bound: float) -> dict:
+    """The ``--verify`` entry of an oracle value beside the engine's;
+    raises :class:`VerifyError` when they differ by more than ``bound``."""
+    oracle_value, engine_value = float(oracle_value), float(engine_value)
+    difference = abs(oracle_value - engine_value)
     _check(
-        report.absolute_difference <= bound,
-        f"{report.quantity}: oracle {report.oracle_value!r} vs engine "
-        f"{report.engine_value!r} differ by {report.absolute_difference:.3e} "
-        f"(bound {bound:g})",
+        difference <= bound,
+        f"{quantity}: oracle {oracle_value!r} vs engine {engine_value!r} "
+        f"differ by {difference:.3e} (bound {bound:g})",
     )
-    return {
-        "oracle": report.oracle_value,
-        "engine": report.engine_value,
-        "difference": report.absolute_difference,
-        "bound": bound,
-    }
-
-
-def _load_market(args) -> ParsedMarket:
-    """Parse the command's market document, kept on ``args`` so that a
-    domain verdict raised later reports on it without parsing it again."""
-    args.parsed = parse_market(args.market)
-    return args.parsed
+    return dict(oracle=oracle_value, engine=engine_value, difference=difference, bound=bound)
 
 
 def _pick_claim(parsed: ParsedMarket, name: str) -> Claim:
@@ -188,10 +182,8 @@ def _pick_deflator(model: MarketModel, choice: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    parsed = _load_market(args)
+def _cmd_validate(args, parsed, report):
     model, tree = parsed.model, parsed.model.tree
-    report = _base_report("validate", parsed, {})
     report.update(
         valid=True,
         nodes=tree.n_nodes,
@@ -201,24 +193,18 @@ def _cmd_validate(args) -> int:
         claims=sorted(parsed.claims),
     )
     if args.verify:
-        from .marketio import markets_identical, parse_market_text
-
         round_trip = parse_market_text(serialize_market(model, parsed.claims))
         _check(markets_identical(model, round_trip.model), "serialization round trip")
         report["verify"] = {"round_trip": "ok"}
-    _print_report(args, report, *_market_table(model))
-    return EXIT_OK
+    return (*_market_table(model), EXIT_OK)
 
 
-def _cmd_fair(args) -> int:
-    parsed = _load_market(args)
+def _cmd_fair(args, parsed, report):
     model = parsed.model
-    threshold = args.tolerance if args.tolerance is not None else FAIRNESS_THRESHOLD
     result = check_fair(model)
     # A custom threshold can only tighten the verdict: a fair market whose
     # interior radius sits below it is reclassified, never the other way.
-    fair = result.fair and result.interior_radius > threshold
-    report = _base_report("fair", parsed, {"fairness_threshold": threshold})
+    fair = result.fair and result.interior_radius > args.tolerance
     report["fair"] = fair
     report["interior_radius"] = result.interior_radius
     if fair:
@@ -228,23 +214,15 @@ def _cmd_fair(args) -> int:
     elif result.certificate is not None:
         cert = result.certificate
         children = model.tree.children[cert.node]
+        holdings = dict(zip(model.asset_names, cert.holdings.tolist()))
         report["certificate"] = {
             "node": cert.node_id,
             "cost": cert.cost,
-            "holdings": {
-                name: float(cert.holdings[a])
-                for a, name in enumerate(model.asset_names)
-            },
-            "payoffs": {
-                model.tree.ids[c]: float(cert.payoffs[j])
-                for j, c in enumerate(children)
-            },
+            "holdings": holdings,
+            "payoffs": dict(zip([model.tree.ids[c] for c in children], cert.payoffs.tolist())),
         }
         header = ["node", "asset", "holding"]
-        rows = [
-            [cert.node_id, name, float(cert.holdings[a])]
-            for a, name in enumerate(model.asset_names)
-        ]
+        rows = [[cert.node_id, name, holding] for name, holding in holdings.items()]
     else:
         report["certificate"] = None
         header = ["node", "witness"]
@@ -268,15 +246,12 @@ def _cmd_fair(args) -> int:
             report["verify"] = {"certificate": "none at this threshold"}
         else:
             raise VerifyError("unfair verdict without a certificate")
-    _print_report(args, report, header, rows)
-    return EXIT_OK if fair else EXIT_VERDICT
+    return header, rows, EXIT_OK if fair else EXIT_VERDICT
 
 
-def _cmd_complete(args) -> int:
-    parsed = _load_market(args)
+def _cmd_complete(args, parsed, report):
     model = parsed.model
     result = check_complete(model)
-    report = _base_report("complete", parsed, {})
     report["complete"] = result.complete
     report["dimension"] = result.dimension
     report["local_ranks"] = [
@@ -299,20 +274,16 @@ def _cmd_complete(args) -> int:
         [node, children, rank, children - rank]
         for node, children, rank in result.local_ranks
     ]
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_superhedge(args) -> int:
-    parsed = _load_market(args)
+def _cmd_superhedge(args, parsed, report):
     model = parsed.model
     claim = _pick_claim(parsed, args.claim)
     verdict = classify_attainability(model, claim)
     interval = verdict.interval
     dp = superhedge_process(model, claim)
     agreement = abs(float(dp[0]) - interval.upper)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
-    report = _base_report("superhedge", parsed, {"oracle_agreement": tolerance})
     report.update(
         claim=args.claim,
         lower=interval.lower,
@@ -347,29 +318,22 @@ def _cmd_superhedge(args) -> int:
         except SizeGuardError as exc:
             verify["vertex_interval"] = f"skipped ({exc})"
         else:
-            bound = max(tolerance, 1e-8)
-            verify["upper"] = _oracle_entry(
-                oracle.compare("superhedge upper", hi, interval.upper), bound
-            )
-            verify["lower"] = _oracle_entry(
-                oracle.compare("superhedge lower", lo, interval.lower), bound
-            )
+            bound = max(args.tolerance, 1e-8)
+            verify["upper"] = _oracle_entry("superhedge upper", hi, interval.upper, bound)
+            verify["lower"] = _oracle_entry("superhedge lower", lo, interval.lower, bound)
         report["verify"] = verify
     header = ["node", "dp_value", "lower_deflator", "upper_deflator", "lower", "upper"]
     rows = _node_rows(
         model, dp, interval.lower_point, interval.upper_point, interval.lower, interval.upper
     )
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    parsed = _load_market(args)
+def _cmd_decompose(args, parsed, report):
     model = parsed.model
     claim = _pick_claim(parsed, args.claim)
     process = superhedge_process(model, claim)
     result = optional_decomposition(model, process)
-    report = _base_report("decompose", parsed, {})
     report.update(
         claim=args.claim,
         initial=float(process[0]),
@@ -405,19 +369,15 @@ def _cmd_decompose(args) -> int:
     rows = _node_rows(
         model, result.process, result.consumption, holdings=result.strategy.holdings
     )
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    parsed = _load_market(args)
+def _cmd_optimize(args, parsed, report):
     model = parsed.model
     utility = parse_utility(args.utility)
     primal = solve_primal(model, utility, args.wealth)
     v = dual_value(model, utility, primal.deflator, primal.y)
     conjugacy_gap = abs(primal.value - (v + primal.x * primal.y))
-    tolerance = args.tolerance if args.tolerance is not None else 1e-4
-    report = _base_report("optimize", parsed, {"oracle_agreement": tolerance})
     report.update(
         utility=utility.label,
         wealth=primal.x,
@@ -444,9 +404,7 @@ def _cmd_optimize(args) -> int:
         except SizeGuardError as exc:
             verify["grid_dual"] = f"skipped ({exc})"
         else:
-            verify["grid_dual"] = _oracle_entry(
-                oracle.compare("dual value", grid, v), max(tolerance, 1e-4)
-            )
+            verify["grid_dual"] = _oracle_entry("dual value", grid, v, max(args.tolerance, 1e-4))
         report["verify"] = verify
     header = ["node", "wealth", "deflator"] + [
         f"holding:{name}" for name in model.asset_names
@@ -454,22 +412,18 @@ def _cmd_optimize(args) -> int:
     rows = _node_rows(
         model, primal.wealth, primal.deflator.values, holdings=primal.strategy.holdings
     )
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_davis(args) -> int:
-    parsed = _load_market(args)
+def _cmd_davis(args, parsed, report):
     model = parsed.model
     utility = parse_utility(args.utility)
     claim = _pick_claim(parsed, args.claim)
     result = davis_price(model, utility, args.wealth, claim)
     interval = superhedge_price(model, claim)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
     contained = (
         interval.lower - 1e-9 <= result.price <= interval.upper + 1e-9
     )
-    report = _base_report("davis", parsed, {"cross_route": tolerance})
     report.update(
         claim=args.claim,
         utility=utility.label,
@@ -482,27 +436,23 @@ def _cmd_davis(args) -> int:
     )
     if args.verify:
         _check(
-            result.residual <= max(tolerance, 1e-9),
+            result.residual <= max(args.tolerance, 1e-9),
             f"marginal-utility and deflator prices differ by {result.residual:.3e}",
         )
         _check(contained, "price escapes the superhedge interval")
         report["verify"] = {"cross_route_residual": result.residual}
     header = ["price", "cross_route_residual", "lower", "upper"]
     rows = [[result.price, result.residual, interval.lower, interval.upper]]
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_augment(args) -> int:
-    parsed = _load_market(args)
+def _cmd_augment(args, parsed, report):
     model = parsed.model
     utility = parse_utility(args.utility)
     claim = _pick_claim(parsed, args.claim)
     augmented, diagnostics = augment_market(
         model, utility, args.wealth, claim, name=args.asset_name
     )
-    tolerance = args.tolerance if args.tolerance is not None else 1e-7
-    report = _base_report("augment", parsed, {"invariance": tolerance})
     report.update(
         claim=args.claim,
         utility=utility.label,
@@ -518,7 +468,7 @@ def _cmd_augment(args) -> int:
         market=market_document(augmented, parsed.claims),
     )
     if args.verify:
-        bound = max(tolerance, 1e-7)
+        bound = max(args.tolerance, 1e-7)
         _check(diagnostics.fair, "augmented market is not fair")
         _check(
             diagnostics.dual_value_shift <= bound,
@@ -535,17 +485,14 @@ def _cmd_augment(args) -> int:
         report["verify"] = {"invariance": "ok"}
     header = ["node"] + list(augmented.asset_names)
     rows = _node_rows(augmented, *augmented.price)
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_price_process(args) -> int:
-    parsed = _load_market(args)
+def _cmd_price_process(args, parsed, report):
     model = parsed.model
     claim = _pick_claim(parsed, args.claim)
     deflator, label = _pick_deflator(model, args.deflator)
     prices = fair_price_process(model, deflator, claim)
-    report = _base_report("price-process", parsed, {})
     report.update(
         claim=args.claim,
         deflator_choice=label,
@@ -566,11 +513,10 @@ def _cmd_price_process(args) -> int:
         report["verify"] = {"terminal_gap": terminal_gap, "martingale_defect": worst}
     header = ["node", "price", "deflator"]
     rows = _node_rows(model, prices, deflator.values)
-    _print_report(args, report, header, rows)
-    return EXIT_OK
+    return header, rows, EXIT_OK
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, parsed, report):
     model = generate_market(
         args.seed, args.depth, args.branching, args.assets, arbitrage=args.arb
     )
@@ -589,16 +535,25 @@ def _cmd_generate(args) -> int:
             verdict.fair != args.arb,
             f"generated market fairness {verdict.fair} contradicts arb={args.arb}",
         )
-    if args.format == "csv":
-        sys.stdout.write(emit_csv(*_market_table(model)))
-    else:
-        sys.stdout.write(serialize_market(model, claims, metadata))
-    return EXIT_OK
+    report.update(market_document(model, claims, metadata))
+    return (*_market_table(model), EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  Arguments it does not take are a usage error
+    under its own name; argparse would hand them back to the main parser,
+    whose message names no subcommand."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 @functools.cache
@@ -609,13 +564,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fairtree",
         description="Fairness, superhedging and optimal investment on scenario trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def cmd(name, handler, help_text, market=True):
+    def cmd(name, handler, help_text, market=True, tolerance=None):
+        """Register a command.  ``tolerance`` is the ``(report name,
+        default)`` pair of a command that reads ``--tolerance``."""
         p = sub.add_parser(name, help=help_text)
-        if name in ("fair", "superhedge", "optimize", "davis", "augment"):  # those that read it
+        tolerance_name, default = tolerance or (None, None)
+        if tolerance_name is not None:
             p.add_argument(
-                "--tolerance", type=float, default=None,
+                "--tolerance", type=float, default=default,
                 help="override the command's decision/verification tolerance",
             )
         p.add_argument(
@@ -628,29 +586,36 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if market:
             p.add_argument("market", help="path to a market document")
-        p.set_defaults(handler=handler)
+        else:
+            p.set_defaults(market=None)
+        p.set_defaults(handler=handler, tolerance_name=tolerance_name)
         return p
 
     cmd("validate", _cmd_validate, "parse a market document and summarize it")
-    cmd("fair", _cmd_fair, "decide market fairness; exit 1 with a certificate if unfair")
+    cmd("fair", _cmd_fair, "decide market fairness; exit 1 with a certificate if unfair",
+        tolerance=("fairness_threshold", FAIRNESS_THRESHOLD))
     cmd("complete", _cmd_complete, "decide completeness and the deflator-family dimension")
 
-    p = cmd("superhedge", _cmd_superhedge, "price interval and attainability of a claim")
+    p = cmd("superhedge", _cmd_superhedge, "price interval and attainability of a claim",
+            tolerance=("oracle_agreement", 1e-8))
     p.add_argument("--claim", required=True, help="claim name from the market document")
 
     p = cmd("decompose", _cmd_decompose, "superhedge strategy and consumption for a claim")
     p.add_argument("--claim", required=True)
 
-    p = cmd("optimize", _cmd_optimize, "maximize expected utility of terminal wealth")
+    p = cmd("optimize", _cmd_optimize, "maximize expected utility of terminal wealth",
+            tolerance=("oracle_agreement", 1e-4))
     p.add_argument("--utility", required=True, help="'log' or 'power:P' (P<1, nonzero)")
     p.add_argument("--wealth", required=True, type=float, help="initial wealth (> 0)")
 
-    p = cmd("davis", _cmd_davis, "marginal utility-indifference price of a claim")
+    p = cmd("davis", _cmd_davis, "marginal utility-indifference price of a claim",
+            tolerance=("cross_route", 1e-9))
     p.add_argument("--utility", required=True)
     p.add_argument("--wealth", required=True, type=float)
     p.add_argument("--claim", required=True)
 
-    p = cmd("augment", _cmd_augment, "add a claim priced by the minimax deflator as an asset")
+    p = cmd("augment", _cmd_augment, "add a claim priced by the minimax deflator as an asset",
+            tolerance=("invariance", 1e-7))
     p.add_argument("--utility", required=True)
     p.add_argument("--wealth", required=True, type=float)
     p.add_argument("--claim", required=True)
@@ -673,15 +638,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
+    """Run one command: parse, engine, emit.  Returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    command = args.command
+    command, parsed, report = args.command, None, {}
     try:
-        return args.handler(args)
+        if args.market is not None:
+            parsed = parse_market(args.market)
+            name = args.tolerance_name
+            report = _base_report(command, parsed, {} if name is None else {name: args.tolerance})
+        header, rows, code = args.handler(args, parsed, report)
+        _print_report(args, report, header, rows)
+        return code
     except (UnfairMarketError, SupermartingaleError) as exc:
-        parsed = getattr(args, "parsed", None)
         if parsed is not None:
             kind = "unfair" if isinstance(exc, UnfairMarketError) else "infeasible"
             return _verdict(args, command, parsed, kind, str(exc))

@@ -37,7 +37,6 @@ intervals rather than from the local ranks the engine reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,36 +64,6 @@ from .utility import DUAL_GAP_TOL, DualSolution, _dual_objective
 DIMENSION_GUARD = 3
 _GRID_POINT_GUARD = 50_000_000
 _RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Side-by-side record of an oracle value and the engine's value.
-
-    Differences are stored exactly as measured -- large disagreements are
-    the whole point of keeping the record.
-    """
-
-    quantity: str
-    oracle_value: float
-    engine_value: float
-
-    @property
-    def absolute_difference(self) -> float:
-        return abs(self.oracle_value - self.engine_value)
-
-    @property
-    def relative_difference(self) -> float:
-        scale = max(1.0, abs(self.oracle_value), abs(self.engine_value))
-        return self.absolute_difference / scale
-
-
-def compare(quantity: str, oracle_value: float, engine_value: float) -> OracleReport:
-    return OracleReport(
-        quantity=quantity,
-        oracle_value=float(oracle_value),
-        engine_value=float(engine_value),
-    )
 
 
 def _polytope_vertices(model: MarketModel) -> np.ndarray:

@@ -112,26 +112,21 @@ class UtilitySpec:
         return float(out) if out.ndim == 0 else out
 
     def marginal(self, x):
+        """``x**(p - 1)``, with ``p = 0`` for log."""
         x = np.asarray(x, dtype=float)
+        p = 0.0 if self.kind == "log" else self.exponent
         with np.errstate(divide="ignore"):
-            if self.kind == "log":
-                out = np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), np.inf)
-            else:
-                out = np.where(
-                    x > 0, _pow(np.where(x > 0, x, 1.0), self.exponent - 1.0), np.inf
-                )
+            out = np.where(x > 0, _pow(np.where(x > 0, x, 1.0), p - 1.0), np.inf)
         return float(out) if out.ndim == 0 else out
 
     # -- dual side --------------------------------------------------------
 
     def inverse_marginal(self, y):
+        """``y**(1 / (p - 1))``, with ``p = 0`` for log."""
         y = np.asarray(y, dtype=float)
+        p = 0.0 if self.kind == "log" else self.exponent
         with np.errstate(divide="ignore"):
-            if self.kind == "log":
-                out = np.where(y > 0, 1.0 / np.where(y > 0, y, 1.0), np.inf)
-            else:
-                a = 1.0 / (self.exponent - 1.0)
-                out = np.where(y > 0, _pow(np.where(y > 0, y, 1.0), a), np.inf)
+            out = np.where(y > 0, _pow(np.where(y > 0, y, 1.0), 1.0 / (p - 1.0)), np.inf)
         return float(out) if out.ndim == 0 else out
 
     def conjugate(self, y):

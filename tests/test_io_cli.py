@@ -723,12 +723,21 @@ def contract_cases(paths, command):
     ]
 
 
+def names_rejected_tolerance(command: str, err: str) -> bool:
+    """Whether ``err`` is ``command``'s own usage error for the
+    ``--tolerance 1e-6`` of the contract's tolerance column."""
+    return err.endswith(f"fairtree {command}: error: unrecognized arguments: --tolerance 1e-6\n")
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("command", list(CONTRACT))
     def test_exit_codes(self, capsys, monkeypatch, contract_paths, command):
         cases = contract_cases(contract_paths, command)
-        codes = [None if argv is None else run_command(argv) for argv in cases]
+        codes = [None if argv is None else run_command(argv) for argv in cases[:-1]]
         capsys.readouterr()
+        codes.append(run_command(cases[-1]))
+        # a command that takes no --tolerance rejects it under its own name
+        assert names_rejected_tolerance(command, capsys.readouterr().err) == (codes[-1] == 2)
 
         def broken(*args, **kwargs):
             raise RuntimeError("unexpected")
@@ -749,14 +758,29 @@ class TestExitCodeContract:
             ),
             "OPENBLAS_NUM_THREADS": "1",
         }
-        codes = [
+        runs = [
             None if argv is None else subprocess.run(
                 [sys.executable, "-m", "fairtree.cli", *argv],
-                env=env, capture_output=True, timeout=120,
-            ).returncode
+                env=env, capture_output=True, text=True, timeout=120,
+            )
             for argv in contract_cases(contract_paths, command)
         ]
+        codes = [None if run is None else run.returncode for run in runs]
         assert tuple(codes) == CONTRACT[command][:-1]
+        assert names_rejected_tolerance(command, runs[-1].stderr) == (codes[-1] == 2)
+
+    def test_usage_errors_name_their_parser(self, capsys, contract_paths):
+        """Arguments after a subcommand that it does not take are its own
+        usage error; an unknown option before it is the main parser's."""
+        fair = contract_paths["fair"]
+        assert run_command(["decompose", fair, "--claim", "call", "extra"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fairtree decompose ")
+        assert err.endswith("fairtree decompose: error: unrecognized arguments: extra\n")
+        assert run_command(["--bogus", "fair", fair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fairtree [-h]")
+        assert err.endswith("fairtree: error: unrecognized arguments: --bogus\n")
 
     def test_every_market_command_is_in_the_table(self, capsys):
         assert run_command(["--help"]) == 0

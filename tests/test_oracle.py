@@ -37,7 +37,6 @@ from fairtree import (
 )
 from fairtree.deflators import FAIRNESS_THRESHOLD
 from fairtree.oracle import (
-    compare,
     fw_dual,
     lp_face_radius,
     lp_interior_radius,
@@ -151,16 +150,6 @@ class TestVertexGuards:
         assert model.tree.n_nodes > 25
         with pytest.raises(SizeGuardError):
             oracle_complete(model)
-
-
-class TestCompare:
-    def test_report_arithmetic(self):
-        report = compare("price", 1.0, 1.0 + 5e-9)
-        assert report.quantity == "price"
-        assert report.absolute_difference == pytest.approx(5e-9)
-        assert report.relative_difference == pytest.approx(5e-9)
-        big = compare("price", 200.0, 100.0)
-        assert big.relative_difference == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

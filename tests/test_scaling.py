@@ -233,18 +233,30 @@ class TestClaimScaling:
                 assert verdict.classification == expected, (seed, claim)
 
 
+#: the non-unit root level of the large-tree numeraire's second form
+ROOT_LEVEL = 2.375
+
+
+def large_numeraire(model, assets: int) -> np.ndarray:
+    """A log-normal numeraire (sigma 0.4) with 1 at the root."""
+    scaling = np.exp(np.random.default_rng(assets).normal(0.0, 0.4, model.tree.n_nodes))
+    scaling[0] = 1.0
+    return scaling
+
+
 class TestLargeTreeNumeraire:
     """Criterion 9's numeraire change at d6b4a2 and d6b4a5 (5461 nodes): a
     log-normal numeraire (sigma 0.4, 1 at the root) moves no verdict and no
-    price bound of a claim moved with it."""
+    price bound of a claim moved with it; the same numeraire at a root
+    level of ``ROOT_LEVEL`` scales both bounds by exactly that level, and
+    keeps the arbitrage twin unfair with a certificate."""
 
     @pytest.mark.parametrize("assets", (2, 5))
     def test_answers_match_the_unscaled_market(self, assets):
         model = generate_market(seed=7, depth=6, branching=4, assets=assets)
         tree = model.tree
-        scaling = np.exp(np.random.default_rng(assets).normal(0.0, 0.4, tree.n_nodes))
-        scaling[0] = 1.0
-        scaled = deflate(model, scaling)
+        scaling = large_numeraire(model, assets)
+        scaled, lifted = deflate(model, scaling), deflate(model, ROOT_LEVEL * scaling)
         assert check_fair(model).fair and check_fair(scaled).fair
         assert check_complete(scaled).complete == check_complete(model).complete
         for claim in default_claims(model, seed=7).values():
@@ -255,9 +267,29 @@ class TestLargeTreeNumeraire:
                 classify_attainability(scaled, moved).classification
                 == classify_attainability(model, claim).classification
             )
+            rooted = superhedge_price(lifted, Claim(ROOT_LEVEL * moved.payoff))
+            assert_same(
+                [rooted.lower, rooted.upper], [ROOT_LEVEL * base.lower, ROOT_LEVEL * base.upper]
+            )
         for market in (model, scaled):
             samples = sample_deflators(market, 3, seed=1)
             assert len(samples) == 3
             for m, again in zip(samples, sample_deflators(market, 3, seed=1)):
                 check_deflator_values(market, m)
                 np.testing.assert_array_equal(m.values, again.values)
+
+    @pytest.mark.parametrize("assets", (2, 5))
+    def test_the_arbitrage_twin_stays_unfair(self, assets):
+        twin = generate_market(seed=7, depth=6, branching=4, assets=assets, arbitrage=True)
+        model = deflate(twin, ROOT_LEVEL * large_numeraire(twin, assets))
+        report = check_fair(model)
+        assert not check_fair(twin).fair and not report.fair
+        cert = report.certificate
+        assert cert is not None
+        ch = list(model.tree.children[cert.node])
+        assert cert.cost == float(cert.holdings @ model.price[:, cert.node])
+        np.testing.assert_array_equal(cert.payoffs, cert.holdings @ model.price[:, ch])
+        assert cert.cost <= 0.0
+        # the payoffs' rounding error is that of the CLI's --verify check
+        assert cert.payoffs.min() >= -1e-9
+        assert cert.payoffs.max() > 1e-10

@@ -14,12 +14,14 @@ linear cost is a basic feasible solution, and a node has few candidate
 bases, so one kernel (:func:`_basic_solutions`) solves every basis of
 every node of a ``(time, branching)`` group (:func:`_node_groups`), or of
 a branching's whole stack (:func:`_node_stacks`), in one stacked solve.
-The vertex tables behind price bounds and the optional decomposition's
-positions come from it.  The fairness floor comes from the dual side: by
-LP duality a node's floor is the least cost per unit of floor-weighted
-payoff over the extreme rays of its cone of portfolios with nonnegative
-payoffs, and those rays do not depend on the children's floors, so they
-are listed once per model (:func:`_ray_tables`).  A node whose one-step
+The vertex tables behind price bounds come from it and keep its
+claim-independent factors, on which the optional decomposition solves
+each claim's multipliers (:func:`_basis_multipliers`).  The fairness
+floor comes from the dual side: by LP duality a node's floor is the
+least cost per unit of floor-weighted payoff over the extreme rays of
+its cone of portfolios with nonnegative payoffs, and those rays do not
+depend on the children's floors, so they are listed once per model
+(:func:`_ray_tables`).  A node whose one-step
 matrix has full column rank has a single point (:func:`_single_points`),
 from which its floor and its vertex table are read directly.  Every
 recursion takes one array step per group: the floor (:func:`_floor_step`)
@@ -34,10 +36,10 @@ mix the witness with vertices of the vertex sweep
 (:func:`sample_deflators`, :func:`polytope_minimizer`), so the engine
 builds no whole-tree object: :func:`build_polytope` serves the oracles.
 
-Every per-model table -- the node systems, the vertex tables and their
-per-node lists, the fairness report, the utility dual's entries -- is
-built once per model into one store (:func:`_per_model`), whose entry
-dies with its model.
+Every per-model table -- the node systems, the vertex tables with their
+kept bases and their per-node lists, the fairness report, the utility
+dual's entries -- is built once per model into one store
+(:func:`_per_model`), whose entry dies with its model.
 
 Boundary points of the closure are not deflators -- several routines in
 :mod:`fairtree.hedging` return them as certificates, always as bare arrays
@@ -403,7 +405,48 @@ def _single_points(matrix, rhs, left, rank):
     return points
 
 
-def _basic_solutions(matrix, rhs, left, rank: int, cost=None, pinned: bool = False):
+@dataclass(frozen=True, eq=False)
+class _BasisFactors:
+    """The candidate bases of stacked systems of one rank, as the basis
+    kernel (:func:`_basic_solutions`) forms them: the projection ``span``
+    onto each system's leading left singular vectors, ``(g, rows,
+    rank)``; the bases of the projected rows, columns at unit length,
+    ``(g, bases, rank, rank)``, the identity in place of a singular one;
+    the lengths of their columns, ``norms``, ``(g, bases, rank)``; and the
+    columns of each basis, ``combos``.  Claim-independent, so a system's
+    factors answer every cost's multipliers (:func:`_basis_multipliers`).
+    Every array is read-only."""
+
+    span: np.ndarray
+    bases: np.ndarray
+    norms: np.ndarray
+    combos: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+
+def _regular_bases(bases, rank: int):
+    """Which of the square ``rank``-column bases, columns at unit length,
+    are regular: their smallest singular value above ``RANK_RTOL`` times
+    their largest.  At rank 1 that is a nonzero entry.  At rank 2, with
+    ``s = |B|_F^2`` and ``d = |det B|``, the largest singular value
+    squared is ``(s + sqrt(s^2 - 4 d^2)) / 2`` and the ratio of the two
+    singular values is ``d`` over it, so no SVD is needed; above rank 2
+    the SVD decides."""
+    if rank == 1:
+        return bases[..., 0, 0] != 0.0
+    if rank == 2:
+        s = np.square(bases).sum(axis=(-2, -1))
+        d = np.abs(bases[..., 0, 0] * bases[..., 1, 1] - bases[..., 0, 1] * bases[..., 1, 0])
+        top = (s + np.sqrt(np.maximum(s * s - 4.0 * d * d, 0.0))) / 2.0
+        return d > RANK_RTOL * top
+    singular = np.linalg.svd(bases, compute_uv=False)
+    return singular[..., -1] > RANK_RTOL * singular[..., 0]
+
+
+def _basic_solutions(matrix, rhs, left, rank: int, pinned: bool = False):
     """Every basic solution of the stacked systems ``matrix[g] @ x = rhs[g]``,
     ``x >= 0``, each of rank ``rank``.
 
@@ -414,35 +457,44 @@ def _basic_solutions(matrix, rhs, left, rank: int, cost=None, pinned: bool = Fal
     candidates of all systems are solved by one stacked
     ``np.linalg.solve``.  A basis is singular when, its columns scaled to
     unit length, its smallest singular value is at most ``RANK_RTOL``
-    times its largest.  A regular basis's solution is feasible by
-    :func:`_feasible_points`, which also checks the unprojected rows, so a
-    right-hand side outside the column space leaves no feasible basis;
-    entries below zero are set to zero.
+    times its largest (:func:`_regular_bases`).  A regular basis's
+    solution is feasible by :func:`_feasible_points`, which also checks
+    the unprojected rows, so a right-hand side outside the column space
+    leaves no feasible basis; entries below zero are set to zero.
 
-    Returns ``(x, feasible, duals)``, shaped ``(g, bases, columns)``,
-    ``(g, bases)`` and ``(g, bases, rows)``.  ``duals`` (``None`` without
-    ``cost``) holds each basis's row multipliers ``theta``, the solution
-    of ``A_B^T theta = cost_B`` in the column space: ``cost - A^T theta``
-    is zero on the basis and is the basis's reduced cost.
+    Returns ``(x, feasible, factors)``: ``x`` and ``feasible`` shaped
+    ``(g, bases, columns)`` and ``(g, bases)``, and the
+    :class:`_BasisFactors` the solve formed, which depend on no cost: the
+    vertex tables keep those of the rank-deficient nodes
+    (:func:`_vertex_tables`), whose multipliers the decomposition solves
+    per claim.
     """
     count, _, columns = matrix.shape
     combos = _combinations(columns, rank, pinned)
     span, rows, norms, target = _projection(matrix, rhs, left, rank)
     bases = rows[:, :, combos].transpose(0, 2, 1, 3)
-    singular = np.linalg.svd(bases, compute_uv=False)
-    regular = singular[..., -1] > RANK_RTOL * singular[..., 0]
+    regular = _regular_bases(bases, rank)
     bases = np.where(regular[..., np.newaxis, np.newaxis], bases, np.eye(rank))
     target = target[:, np.newaxis, :, np.newaxis]
     solved = np.linalg.solve(bases, np.broadcast_to(target, bases.shape[:3] + (1,)))
+    norms = norms[:, combos]
     x = np.zeros((count, len(combos), columns))
-    x[:, np.arange(len(combos))[:, np.newaxis], combos] = solved[..., 0] / norms[:, combos]
+    x[:, np.arange(len(combos))[:, np.newaxis], combos] = solved[..., 0] / norms
     feasible = regular & _feasible_points(matrix, rhs, x)
-    if cost is None:
-        return x, feasible, None
+    return x, feasible, _BasisFactors(span, bases, norms, combos)
+
+
+def _basis_multipliers(factors: _BasisFactors, cost):
+    """Each basis's row multipliers ``theta`` for the stacked costs
+    ``cost[g]``: the solution of ``A_B^T theta = cost_B`` in the column
+    space, one stacked solve on the kernel's projected bases mapped back
+    through ``span``, so ``cost - A^T theta`` is zero on the basis and is
+    the basis's reduced cost.  Shaped ``(g, bases, rows)``."""
     multipliers = np.linalg.solve(
-        bases.transpose(0, 1, 3, 2), (cost[:, combos] / norms[:, combos])[..., np.newaxis]
+        factors.bases.transpose(0, 1, 3, 2),
+        (cost[:, factors.combos] / factors.norms)[..., np.newaxis],
     )[..., 0]
-    return x, feasible, np.einsum("gmr,gbr->gbm", span, multipliers)
+    return np.einsum("gmr,gbr->gbm", factors.span, multipliers)
 
 
 def _feasible_points(matrix, rhs, x):
@@ -496,23 +548,30 @@ class _VertexTable:
 
 
 @_per_model
-def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
-    """One :class:`_VertexTable` per group of :func:`_node_groups`, in its
-    order, built once per model.  The vertices are read off the feasible
-    bases (:func:`_distinct_vertices`), from one :func:`_basic_solutions`
-    call per stack of :func:`_node_stacks` and rank, and cut into the
-    stack's groups by the slices of :func:`_node_systems`; a node of full
-    column rank has one basis, whose solution is its single point
+def _vertex_tables(model: MarketModel):
+    """``(tables, chunks)``, built once per model: one :class:`_VertexTable`
+    per group of :func:`_node_groups`, in its order, and for each stack
+    of :func:`_node_stacks`, in its order, the ``(at, feasible, factors)``
+    of the kernel calls that built its tables.  The vertices are read off
+    the feasible bases (:func:`_distinct_vertices`), from one
+    :func:`_basic_solutions` call per chunk of :func:`_rank_slices` within
+    the guard, and cut into the stack's groups by the slices of
+    :func:`_node_systems`; each call's feasibility mask and
+    :class:`_BasisFactors` are kept, read-only and in the order of
+    :func:`_rank_slices`, for the decomposition's positions.  A node of
+    full column rank has one basis, whose solution is its single point
     ``fixed``, so it takes that point through the kernel's feasibility
-    test (:func:`_feasible_points`) without a solve."""
+    test (:func:`_feasible_points`) without a solve, and keeps no
+    factors."""
     stacks, groups, levels = _node_systems(model)
     tables = [None] * len(groups)
+    kept = []
     for stack, spans in zip(stacks, levels):
         matrix, rhs, left, rank = stack.matrix, stack.rhs, stack.left, stack.rank
         branching = stack.children.shape[1]
         counts = np.zeros(rank.size, dtype=int)
         past = np.zeros(rank.size, dtype=bool)
-        found = []
+        found, chunks = [], []
         for value, at, within in _rank_slices(rank, branching):
             if not within:
                 past[at] = True
@@ -521,9 +580,12 @@ def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
                 x = stack.fixed[at][:, np.newaxis].copy()
                 feasible = _feasible_points(matrix[at], rhs[at], x)
             else:
-                x, feasible, _ = _basic_solutions(matrix[at], rhs[at], left[at], value)
+                x, feasible, factors = _basic_solutions(matrix[at], rhs[at], left[at], value)
+                at.flags.writeable = feasible.flags.writeable = False
+                chunks.append((at, feasible, factors))
             x, counts[at] = _distinct_vertices(x, feasible)
             found.append((at, x))
+        kept.append(tuple(chunks))
         vertices = np.zeros((rank.size, counts.max(), branching))
         for at, x in found:
             vertices[at, : x.shape[1]] = x
@@ -535,7 +597,7 @@ def _vertex_tables(model: MarketModel) -> tuple[_VertexTable, ...]:
                 table = _frozen(vertices[span][at, :count])
                 parts.append((slice(None) if at.size == own.size else at, table))
             tables[i] = _VertexTable(groups[i], tuple(parts), np.flatnonzero(shut))
-    return tuple(tables)
+    return tuple(tables), tuple(kept)
 
 
 @_per_model
@@ -543,7 +605,7 @@ def _local_vertex_lists(model: MarketModel) -> dict:
     """Each non-leaf node's rows of :func:`_vertex_tables` as a list, and
     ``None`` for a node past the vertex-enumeration guard."""
     lists = {}
-    for table in _vertex_tables(model):
+    for table in _vertex_tables(model)[0]:
         nodes = table.group.nodes
         lists.update(dict.fromkeys(nodes[table.past].tolist()))
         for at, vertices in table.stacks:
@@ -623,7 +685,7 @@ def polytope_minimizer(model: MarketModel):
     vertex-enumeration guard answers its step with its one-step LP.
     """
     tree = model.tree
-    tables = _vertex_tables(model)
+    tables = _vertex_tables(model)[0]
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()

@@ -10,10 +10,14 @@ basis kernel (:func:`~fairtree.deflators._basic_solutions`).  One
 node of a ``(time, branching)`` group at once: for the price bounds
 through :func:`~fairtree.deflators.polytope_minimizer`, the running cost
 by :func:`superhedge_process` and the supermartingale test by
-:func:`check_supermartingale`.  The same kernel gives the decomposition
-its positions, as the duals of each node's optimal basis; a node past the
-vertex-enumeration guard takes its vertex step and its position from one
-node LP (:func:`~fairtree.deflators._node_lp`).  The decomposed process is
+:func:`check_supermartingale`.  The decomposition's positions are the
+duals of each node's optimal basis, on the bases the vertex tables kept
+(:func:`~fairtree.deflators._vertex_tables`): per claim, only the
+multipliers are solved (:func:`~fairtree.deflators._basis_multipliers`),
+and only a node of full column rank, whose table is its single point,
+calls the kernel again.  A node past the vertex-enumeration guard takes
+its vertex step and its position from one node LP
+(:func:`~fairtree.deflators._node_lp`).  The decomposed process is
 known at every node, so the positions are not a recursion: they come from
 one pass per branching's stack (:func:`~fairtree.deflators._node_stacks`),
 and only the consumption sum runs forward, one level of the tree at a
@@ -40,6 +44,7 @@ from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
     Deflator,
     _basic_solutions,
+    _basis_multipliers,
     _node_groups,
     _node_stacks,
     _rank_slices,
@@ -133,7 +138,7 @@ def superhedge_process(model: MarketModel, claim: Claim) -> np.ndarray:
     require_fair(model)
     values = np.zeros(model.tree.n_nodes)
     values[model.tree.leaves] = payoff
-    for table in _vertex_tables(model):
+    for table in _vertex_tables(model)[0]:
         group = table.group
         _, best, _ = _vertex_step(table, -group.probs * values[group.children])
         values[group.nodes] = -best
@@ -168,7 +173,7 @@ def _supermartingale_duals(model: MarketModel, values: np.ndarray, slack: float)
     upper = values.copy()
     found = []
     duals = np.zeros((tree.n_nodes, model.n_assets))
-    for table in _vertex_tables(model):
+    for table in _vertex_tables(model)[0]:
         group = table.group
         vertices, best, past = _vertex_step(table, -group.probs * values[group.children])
         upper[group.nodes] = -best
@@ -195,11 +200,18 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     position ``theta`` with ``A_B^T theta = c_B`` and ``A^T theta >= c``
     (complementary slackness), and its cost ``b @ theta`` is the node's
     superhedging value, never above the node's own.  Every node's values
-    are known, so the positions need no recursion: every basis of each
-    branching's stack (:func:`~fairtree.deflators._node_stacks`) comes
-    from one :func:`~fairtree.deflators._basic_solutions` call per rank
+    are known, so the positions need no recursion: they take one pass per
+    branching's stack (:func:`~fairtree.deflators._node_stacks`) and rank
     chunk, the first such basis is taken, and ``theta`` is scaled back to
-    holdings.  A node past the vertex-enumeration guard takes ``theta`` as
+    holdings.  The bases and their feasibility do not depend on the
+    claim: those of a rank-deficient node are the ones its vertex table
+    was read off, kept by :func:`~fairtree.deflators._vertex_tables`, so
+    only the multipliers are solved here
+    (:func:`~fairtree.deflators._basis_multipliers`); a chunk of full
+    column rank, whose table is its single point, makes its one
+    :func:`~fairtree.deflators._basic_solutions` call here.  The
+    supermartingale check has built the tables before they are read.  A
+    node past the vertex-enumeration guard takes ``theta`` as
     minus the duals of its :func:`~fairtree.deflators._node_lp` for the
     cost ``-c``, which the supermartingale check's vertex step has already
     solved: their dual feasibility is the domination, and ``duals @ b`` is
@@ -224,7 +236,7 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     # stay within the process, and the bounds on those misses
     misses = np.zeros((2, tree.n_nodes))
     bounds = np.zeros((2, tree.n_nodes))
-    for stack in _node_stacks(model):
+    for stack, chunks in zip(_node_stacks(model), _vertex_tables(model)[1]):
         nodes, children = stack.nodes, stack.children
         target = stack.probs * values[children]
         cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[nodes]))
@@ -234,10 +246,14 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
             if not within:
                 # the supermartingale check solved these nodes' LPs for the cost -target
                 theta[at] = -past_duals[nodes[at]]
-                continue
-            _, feasible, duals = _basic_solutions(
-                stack.matrix[at], stack.rhs[at], stack.left[at], rank, target[at]
-            )
+            elif rank == children.shape[1]:
+                # the vertex tables read these nodes off their single points
+                _, feasible, factors = _basic_solutions(
+                    stack.matrix[at], stack.rhs[at], stack.left[at], rank
+                )
+                chunks += ((at, feasible, factors),)
+        for at, feasible, factors in chunks:
+            duals = _basis_multipliers(factors, target[at])
             reduced = np.einsum("gmc,gbm->gbc", stack.matrix[at], duals) - target[at][:, np.newaxis]
             optimal = feasible & (reduced.min(axis=2) >= -slack[at][:, np.newaxis])
             # without an optimal basis, the first basis fails the checks below

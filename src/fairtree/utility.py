@@ -103,7 +103,7 @@ class UtilitySpec:
 
     def utility(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.kind == "log":
                 out = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
             else:
@@ -115,7 +115,7 @@ class UtilitySpec:
         """``x**(p - 1)``, with ``p = 0`` for log."""
         x = np.asarray(x, dtype=float)
         p = 0.0 if self.kind == "log" else self.exponent
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x > 0, _pow(np.where(x > 0, x, 1.0), p - 1.0), np.inf)
         return float(out) if out.ndim == 0 else out
 
@@ -125,7 +125,7 @@ class UtilitySpec:
         """``y**(1 / (p - 1))``, with ``p = 0`` for log."""
         y = np.asarray(y, dtype=float)
         p = 0.0 if self.kind == "log" else self.exponent
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(y > 0, _pow(np.where(y > 0, y, 1.0), 1.0 / (p - 1.0)), np.inf)
         return float(out) if out.ndim == 0 else out
 
@@ -139,7 +139,7 @@ class UtilitySpec:
         slope, not the value).
         """
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             if self.kind == "log":
                 out = np.where(y > 0, -np.log(np.where(y > 0, y, 1.0)) - 1.0, np.inf)
             else:
@@ -161,7 +161,7 @@ class UtilitySpec:
         y = np.asarray(y, dtype=float)
         p = 0.0 if self.kind == "log" else self.exponent
         q = p / (p - 1.0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(
                 y > 0, _pow(np.where(y > 0, y, 1.0), q - 2.0) / (1.0 - p), np.inf
             )

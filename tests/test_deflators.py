@@ -423,7 +423,7 @@ class TestLocalGeometry:
     def test_lists_are_the_rows_of_the_vertex_tables(self):
         for model in [*fair_corpus(12)[::3], wide_two_step_market()[0]]:
             listed = 0
-            for table in _vertex_tables(model):
+            for table in _vertex_tables(model)[0]:
                 nodes = table.group.nodes
                 for at, vertices in table.stacks:
                     for node, rows in zip(nodes[at], vertices):

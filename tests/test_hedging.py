@@ -32,7 +32,7 @@ from fairtree import (
     wealth_process,
 )
 
-from fairtree.deflators import _local_system, _node_lp, _node_stacks, _svd_rank
+from fairtree.deflators import _local_system, _node_lp, _node_stacks, _rank_slices, _svd_rank
 from fairtree.hedging import SUPERMARTINGALE_SLACK
 from fairtree.oracle import lp_superhedge_process
 from fairtree.utility import _budget_multiplier, _replicate
@@ -270,9 +270,10 @@ def node_decomposition(model, values):
             theta = -_node_lp(matrix[0], rhs[0], -target[0])[1][np.newaxis]
         else:
             left, _, _, _, rank = _svd_rank(matrix)
-            _, feasible, duals = fairtree.deflators._basic_solutions(
-                matrix, rhs, left, int(rank[0]), target
+            _, feasible, factors = fairtree.deflators._basic_solutions(
+                matrix, rhs, left, int(rank[0])
             )
+            duals = fairtree.deflators._basis_multipliers(factors, target)
             reduced = np.einsum("gmc,gbm->gbc", matrix, duals) - target[:, np.newaxis]
             optimal = feasible & (reduced.min(axis=2) >= -slack[:, np.newaxis])
             theta = duals[:, np.argmax(optimal[0])]
@@ -501,26 +502,99 @@ class TestStackedPasses:
         domination failure first, as the node loop does."""
         model, claims = two_stack_market()
         process = superhedge_process(model, claims[-1])
-        systems = [
-            (_local_system(model, model.tree.node_index(name))[2], factor)
-            for name, factor in scaled.items()
-        ]
-        kernel = fairtree.deflators._basic_solutions
+        costs = []
+        for name, factor in scaled.items():
+            children, probs = _local_system(model, model.tree.node_index(name))[:2]
+            costs.append((probs * process[children], factor))
+        multipliers = fairtree.deflators._basis_multipliers
 
-        def scaled_kernel(matrix, *args, **kwargs):
-            x, feasible, duals = kernel(matrix, *args, **kwargs)
-            for system, factor in systems:
-                if duals is not None and system.shape == matrix.shape[1:]:
-                    duals[(matrix == system).all(axis=(1, 2))] *= factor
-            return x, feasible, duals
+        def scaled_kernel(factors, cost):
+            duals = multipliers(factors, cost)
+            for node_cost, factor in costs:
+                if node_cost.shape == cost.shape[1:]:
+                    duals[(cost == node_cost).all(axis=1)] *= factor
+            return duals
 
-        monkeypatch.setattr(fairtree.deflators, "_basic_solutions", scaled_kernel)
-        monkeypatch.setattr(fairtree.hedging, "_basic_solutions", scaled_kernel)
+        monkeypatch.setattr(fairtree.deflators, "_basis_multipliers", scaled_kernel)
+        monkeypatch.setattr(fairtree.hedging, "_basis_multipliers", scaled_kernel)
         message = f"decomposition position fails to {named[0]} at node {named[1]!r}"
         with pytest.raises(SolverError, match=message):
             node_decomposition(model, process)
         with pytest.raises(SolverError, match=message):
             optional_decomposition(model, process)
+
+
+def counting_position_kernel(monkeypatch):
+    """Count the decomposition's :func:`_basic_solutions` calls as
+    ``(rank, columns)`` pairs."""
+    calls = []
+    kernel = fairtree.hedging._basic_solutions
+
+    def counted(matrix, rhs, left, rank, *args, **kwargs):
+        calls.append((rank, matrix.shape[2]))
+        return kernel(matrix, rhs, left, rank, *args, **kwargs)
+
+    monkeypatch.setattr(fairtree.hedging, "_basic_solutions", counted)
+    return calls
+
+
+# the benchmark's incomplete and complete shapes and four more, (depth,
+# branching, assets)
+BASIS_SHAPES = (
+    (6, 2, 1), (4, 3, 2), (3, 4, 2), (5, 2, 1), (6, 2, 2), (4, 3, 3),
+    (3, 4, 4), (5, 2, 2), (3, 3, 2), (2, 4, 3), (4, 4, 2), (3, 4, 3),
+)
+
+
+class TestStoredBases:
+    """The decomposition solves only each claim's multipliers on the
+    bases its vertex tables kept: a node of full column rank, which the
+    tables read off its single point, is the only one whose kernel call
+    it makes; the positions and consumption are those of a fresh kernel
+    call per node, to the bit."""
+
+    def test_no_kernel_call_on_the_incomplete_benchmark_shapes(self, monkeypatch):
+        calls = counting_position_kernel(monkeypatch)
+        for seed in range(3):
+            for shape in BASIS_SHAPES[:4]:
+                model = generate_market(seed, *shape)
+                for claim in default_claims(model, seed=seed).values():
+                    optional_decomposition(model, superhedge_process(model, claim))
+        assert calls == []
+
+    def test_kernel_calls_only_for_full_rank_chunks(self, monkeypatch):
+        calls = counting_position_kernel(monkeypatch)
+        deficient = 0
+        for seed in range(12):
+            model = mixed_market(seed)
+            expected = []
+            for stack in _node_stacks(model):
+                columns = stack.children.shape[1]
+                for rank, _, within in _rank_slices(stack.rank, columns):
+                    if within and rank == columns:
+                        expected.append((rank, columns))
+                    deficient += within and rank < columns
+            first, second = list(default_claims(model, seed=seed).values())[:2]
+            for claim in (first, second):
+                process = superhedge_process(model, claim)
+                calls.clear()
+                optional_decomposition(model, process)
+                assert calls == expected, seed
+        assert deficient > 0
+
+    def test_positions_equal_a_fresh_kernel_call_per_node(self):
+        checked = 0
+        for shape in BASIS_SHAPES:
+            for seed in range(6):
+                model = generate_market(seed, *shape)
+                for claim in default_claims(model, seed=seed).values():
+                    process = superhedge_process(model, claim)
+                    result = optional_decomposition(model, process)
+                    holdings, consumption = node_decomposition(model, process)
+                    assert result.strategy.holdings.tobytes() == holdings.tobytes()
+                    assert result.consumption.tobytes() == consumption.tobytes()
+                    checked += 1
+        assert checked == 288
 
 
 class TestLargestShape:

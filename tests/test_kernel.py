@@ -33,12 +33,14 @@ from fairtree import (
 from fairtree import augment_market, check_complete, generate_market, log_utility, solve_primal
 from fairtree.deflators import (
     _basic_solutions,
+    _basis_multipliers,
     _distinct_vertices,
     _floor_step,
     _local_system,
     _node_groups,
     _node_stacks,
     _ray_tables,
+    _regular_bases,
     _single_points,
     _svd_rank,
     _vertex_tables,
@@ -46,7 +48,16 @@ from fairtree.deflators import (
 )
 from fairtree.market import check_deflator_values, martingale_defect
 
-from conftest import corpus_claim, fair_corpus, mixed_market
+from fairtree.deflators import RANK_RTOL
+
+from conftest import (
+    arb_corpus,
+    corpus_claim,
+    fair_corpus,
+    mixed_market,
+    wide_market,
+    wide_two_step_market,
+)
 
 RTOL = 1e-9
 
@@ -259,10 +270,10 @@ class TestAgainstHighs:
             upper = float(-highs(-target, a_eq, b_eq).fun)
             assert close(float(process[node]), upper)
 
-            x, feasible, duals = _basic_solutions(
-                group.matrix[at], group.rhs[at], group.left[at], int(group.rank[at][0]),
-                target[np.newaxis],
+            x, feasible, factors = _basic_solutions(
+                group.matrix[at], group.rhs[at], group.left[at], int(group.rank[at][0])
             )
+            duals = _basis_multipliers(factors, target[np.newaxis])
             reduced = np.einsum("mc,bm->bc", group.matrix[at][0], duals[0]) - target
             optimal = feasible[0] & (reduced.min(axis=1) >= -1e-12)
             assert optimal.any()
@@ -398,7 +409,7 @@ class TestVertexTables:
     def test_full_rank_tables_equal_the_kernels(self):
         checked = 0
         for model in [*complete_markets(), *(mixed_market(seed) for seed in range(6))]:
-            for table in _vertex_tables(model):
+            for table in _vertex_tables(model)[0]:
                 group = table.group
                 columns = group.children.shape[1]
                 for at, vertices in table.stacks:
@@ -499,3 +510,58 @@ class TestRayFloors:
             np.testing.assert_allclose(attained, expected, rtol=1e-12, atol=0)
             checked += attained.size
         assert checked == model.tree.n_nodes - model.tree.n_leaves
+
+
+def svd_regular(bases):
+    """The SVD's regularity mask: smallest singular value above
+    ``RANK_RTOL`` times the largest."""
+    singular = np.linalg.svd(bases, compute_uv=False)
+    return singular[..., -1] > RANK_RTOL * singular[..., 0]
+
+
+class TestBasisRegularity:
+    """At ranks 1 and 2 a basis's regularity is read off its entry, or its
+    determinant and Frobenius norm, without an SVD; the masks are the
+    SVD's."""
+
+    def test_closed_forms_match_the_svd(self):
+        # a unit column and one turned from it by each angle; the singular
+        # values' ratio is tan(angle / 2), so the threshold lies near 2e-10
+        angles = np.array(
+            [0.0, 1e-14, 1e-12, 1.5e-10, 3e-10, 1e-9, 1e-3, 0.5, np.pi / 2, np.pi - 1e-12]
+        )
+        bases = np.zeros((1, angles.size + 1, 2, 2))
+        bases[0, :, 0, 0] = 1.0
+        bases[0, :-1, 0, 1], bases[0, :-1, 1, 1] = np.cos(angles), np.sin(angles)
+        mask = _regular_bases(bases, 2)
+        np.testing.assert_array_equal(mask, svd_regular(bases))
+        assert mask[0].tolist() == [False] * 4 + [True] * 5 + [False] * 2
+        single = np.array([0.0, -1.0, 1.0, 1e-300]).reshape(1, 4, 1, 1)
+        np.testing.assert_array_equal(_regular_bases(single, 1), svd_regular(single))
+        assert _regular_bases(single, 1)[0].tolist() == [False, True, True, True]
+
+    def test_masks_match_the_svd_across_the_corpora(self, monkeypatch):
+        regular = fairtree.deflators._regular_bases
+        checked = {1: 0, 2: 0}
+
+        def compared(bases, rank):
+            mask = regular(bases, rank)
+            if rank <= 2:
+                np.testing.assert_array_equal(mask, svd_regular(bases))
+                checked[rank] += mask.size
+            return mask
+
+        monkeypatch.setattr(fairtree.deflators, "_regular_bases", compared)
+        markets = [
+            *fair_corpus(40), *arb_corpus(40), *(mixed_market(seed) for seed in range(12)),
+            wide_market()[0], wide_two_step_market()[0], tied_market(),
+            generate_market(seed=7, depth=6, branching=4, assets=2),
+        ]
+        for i, model in enumerate(markets):
+            # fresh models, so no per-model table answers for them
+            model = build_market(model.tree, model.price, model.asset_names)
+            if check_fair(model).fair:
+                claim = corpus_claim(model, i)
+                optional_decomposition(model, superhedge_process(model, claim))
+            _vertex_tables(model)
+        assert checked[1] > 1000 and checked[2] > 8000

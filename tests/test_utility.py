@@ -94,6 +94,18 @@ class TestUtilitySpec:
         assert power_utility(-1.0).conjugate(0.0) == 0.0
         assert log_utility().conjugate(0.0) == np.inf
 
+    @pytest.mark.parametrize("exponent, method, level, expected", [
+        (-5.0, "marginal", 1e-60, np.inf),
+        (0.5, "conjugate_curvature", 1e-110, np.inf),
+        (0.5, "inverse_marginal", 1e-200, np.inf),
+        (0.5, "conjugate", 1e-310, np.inf),
+        (-5.0, "utility", 1e-70, -np.inf),
+    ])
+    def test_overflow_reads_infinite_without_a_warning(self, exponent, method, level, expected):
+        """Values past the float range are infinite, and the overflow is
+        no warning (warnings are errors in this suite)."""
+        assert getattr(power_utility(exponent), method)(level) == expected
+
     @pytest.mark.parametrize("bad", [1.0, 0.0, 1.5, np.inf, np.nan])
     def test_bad_power_exponents(self, bad):
         with pytest.raises(ValueError):

@@ -21,9 +21,10 @@ floor comes from the dual side: by LP duality a node's floor is the
 least cost per unit of floor-weighted payoff over the extreme rays of
 its cone of portfolios with nonnegative payoffs, and those rays do not
 depend on the children's floors, so they are listed once per model
-(:func:`_ray_tables`).  A node whose one-step
-matrix has full column rank has a single point (:func:`_single_points`),
-from which its floor and its vertex table are read directly.  Every
+(:func:`_ray_tables`).  A node whose one-step matrix has full column
+rank has one basis, solved in one kernel call per stack
+(:func:`_node_systems`); a feasible solution is its single point, and
+an infeasible one leaves it floor 0 and no vertex.  Every
 recursion takes one array step per group: the floor (:func:`_floor_step`)
 and the best vertex under a linear cost (:func:`_vertex_step`), and the
 tree's forward walk rebuilds the levels from the chosen ratios.  The
@@ -232,8 +233,8 @@ class _NodeGroup:
     vectors ``left`` (the first ``rank[g]`` of them span its column
     space), its pseudo-inverse ``pinv`` and an orthonormal basis of its
     null space (``null``, padded with zero columns).  Where a matrix has
-    full column rank, its one-step polytope is the single point
-    ``fixed[g]`` (:func:`_single_points`; zero elsewhere).  Every array is
+    full column rank, ``fixed[g]`` is its one basis's solution if that is
+    feasible (:func:`_node_systems`; zero elsewhere).  Every array is
     read-only."""
 
     nodes: np.ndarray
@@ -294,14 +295,16 @@ def _node_stacks(model: MarketModel) -> tuple[_NodeGroup, ...]:
 
 @_per_model
 def _node_systems(model: MarketModel):
-    """``(stacks, groups, levels)``: the stacks of :func:`_node_stacks`,
-    the groups of :func:`_node_groups` and, for each stack, its groups in
-    time order as ``(group index, slice of the stack)`` pairs, so a table
-    built per stack is cut into its groups without a search.  Built once
-    per model."""
+    """``(stacks, groups, levels, singles)``: the stacks of
+    :func:`_node_stacks`, the groups of :func:`_node_groups`, for each
+    stack its groups in time order as ``(group index, slice of the
+    stack)`` pairs, so a table built per stack is cut into its groups
+    without a search, and for each stack the ``(at, feasible, factors)``
+    of its one :func:`_basic_solutions` call on its nodes of full column
+    rank, or ``None``.  Built once per model."""
     tree = model.tree
     branchings = np.bincount(tree.parent[1:], minlength=tree.n_nodes)
-    stacks, spans, built = [], [], {}
+    stacks, singles, spans, built = [], [], [], {}
     for branching in np.unique(branchings[branchings > 0]).tolist():
         nodes = np.flatnonzero(branchings == branching)
         nodes = nodes[np.argsort(tree.time[nodes], kind="stable")]
@@ -312,6 +315,13 @@ def _node_systems(model: MarketModel):
         pinv = np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width])
         beyond = np.arange(branching) >= rank[:, np.newaxis]
         null = right.transpose(0, 2, 1) * beyond[:, np.newaxis, :]
+        fixed, single = np.zeros(matrix.shape[::2]), None
+        full = np.flatnonzero(rank == branching)
+        if full.size:
+            x, feasible, factors = _basic_solutions(matrix[full], rhs[full], left[full], branching)
+            fixed[full] = np.where(feasible, x[:, 0], 0.0)
+            full.flags.writeable = feasible.flags.writeable = False
+            single = full, feasible, factors
         stack = _NodeGroup(
             nodes=nodes,
             children=children,
@@ -323,9 +333,10 @@ def _node_systems(model: MarketModel):
             left=left,
             pinv=pinv,
             null=null,
-            fixed=_single_points(matrix, rhs, left, rank),
+            fixed=fixed,
         )
         stacks.append(stack)
+        singles.append(single)
         spans.append([])
         times = tree.time[nodes]
         starts = np.flatnonzero(np.diff(times, prepend=-1))
@@ -337,7 +348,7 @@ def _node_systems(model: MarketModel):
     order = {key: i for i, key in enumerate(sorted(built, reverse=True))}
     groups = tuple(built[key] for key in order)
     levels = tuple(tuple((order[key], at) for key, at in each) for each in spans)
-    return tuple(stacks), groups, levels
+    return tuple(stacks), groups, levels, tuple(singles)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +363,15 @@ def _rank_slices(rank: np.ndarray, columns: int):
     ``value``, and whether that many bases are within the
     :func:`~fairtree.optim.enumerate_vertices` guard (at most 25 columns
     and 400 000 bases per node).  Slices within it hold at most 400 000
-    bases in all, so one :func:`_basic_solutions` call stays bounded."""
+    bases in all, so one :func:`_basic_solutions` call stays bounded,
+    except at full column rank: one basis per node, all in one slice."""
     for value in np.unique(rank).tolist():
         at = np.flatnonzero(rank == value)
         bases = math.comb(columns, value)
         if columns > _VERTEX_VARIABLE_GUARD or bases > _VERTEX_COMBO_GUARD:
             yield value, at, False
             continue
-        step = max(1, _VERTEX_COMBO_GUARD // bases)
+        step = max(1, _VERTEX_COMBO_GUARD // bases) if value < columns else at.size
         for start in range(0, at.size, step):
             yield value, at[start:start + step], True
 
@@ -388,21 +400,6 @@ def _projection(matrix, rhs, left, rank: int):
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
     return span, rows / norms[:, np.newaxis, :], norms, np.einsum("gmr,gm->gr", span, rhs)
-
-
-def _single_points(matrix, rhs, left, rank):
-    """The solution of each stacked system whose matrix has full column
-    rank, by the basis kernel's solve of its projected square system
-    (:func:`_projection`), and zero for the others.  Unlike the product
-    of the pseudo-inverse with the right-hand side, which loses digits on
-    an ill-conditioned matrix, it meets the rows to rounding."""
-    count, _, columns = matrix.shape
-    points = np.zeros((count, columns))
-    full = np.flatnonzero(rank == columns)
-    if full.size:
-        _, rows, norms, target = _projection(matrix[full], rhs[full], left[full], columns)
-        points[full] = np.linalg.solve(rows, target[..., np.newaxis])[..., 0] / norms
-    return points
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,7 +454,8 @@ def _basic_solutions(matrix, rhs, left, rank: int, pinned: bool = False):
     candidates of all systems are solved by one stacked
     ``np.linalg.solve``.  A basis is singular when, its columns scaled to
     unit length, its smallest singular value is at most ``RANK_RTOL``
-    times its largest (:func:`_regular_bases`).  A regular basis's
+    times its largest (:func:`_regular_bases`); at full column rank the
+    caller's SVD has found the one basis regular.  A regular basis's
     solution is feasible by :func:`_feasible_points`, which also checks
     the unprojected rows, so a right-hand side outside the column space
     leaves no feasible basis; entries below zero are set to zero.
@@ -465,16 +463,17 @@ def _basic_solutions(matrix, rhs, left, rank: int, pinned: bool = False):
     Returns ``(x, feasible, factors)``: ``x`` and ``feasible`` shaped
     ``(g, bases, columns)`` and ``(g, bases)``, and the
     :class:`_BasisFactors` the solve formed, which depend on no cost: the
-    vertex tables keep those of the rank-deficient nodes
-    (:func:`_vertex_tables`), whose multipliers the decomposition solves
-    per claim.
+    vertex tables keep them (:func:`_vertex_tables`), and the
+    decomposition solves each claim's multipliers on them.
     """
     count, _, columns = matrix.shape
     combos = _combinations(columns, rank, pinned)
     span, rows, norms, target = _projection(matrix, rhs, left, rank)
     bases = rows[:, :, combos].transpose(0, 2, 1, 3)
-    regular = _regular_bases(bases, rank)
-    bases = np.where(regular[..., np.newaxis, np.newaxis], bases, np.eye(rank))
+    regular = True
+    if rank < columns:
+        regular = _regular_bases(bases, rank)
+        bases = np.where(regular[..., np.newaxis, np.newaxis], bases, np.eye(rank))
     target = target[:, np.newaxis, :, np.newaxis]
     solved = np.linalg.solve(bases, np.broadcast_to(target, bases.shape[:3] + (1,)))
     norms = norms[:, combos]
@@ -558,15 +557,13 @@ def _vertex_tables(model: MarketModel):
     the guard, and cut into the stack's groups by the slices of
     :func:`_node_systems`; each call's feasibility mask and
     :class:`_BasisFactors` are kept, read-only and in the order of
-    :func:`_rank_slices`, for the decomposition's positions.  A node of
-    full column rank has one basis, whose solution is its single point
-    ``fixed``, so it takes that point through the kernel's feasibility
-    test (:func:`_feasible_points`) without a solve, and keeps no
-    factors."""
-    stacks, groups, levels = _node_systems(model)
+    :func:`_rank_slices`, for the decomposition's positions.  The chunk of
+    full column rank is the call of :func:`_node_systems`, whose
+    solutions are the stack's ``fixed`` rows."""
+    stacks, groups, levels, singles = _node_systems(model)
     tables = [None] * len(groups)
     kept = []
-    for stack, spans in zip(stacks, levels):
+    for stack, spans, single in zip(stacks, levels, singles):
         matrix, rhs, left, rank = stack.matrix, stack.rhs, stack.left, stack.rank
         branching = stack.children.shape[1]
         counts = np.zeros(rank.size, dtype=int)
@@ -577,12 +574,12 @@ def _vertex_tables(model: MarketModel):
                 past[at] = True
                 continue
             if value == branching:
-                x = stack.fixed[at][:, np.newaxis].copy()
-                feasible = _feasible_points(matrix[at], rhs[at], x)
+                at, feasible, factors = single
+                x = stack.fixed[at, np.newaxis]
             else:
                 x, feasible, factors = _basic_solutions(matrix[at], rhs[at], left[at], value)
                 at.flags.writeable = feasible.flags.writeable = False
-                chunks.append((at, feasible, factors))
+            chunks.append((at, feasible, factors))
             x, counts[at] = _distinct_vertices(x, feasible)
             found.append((at, x))
         kept.append(tuple(chunks))
@@ -682,13 +679,16 @@ def polytope_minimizer(model: MarketModel):
     zero).  The result matches the LP optimum to solver precision at a
     fraction of the cost, which is what makes it suitable for the utility
     dual's gap certificate and for price bounds.  A node past the
-    vertex-enumeration guard answers its step with its one-step LP.
+    vertex-enumeration guard answers its step with its one-step LP.  A
+    cost other than one finite value per node raises ``ValueError``.
     """
     tree = model.tree
     tables = _vertex_tables(model)[0]
 
     def minimize(cost) -> np.ndarray:
         per_unit = np.asarray(cost, dtype=float).copy()
+        if per_unit.shape != (tree.n_nodes,) or not np.isfinite(per_unit).all():
+            raise ValueError("cost needs one finite value per node")
         ratios = np.empty(tree.n_nodes)  # each node's level over its parent's
         for table in tables:
             group = table.group
@@ -759,18 +759,18 @@ def _payoff_rays(matrix, rhs, left, rank: int):
 class _RayTable:
     """The floor programs of a :class:`_NodeGroup`'s nodes, in dual form.
 
-    ``single`` holds the positions of the nodes of full column rank (a
-    full slice where they make up the group, ``None`` where there are
-    none), and ``past`` those of the other nodes past the
-    vertex-enumeration guard of the floor program (:func:`_rank_slices`
+    ``single`` holds the positions of the nodes with a feasible single
+    point (a full slice where they make up the group, ``None`` where
+    there are none), and ``past`` those of the rank-deficient nodes past
+    the vertex-enumeration guard of the floor program (:func:`_rank_slices`
     over ``children + 1`` columns).  ``stacks`` holds one ``(at, payoffs,
     cost)`` triple per rank for the other nodes (``at`` a full slice where
     one rank holds the whole group): ``payoffs[i, e]`` and ``cost[i, e]``
     are the child payoffs and the cost of extreme ray ``e`` of node
     ``group.nodes[at][i]`` (:func:`_payoff_rays`), and a node with fewer
     rays than the widest repeats its first, which changes no minimum.  A
-    node in none of them has its right-hand side off its column space, so
-    it has no ratio vector and its floor is 0."""
+    node in none of them (an infeasible single point, or a right-hand
+    side off the column space) has no ratio vector and floor 0."""
 
     group: _NodeGroup
     single: np.ndarray
@@ -800,18 +800,20 @@ def _ray_tables(model: MarketModel):
     :func:`_node_groups`, in its order, and the :class:`_RaySlice` of
     every ``(branching, rank)`` slice of :func:`_node_stacks` with ray
     nodes.  The rays of a slice come from one :func:`_payoff_rays` call
-    per chunk of :func:`_rank_slices`; a stack of full-rank nodes builds
+    per chunk of :func:`_rank_slices`; a node of full column rank builds
     none.  Rays do not depend on the children's floors, so the tables are
     listed before the floor recursion runs."""
-    stacks, groups, levels = _node_systems(model)
+    stacks, groups, levels, singles = _node_systems(model)
     tables = [None] * len(groups)
     slices = []
-    for stack, spans in zip(stacks, levels):
+    for stack, spans, full in zip(stacks, levels, singles):
         branching = stack.children.shape[1]
-        single = stack.rank == branching
+        single = np.zeros(stack.rank.size, dtype=bool)
+        if full is not None:
+            single[full[0]] = full[1][:, 0]
         past = np.zeros(single.size, dtype=bool)
         chunks = {}
-        lacking = np.flatnonzero(~single)
+        lacking = np.flatnonzero(stack.rank < branching)
         for value, at, within in _rank_slices(stack.rank[lacking], branching + 1):
             at = lacking[at]
             if not within:
@@ -862,11 +864,9 @@ def _floor_step(table: _RayTable, floors):
     ``r[j] * floors[g, j] >= t`` for every child ``j``, at each node of
     ``table.group``.
 
-    A node whose one-step matrix has full column rank has the single point
-    ``r = group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]`` where
-    that point passes the basis kernel's feasibility test
-    (:func:`_feasible_points`) on the system's rows, and no ratio vector
-    is feasible where it does not.  For the other nodes LP duality gives
+    A node with a feasible single point (``table.single``) has ``r =
+    group.fixed[g]``, so ``t = min_j r[j] * floors[g, j]``; one with an
+    infeasible point has ``t = 0``.  For the other nodes LP duality gives
     ``t = min_e cost_e / sum_j payoffs_ej / floors[g, j]`` over the node's
     extreme payoff rays (:class:`_RayTable`), clipped at 0 (a ray of
     negative cost leaves no ratio vector): one stacked product and
@@ -896,9 +896,7 @@ def _floor_step(table: _RayTable, floors):
         unit = floors.min(axis=1)
     single = table.single
     if single is not None:
-        point = group.fixed[single][:, np.newaxis].copy()
-        met = _feasible_points(matrix[single], rhs[single], point)
-        point = np.where(met, point[:, 0], 0.0)
+        point = group.fixed[single]
         best[single] = (point * floors[single]).min(axis=1)
         ratios[single] = point
     for at, payoffs, cost in table.stacks:

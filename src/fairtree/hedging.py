@@ -12,10 +12,10 @@ through :func:`~fairtree.deflators.polytope_minimizer`, the running cost
 by :func:`superhedge_process` and the supermartingale test by
 :func:`check_supermartingale`.  The decomposition's positions are the
 duals of each node's optimal basis, on the bases the vertex tables kept
-(:func:`~fairtree.deflators._vertex_tables`): per claim, only the
-multipliers are solved (:func:`~fairtree.deflators._basis_multipliers`),
-and only a node of full column rank, whose table is its single point,
-calls the kernel again.  A node past the vertex-enumeration guard takes
+(:func:`~fairtree.deflators._vertex_tables`), those of the nodes of full
+column rank included: per claim, only the multipliers are solved
+(:func:`~fairtree.deflators._basis_multipliers`), and no kernel call is
+made.  A node past the vertex-enumeration guard takes
 its vertex step and its position from one node LP
 (:func:`~fairtree.deflators._node_lp`).  The decomposed process is
 known at every node, so the positions are not a recursion: they come from
@@ -43,11 +43,9 @@ from .errors import SolverError, SupermartingaleError
 from .market import Claim, MarketModel, Strategy, _check_claim
 from .deflators import (
     Deflator,
-    _basic_solutions,
     _basis_multipliers,
     _node_groups,
     _node_stacks,
-    _rank_slices,
     _vertex_step,
     _vertex_tables,
     polytope_minimizer,
@@ -155,7 +153,8 @@ def check_supermartingale(
     polytope, one :func:`~fairtree.deflators._vertex_step` per ``(time,
     branching)`` group; levels that vanish propagate zero down the subtree
     and contribute nothing.  Raises :class:`SupermartingaleError` at the
-    first violating node in tree order, naming that worst vertex.
+    first violating node in tree order, naming that worst vertex, and
+    ``ValueError`` unless the process is one finite value per node.
     ``slack`` is relative to the magnitude of the terms compared.
     """
     _supermartingale_duals(model, np.asarray(process, dtype=float), slack)
@@ -169,6 +168,9 @@ def _supermartingale_duals(model: MarketModel, values: np.ndarray, slack: float)
     tree = model.tree
     if values.shape != (tree.n_nodes,):
         raise ValueError("process needs one value per node")
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        raise ValueError(f"process value at node {tree.ids[nonfinite[0]]!r} is not finite")
     # each node's one-step maximum; a leaf's own value, so it never violates
     upper = values.copy()
     found = []
@@ -204,25 +206,27 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
     branching's stack (:func:`~fairtree.deflators._node_stacks`) and rank
     chunk, the first such basis is taken, and ``theta`` is scaled back to
     holdings.  The bases and their feasibility do not depend on the
-    claim: those of a rank-deficient node are the ones its vertex table
-    was read off, kept by :func:`~fairtree.deflators._vertex_tables`, so
-    only the multipliers are solved here
-    (:func:`~fairtree.deflators._basis_multipliers`); a chunk of full
-    column rank, whose table is its single point, makes its one
-    :func:`~fairtree.deflators._basic_solutions` call here.  The
-    supermartingale check has built the tables before they are read.  A
-    node past the vertex-enumeration guard takes ``theta`` as
-    minus the duals of its :func:`~fairtree.deflators._node_lp` for the
-    cost ``-c``, which the supermartingale check's vertex step has already
-    solved: their dual feasibility is the domination, and ``duals @ b`` is
-    the optimum.  The per-edge consumption increment is the domination
-    surplus at the child plus the node-level cost gap, summed forward one
-    level of the tree at a time, so the wealth identity holds exactly by
-    construction.  Domination, cost and the supermartingale
-    precondition are checked with the relative ``SUPERMARTINGALE_SLACK``;
-    a failure names the first failing node of the earliest group, a
-    domination failure before a cost failure.  Attainable wealth is
-    replicated without bases by :func:`~fairtree.utility._replicate`.
+    claim: they are the ones each node's vertex table was read off, kept
+    by :func:`~fairtree.deflators._vertex_tables` (for a node of full
+    column rank, its one basis from the node systems' kernel call), so
+    only the multipliers are solved here, in one loop over the kept
+    chunks (:func:`~fairtree.deflators._basis_multipliers`), and no
+    kernel call is made.  The supermartingale check has built the tables
+    before they are read.  A node past the vertex-enumeration guard takes
+    ``theta`` as minus the duals of its
+    :func:`~fairtree.deflators._node_lp` for the cost ``-c``, which the
+    supermartingale check's vertex step has already solved: their dual
+    feasibility is the domination, and ``duals @ b`` is the optimum.  The
+    per-edge consumption increment is the domination surplus at the child
+    plus the node-level cost gap, summed forward one level of the tree at
+    a time, so the wealth identity holds exactly by construction.
+    Domination, cost and the supermartingale precondition are checked
+    with the relative ``SUPERMARTINGALE_SLACK``; a failure names the first
+    failing node of the earliest group, a domination failure before a
+    cost failure, and a process value that is not finite is refused with
+    ``ValueError``, as by :func:`check_supermartingale`.  Attainable
+    wealth is replicated without bases by
+    :func:`~fairtree.utility._replicate`.
     """
     values = np.asarray(process, dtype=float)
     tree = model.tree
@@ -241,17 +245,8 @@ def optional_decomposition(model: MarketModel, process) -> DecompositionResult:
         target = stack.probs * values[children]
         cost_slack = SUPERMARTINGALE_SLACK * np.maximum(1.0, np.abs(values[nodes]))
         slack = np.maximum(cost_slack, SUPERMARTINGALE_SLACK * np.abs(values[children]).max(axis=1))
-        theta = np.zeros(stack.rhs.shape)
-        for rank, at, within in _rank_slices(stack.rank, children.shape[1]):
-            if not within:
-                # the supermartingale check solved these nodes' LPs for the cost -target
-                theta[at] = -past_duals[nodes[at]]
-            elif rank == children.shape[1]:
-                # the vertex tables read these nodes off their single points
-                _, feasible, factors = _basic_solutions(
-                    stack.matrix[at], stack.rhs[at], stack.left[at], rank
-                )
-                chunks += ((at, feasible, factors),)
+        # minus the LP duals the supermartingale check solved past the guard; chunks set the rest
+        theta = -past_duals[nodes]
         for at, feasible, factors in chunks:
             duals = _basis_multipliers(factors, target[at])
             reduced = np.einsum("gmc,gbm->gbc", stack.matrix[at], duals) - target[at][:, np.newaxis]

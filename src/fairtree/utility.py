@@ -427,16 +427,12 @@ def _minimax_levels(model: MarketModel, utility: UtilitySpec, start: np.ndarray)
     tree = model.tree
     stacks = _node_stacks(model)
     ratio = np.ones(tree.n_nodes)
-    newton = False
     for stack in stacks:
-        full = stack.rank == stack.children.shape[1]
-        _check_positive(model, stack.nodes[full], stack.fixed[full])
         ratio[stack.children] = stack.fixed
-        newton = newton or not full.all()
-    if newton:
+    if any((stack.rank < stack.children.shape[1]).any() for stack in stacks):
         _newton_ratios(model, ratio, start, p)
-        for stack in stacks:
-            _check_positive(model, stack.nodes, ratio[stack.children])
+    for stack in stacks:
+        _check_positive(model, stack.nodes, ratio[stack.children])
     return tree.forward(1.0, np.multiply, ratio)
 
 
@@ -517,7 +513,7 @@ def solve_dual(
         entry.vertex = polytope_minimizer(model)(grad)
     gap = float(grad @ (levels - entry.vertex))
     bound = tol * max(1.0, abs(float(grad @ levels)))
-    if gap > bound:
+    if not gap <= bound:  # a NaN gap certifies nothing
         raise SolverError(
             f"minimax recursion leaves a duality gap of {gap:.3e} above {bound:.3g}"
         )

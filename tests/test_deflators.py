@@ -36,7 +36,15 @@ from fairtree import (
     solve_primal,
     superhedge_process,
 )
-from fairtree.deflators import _STORE, _local_system, _svd_rank, _vertex_tables
+from fairtree.deflators import (
+    _STORE,
+    _floor_step,
+    _local_system,
+    _node_stacks,
+    _ray_tables,
+    _svd_rank,
+    _vertex_tables,
+)
 from fairtree.optim import solve_lp
 from fairtree.oracle import completeness_via_claims, lp_interior_radius
 
@@ -303,6 +311,26 @@ class TestFairness:
         assert np.abs(cert.holdings).max() <= 2.0
         assert calls == []
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_infeasible_single_point(self, seed):
+        """The arbitrage twin of a complete market: its root has full
+        column rank, and the marked-up copy leaves its single point
+        infeasible.  The root is no single node of its ray table, its
+        floor is 0, it has no vertex, and the certificate sits there."""
+        twin = generate_market(seed, 3, 3, 3, arbitrage=True)
+        (stack,) = _node_stacks(twin)
+        assert stack.nodes[0] == 0 and stack.rank[0] == 3
+        assert not stack.fixed[0].any()
+        table = _ray_tables(twin)[0][-1]
+        assert table.group.nodes.tolist() == [0] and table.single is None
+        best, ratios, _, _ = _floor_step(table, np.ones((1, 3)))
+        assert best.tolist() == [0.0] and not ratios.any()
+        assert local_vertices(twin, 0) == []
+        report = check_fair(twin)
+        assert not report.fair and report.interior_radius == 0.0
+        assert report.certificate.node_id == "r"
+        _assert_one_step_arbitrage(twin, report.certificate)
+
     def test_unfair_markets_below_the_guard_solve_no_lp(self, monkeypatch):
         calls = counted_lps(monkeypatch)
         for model in arb_corpus(20):
@@ -405,6 +433,14 @@ class TestLocalGeometry:
         first = local_vertices(t1_model, 0)
         second = local_vertices(t1_model, 0)
         assert first is second
+
+    def test_minimizer_takes_one_finite_cost_per_node(self, t1_model):
+        minimize = polytope_minimizer(t1_model)
+        cost = np.array([0.0, 0.3, -0.2, 0.1])
+        assert minimize(cost).shape == (4,)
+        for bad in (np.append(cost, 1.0), cost[:3], [0.0, 0.3, -0.2, np.nan], [np.inf, 0, 0, 0]):
+            with pytest.raises(ValueError, match="cost needs one finite value per node"):
+                minimize(bad)
 
     def test_leaf_is_refused(self, t1_model):
         for leaf in t1_model.tree.leaves.tolist():

@@ -32,7 +32,7 @@ from fairtree import (
     wealth_process,
 )
 
-from fairtree.deflators import _local_system, _node_lp, _node_stacks, _rank_slices, _svd_rank
+from fairtree.deflators import _local_system, _node_lp, _node_stacks, _svd_rank
 from fairtree.hedging import SUPERMARTINGALE_SLACK
 from fairtree.oracle import lp_superhedge_process
 from fairtree.utility import _budget_multiplier, _replicate
@@ -524,17 +524,18 @@ class TestStackedPasses:
             optional_decomposition(model, process)
 
 
-def counting_position_kernel(monkeypatch):
-    """Count the decomposition's :func:`_basic_solutions` calls as
-    ``(rank, columns)`` pairs."""
+def counting_kernel(monkeypatch):
+    """Count :func:`_basic_solutions` calls as ``(rank, columns)`` pairs,
+    whichever engine module makes them."""
     calls = []
-    kernel = fairtree.hedging._basic_solutions
+    kernel = fairtree.deflators._basic_solutions
 
     def counted(matrix, rhs, left, rank, *args, **kwargs):
         calls.append((rank, matrix.shape[2]))
         return kernel(matrix, rhs, left, rank, *args, **kwargs)
 
-    monkeypatch.setattr(fairtree.hedging, "_basic_solutions", counted)
+    for module in (fairtree.deflators, fairtree.hedging):
+        monkeypatch.setattr(module, "_basic_solutions", counted, raising=False)
     return calls
 
 
@@ -548,39 +549,27 @@ BASIS_SHAPES = (
 
 class TestStoredBases:
     """The decomposition solves only each claim's multipliers on the
-    bases its vertex tables kept: a node of full column rank, which the
-    tables read off its single point, is the only one whose kernel call
-    it makes; the positions and consumption are those of a fresh kernel
-    call per node, to the bit."""
+    bases its vertex tables kept, those of the nodes of full column rank
+    included, so it makes no kernel call; the positions and consumption
+    are those of a fresh kernel call per node, to the bit."""
 
-    def test_no_kernel_call_on_the_incomplete_benchmark_shapes(self, monkeypatch):
-        calls = counting_position_kernel(monkeypatch)
-        for seed in range(3):
-            for shape in BASIS_SHAPES[:4]:
-                model = generate_market(seed, *shape)
-                for claim in default_claims(model, seed=seed).values():
-                    optional_decomposition(model, superhedge_process(model, claim))
-        assert calls == []
-
-    def test_kernel_calls_only_for_full_rank_chunks(self, monkeypatch):
-        calls = counting_position_kernel(monkeypatch)
-        deficient = 0
-        for seed in range(12):
-            model = mixed_market(seed)
-            expected = []
+    def test_no_kernel_call_in_a_decomposition(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        models = [(seed, generate_market(seed, *shape))
+                  for seed in range(3) for shape in BASIS_SHAPES]
+        models += [(seed, mixed_market(seed)) for seed in range(12)]
+        ranks = {"full": 0, "deficient": 0}
+        for seed, model in models:
             for stack in _node_stacks(model):
-                columns = stack.children.shape[1]
-                for rank, _, within in _rank_slices(stack.rank, columns):
-                    if within and rank == columns:
-                        expected.append((rank, columns))
-                    deficient += within and rank < columns
-            first, second = list(default_claims(model, seed=seed).values())[:2]
-            for claim in (first, second):
+                full = int((stack.rank == stack.children.shape[1]).sum())
+                ranks["full"] += full
+                ranks["deficient"] += stack.rank.size - full
+            for claim in default_claims(model, seed=seed).values():
                 process = superhedge_process(model, claim)
                 calls.clear()
                 optional_decomposition(model, process)
-                assert calls == expected, seed
-        assert deficient > 0
+                assert calls == [], seed
+        assert ranks["full"] > 0 and ranks["deficient"] > 0
 
     def test_positions_equal_a_fresh_kernel_call_per_node(self):
         checked = 0
@@ -662,3 +651,15 @@ class TestValidation:
     def test_wrong_length_claim(self, t1_model):
         with pytest.raises(ValueError, match="leaves"):
             superhedge_price(t1_model, Claim([1.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_process_rejected(self, t1_model, value):
+        """Both public entry points refuse a process with a value that is
+        not finite, naming the first such node in tree order."""
+        process = np.ones(4)
+        process[2:] = value
+        for entry in (check_supermartingale, optional_decomposition):
+            with pytest.raises(ValueError, match="process value at node 'm' is not finite"):
+                entry(t1_model, process)
+        with pytest.raises(ValueError, match="node 'r' is not finite"):
+            check_supermartingale(t1_model, np.full(4, value))

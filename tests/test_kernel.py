@@ -41,7 +41,6 @@ from fairtree.deflators import (
     _node_stacks,
     _ray_tables,
     _regular_bases,
-    _single_points,
     _svd_rank,
     _vertex_tables,
     _witness_ratios,
@@ -326,6 +325,11 @@ def per_group_build(model):
         width = singular.shape[1]
         inverse = np.divide(1.0, singular, out=np.zeros_like(singular), where=kept)
         beyond = np.arange(key[1]) >= rank[:, np.newaxis]
+        fixed = np.zeros((nodes.size, key[1]))
+        full = np.flatnonzero(rank == key[1])
+        if full.size:
+            x, feasible, _ = _basic_solutions(matrix[full], rhs[full], left[full], key[1])
+            fixed[full] = np.where(feasible, x[:, 0], 0.0)
         yield dict(
             nodes=nodes,
             children=children,
@@ -337,7 +341,7 @@ def per_group_build(model):
             left=left,
             pinv=np.einsum("gkn,gk,gdk->gnd", right[:, :width], inverse, left[:, :, :width]),
             null=right.transpose(0, 2, 1) * beyond[:, np.newaxis, :],
-            fixed=_single_points(matrix, rhs, left, rank),
+            fixed=fixed,
         )
 
 
@@ -388,23 +392,34 @@ def complete_markets():
 
 class TestVertexTables:
     """A node of full column rank has one basis, whose solution is its
-    single point: its table is read off that point, without the kernel,
-    and equals the kernel's table bit for bit."""
+    single point: one kernel call per stack solves its full-rank nodes
+    when the node systems are built, the vertex tables read those nodes
+    off that call without another, and their tables equal a fresh kernel
+    call's bit for bit."""
 
-    def test_no_kernel_call_for_a_full_rank_node(self, monkeypatch):
+    def test_one_kernel_call_per_stack_with_full_rank_nodes(self, monkeypatch):
         calls = []
 
         def counted(matrix, rhs, left, rank, *args, **kwargs):
-            calls.append((rank, matrix.shape[2]))
+            calls.append((rank, matrix.shape[2], matrix.shape[0]))
             return _basic_solutions(matrix, rhs, left, rank, *args, **kwargs)
 
         monkeypatch.setattr(fairtree.deflators, "_basic_solutions", counted)
-        for model in complete_markets():
+        deficient = 0
+        for model in [*complete_markets(), *(mixed_market(seed) for seed in range(6))]:
+            calls.clear()
+            expected = []
+            for stack in _node_stacks(model):
+                columns = stack.children.shape[1]
+                full = int((stack.rank == columns).sum())
+                if full:
+                    expected.append((columns, columns, full))
+            assert calls == expected
+            calls.clear()
             _vertex_tables(model)
-        assert calls == []
-        for seed in range(6):
-            _vertex_tables(mixed_market(seed))
-        assert calls and all(rank < columns for rank, columns in calls)
+            assert all(rank < columns for rank, columns, _ in calls)
+            deficient += len(calls)
+        assert deficient > 0
 
     def test_full_rank_tables_equal_the_kernels(self):
         checked = 0

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fairtree.utility
+
 from fairtree import (
     Claim,
     Deflator,
@@ -709,6 +711,27 @@ def _count_sweeps(monkeypatch):
 
 
 class TestCertifiedDual:
+    def test_a_non_finite_gradient_fails_the_certificate(self, monkeypatch):
+        """A NaN in the gradient makes the gap NaN, which certifies
+        nothing: the entry's vertex is already swept, so the gap check
+        alone decides."""
+        model = generate_market(seed=3, depth=3, branching=3, assets=2)
+        solve_dual(model, log_utility(), 1.0)
+        dual_objective = fairtree.utility._dual_objective
+
+        def broken(*args):
+            objective, gradient, *rest = dual_objective(*args)
+
+            def with_nan(levels):
+                grad = gradient(levels).copy()
+                grad[1] = np.nan
+                return grad
+            return objective, with_nan, *rest
+
+        monkeypatch.setattr(fairtree.utility, "_dual_objective", broken)
+        with pytest.raises(SolverError, match="duality gap of nan"):
+            solve_dual(model, log_utility(), 1.0)
+
     def test_one_sweep_per_market_and_utility(self, monkeypatch):
         # the gradient at scale y is y**q times the one at scale 1, so the
         # first call's vertex certifies every later scale and tolerance

@@ -553,17 +553,37 @@ class TestStoredBases:
     included, so it makes no kernel call; the positions and consumption
     are those of a fresh kernel call per node, to the bit."""
 
-    def test_no_kernel_call_in_a_decomposition(self, monkeypatch):
+    def test_no_kernel_call_on_the_incomplete_benchmark_shapes(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        for seed in range(3):
+            for shape in BASIS_SHAPES[:4]:
+                model = generate_market(seed, *shape)
+                for claim in default_claims(model, seed=seed).values():
+                    process = superhedge_process(model, claim)
+                    calls.clear()
+                    optional_decomposition(model, process)
+                    assert calls == [], (seed, shape)
+
+    def test_kernel_calls_only_for_full_rank_chunks(self, monkeypatch):
+        # the node systems make the one kernel call per stack with nodes of
+        # full column rank, on those nodes alone; the decomposition, on
+        # full-rank and rank-deficient nodes alike, makes none
         calls = counting_kernel(monkeypatch)
         models = [(seed, generate_market(seed, *shape))
-                  for seed in range(3) for shape in BASIS_SHAPES]
+                  for seed in range(3) for shape in BASIS_SHAPES[4:]]
         models += [(seed, mixed_market(seed)) for seed in range(12)]
         ranks = {"full": 0, "deficient": 0}
         for seed, model in models:
+            calls.clear()
+            expected = []
             for stack in _node_stacks(model):
-                full = int((stack.rank == stack.children.shape[1]).sum())
+                columns = stack.children.shape[1]
+                full = int((stack.rank == columns).sum())
+                if full:
+                    expected.append((columns, columns))
                 ranks["full"] += full
                 ranks["deficient"] += stack.rank.size - full
+            assert calls == expected, seed
             for claim in default_claims(model, seed=seed).values():
                 process = superhedge_process(model, claim)
                 calls.clear()
